@@ -33,6 +33,7 @@ random oracle").
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from dataclasses import dataclass
@@ -108,6 +109,30 @@ class SISMatrix:
         else:
             self._columns = None
             self.oracle = oracle or RandomOracle(b"sis|" + str(seed).encode())
+
+    def __deepcopy__(self, memo: dict) -> "SISMatrix":
+        """Copy the mutable parts; share the construction randomness.
+
+        ``params``, the explicit column tuples and the int64 column
+        matrix are fixed at construction and never written afterwards, so
+        a copy shares them -- walking the ``rows * cols`` Python ints of
+        ``_columns`` is what made a copied sketch cost milliseconds.  The
+        int64 matrix is registered in ``memo`` so an owner that keeps its
+        own reference to it (``SisL0Estimator._cols64``) shares it too.
+        The column cache is copied and the oracle deep-copied, so each
+        copy keeps its own ``queries`` count.
+        """
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        clone.params = self.params
+        clone.mode = self.mode
+        clone._columns = self._columns
+        clone._columns_int64 = self._columns_int64
+        if self._columns_int64 is not None:
+            memo[id(self._columns_int64)] = self._columns_int64
+        clone._column_cache = dict(self._column_cache)
+        clone.oracle = copy.deepcopy(self.oracle, memo)
+        return clone
 
     # -- entry access ------------------------------------------------------
 

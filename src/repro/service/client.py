@@ -15,7 +15,8 @@ Both clients expose the same call surface over the
     and the family's native query (``kind="f2"`` -> ``f2_estimate``);
 ``snapshot()`` / ``load_snapshot(data)`` / ``checkpoint()``
     wire-format state movement -- the same fingerprint-verified bytes
-    the in-process merge protocol trusts.
+    the in-process merge protocol trusts; ``snapshot(unless=version)``
+    skips the transfer when the server's state is still at ``version``.
 
 The sync client is a plain blocking socket (no event loop), which makes
 it safe to drive from anywhere -- benchmark harnesses, shell tools,
@@ -113,6 +114,9 @@ DEFAULT_HEDGE_DELAY = 0.05
 
 #: Phase label client-side estimate latency records under.
 ESTIMATE_PHASE = "client.estimate"
+
+#: ``snapshot()``'s default: no ``unless`` given, plain bytes wanted.
+_UNVERSIONED = object()
 
 _obs_registry = _get_obs_registry()
 _obs_hedged = _obs_registry.counter(
@@ -681,9 +685,19 @@ class SketchClient:
         """Second-moment estimate from the server's merged state."""
         return self.query(kind="f2")
 
-    def snapshot(self) -> bytes:
-        """Wire-format snapshot of the server's merged state."""
-        return self._request("snapshot")
+    def snapshot(self, *, unless=_UNVERSIONED) -> bytes | dict:
+        """Wire-format snapshot of the server's merged state.
+
+        Returns the snapshot bytes.  Passing ``unless=`` -- the
+        ``version`` of an earlier versioned reply, or ``None`` when the
+        caller holds no copy yet -- asks for the versioned form instead:
+        ``{"version": ..., "snapshot": bytes}``, where ``snapshot`` is
+        ``None`` if the server's state is still at version ``unless``
+        (nothing was merged, encoded or sent).
+        """
+        if unless is _UNVERSIONED:
+            return self._request("snapshot")
+        return self._request("snapshot", unless=unless)
 
     def load_snapshot(
         self,
@@ -1184,9 +1198,12 @@ class AsyncSketchClient:
         """See :meth:`SketchClient.f2_estimate`."""
         return await self.query(kind="f2")
 
-    async def snapshot(self) -> bytes:
-        """See :meth:`SketchClient.snapshot`."""
-        return await self._request("snapshot")
+    async def snapshot(self, *, unless=_UNVERSIONED) -> bytes | dict:
+        """See :meth:`SketchClient.snapshot` (``unless=`` for the
+        versioned form)."""
+        if unless is _UNVERSIONED:
+            return await self._request("snapshot")
+        return await self._request("snapshot", unless=unless)
 
     async def load_snapshot(
         self,

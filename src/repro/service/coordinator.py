@@ -24,13 +24,26 @@ the caller replays the stream tail from the returned position.
 Failover
 --------
 The coordinator keeps a per-server snapshot cache (seeded at
-``connect``, refreshed by every successful :meth:`merged` fan-in and
-every ``journal_every``-chunk rotation) plus a per-server *journal* of
-update slices acknowledged since the last cache refresh.  Cache plus
-journal is the server's exact acknowledged state -- the invariant both
-recovery paths lean on.  When a server is down, :meth:`merged`
-*degrades* instead of failing: the dead server contributes its cached
-snapshot, the read is annotated in ``coordinator.last_read``, and
+``connect``, refreshed by every successful :meth:`merged` fan-in, every
+``journal_every``-chunk rotation, and the :meth:`readmit` /
+:meth:`migrate_server` hand-offs) plus a per-server *journal* of update
+slices acknowledged since the last cache refresh.  Cache plus journal is
+the server's exact acknowledged state -- the invariant both recovery
+paths lean on.
+
+Each cache entry is tagged with the state version the server issued
+with it: a random per-instance epoch plus a count of applied feeds and
+snapshot loads.  Every refresh sends that version as ``snapshot``'s
+``unless``, and a server still at it replies with the version alone --
+no merge, encode or transfer.  The merged view :meth:`merged` hands out
+is keyed on the active servers' versions, so a read after no change
+anywhere reuses it outright.  Because the *server* issues the version,
+anything that changes a server's state invalidates the view: writes by
+other clients, a restart (new epoch), :meth:`recover`, a migration.
+
+When a server is down, :meth:`merged` *degrades* instead of failing:
+the dead server contributes its cached snapshot, the read is annotated
+in ``coordinator.last_read``, and
 ``repro_coordinator_degraded_reads_total`` counts it -- an estimate
 served during an outage is old news for the dead shard's items, never
 wrong news for the rest.
@@ -166,11 +179,19 @@ class SketchCoordinator:
         #: One request in flight per connection: feeds, fan-ins, and
         #: routing swaps all serialize here (waits happen off-lock).
         self._feed_lock = asyncio.Lock()
-        #: Per-server snapshot cache backing degraded reads: last known
-        #: good merged-state bytes and the coordinator position they
+        #: Per-server snapshot cache backing degraded reads and the
+        #: merged view: last known good merged-state bytes, the server
+        #: state version they carry, and the coordinator position they
         #: were observed at.
         self._snapshots: list[Optional[bytes]] = [None] * len(self.addresses)
+        self._versions: list[Optional[tuple]] = [None] * len(self.addresses)
         self._snapshot_positions: list[int] = [0] * len(self.addresses)
+        #: The merged view :meth:`merged` hands out, keyed on the
+        #: ``(index, version)`` pairs of the snapshots it was built from,
+        #: and the restore twin every rebuild reuses.
+        self._view: Optional[StreamAlgorithm] = None
+        self._view_key: Optional[tuple] = None
+        self._twin: Optional[StreamAlgorithm] = None
         #: Annotation of the most recent :meth:`merged` fan-in:
         #: ``{"degraded", "stale", "stale_positions", "position"}``.
         self.last_read: dict = {
@@ -229,11 +250,9 @@ class SketchCoordinator:
                     "constructed sketch; every server must be built from the "
                     "coordinator's factory (same parameters, same seed)"
                 )
-        snapshots = await asyncio.gather(
-            *(client.snapshot() for client in self.clients)
+        await asyncio.gather(
+            *(self._pull(index) for index in range(len(self.clients)))
         )
-        self._snapshots = list(snapshots)
-        self._snapshot_positions = [self.position] * len(self.clients)
         return self
 
     async def close(self) -> None:
@@ -418,29 +437,50 @@ class SketchCoordinator:
             ]
             if not active:
                 return
-            results = await asyncio.gather(
-                *(clients[index].snapshot() for index in active),
+            await asyncio.gather(
+                *(self._pull(index) for index in active),
                 return_exceptions=True,
             )
-            for index, result in zip(active, results):
-                if isinstance(result, BaseException):
-                    continue
-                self._snapshots[index] = result
-                self._snapshot_positions[index] = self.position
-                self._journals[index].clear()
+
+    async def _pull(self, index: int) -> None:
+        """Refresh server ``index``'s cache entry from its live state.
+
+        Sends the cached version as ``unless``: a server whose state has
+        not changed since answers with its version alone, and the cached
+        bytes stand.  Either way the cache now equals the server's
+        state, so the journal of slices since the last refresh is
+        dropped.  A failed request leaves the entry untouched.
+        """
+        reply = await self.clients[index].snapshot(unless=self._versions[index])
+        if reply["snapshot"] is not None:
+            self._snapshots[index] = reply["snapshot"]
+        self._versions[index] = reply["version"]
+        self._snapshot_positions[index] = self.position
+        self._journals[index].clear()
 
     # -- fan-in: the wire merge --------------------------------------------
 
     async def merged(self, allow_degraded: bool = True) -> StreamAlgorithm:
         """One sketch equal to a single engine fed the whole stream.
 
-        Pulls every active server's merged snapshot concurrently and
-        folds them into a deep copy of the local template -- ``restore``
-        for the first payload, fingerprint-verified merges for the rest,
-        exactly the :meth:`ShardedAlgorithm.merged` fan-in with TCP in
-        the middle.  Servers whose partitions migrated away are skipped
-        entirely (their state lives on, and is counted by, the
-        destination server).
+        Asks every active server concurrently for its merged snapshot
+        *unless* its state version still equals the cached one, so an
+        unchanged server ships no bytes.  When every active server's
+        version matches the ones the current view was built from, that
+        view is returned as is: no restore, merge or copy.  Otherwise a
+        fresh view is built from the cached bytes -- a deep copy of the
+        local template, ``restore`` for the first payload, merges
+        through one reused restore twin for the rest, exactly the
+        :meth:`ShardedAlgorithm.merged` fan-in with TCP in the middle.
+        Servers whose partitions migrated away are skipped entirely
+        (their state lives on, and is counted by, the destination
+        server).
+
+        The result is a **shared, read-only view**: later reads may hand
+        out the same object, and the coordinator never mutates a view
+        once handed out (a rebuild makes a new one), so a caller may
+        keep it as a stable copy of the state it was read at -- but must
+        not feed or merge into it.
 
         With ``allow_degraded`` (the default), a server that cannot
         answer contributes its *cached* snapshot instead of failing the
@@ -459,10 +499,9 @@ class SketchCoordinator:
                 if index not in self._migrated
             ]
             results = await asyncio.gather(
-                *(clients[index].snapshot() for index in active),
+                *(self._pull(index) for index in active),
                 return_exceptions=True,
             )
-            snapshots: list[bytes] = []
             stale: list[int] = []
             for index, result in zip(active, results):
                 if isinstance(result, BaseException):
@@ -471,13 +510,13 @@ class SketchCoordinator:
                         or self._snapshots[index] is None
                     ):
                         raise result
-                    snapshots.append(self._snapshots[index])
                     stale.append(index)
-                else:
-                    snapshots.append(result)
-                    self._snapshots[index] = result
-                    self._snapshot_positions[index] = self.position
-                    self._journals[index].clear()
+            key = tuple((index, self._versions[index]) for index in active)
+            if key != self._view_key:
+                self._view = self._build_view(
+                    [self._snapshots[index] for index in active]
+                )
+                self._view_key = key
         self.last_read = {
             "degraded": bool(stale),
             "stale": stale,
@@ -490,14 +529,24 @@ class SketchCoordinator:
             self.degraded_reads += 1
             if _obs_registry.enabled:
                 _obs_degraded.add(1, servers=str(len(stale)))
-        merged = copy.deepcopy(self.template)
-        merged.restore(snapshots[0])
+        return self._view
+
+    def _build_view(self, snapshots: list[bytes]) -> StreamAlgorithm:
+        """A new sketch holding the merge of ``snapshots``.
+
+        The restore twin persists across rebuilds: ``restore`` replaces
+        its state wholesale, so reusing it is byte-identical to a fresh
+        copy, and it is never handed out.
+        """
+        view = copy.deepcopy(self.template)
+        view.restore(snapshots[0])
         if len(snapshots) > 1:
-            twin = copy.deepcopy(self.template)
+            if self._twin is None:
+                self._twin = copy.deepcopy(self.template)
             for snapshot in snapshots[1:]:
-                twin.restore(snapshot)
-                merged.merge(twin)
-        return merged
+                self._twin.restore(snapshot)
+                view.merge(self._twin)
+        return view
 
     async def estimate(self, items) -> np.ndarray:
         """Batched point estimates answered from the wire-merged state."""
@@ -619,9 +668,7 @@ class SketchCoordinator:
                         client, client._feed_seq, chunk_items, chunk_deltas
                     )
                 restored = True
-            self._snapshots[index] = await client.snapshot()
-            self._snapshot_positions[index] = self.position
-            self._journals[index].clear()
+            await self._pull(index)
             pong = await client.ping()
         return {
             "address": f"{host}:{port}",
@@ -712,13 +759,12 @@ class SketchCoordinator:
                 self._migrated.add(index)
                 self._journals[index] = []
                 self._snapshots[index] = None
+                self._versions[index] = None
                 self._snapshot_positions[index] = 0
                 self.routed_updates[destination] += self.routed_updates[index]
                 self.routed_updates[index] = 0
                 try:
-                    self._snapshots[destination] = await dest.snapshot()
-                    self._snapshot_positions[destination] = self.position
-                    self._journals[destination].clear()
+                    await self._pull(destination)
                 except (OSError, ProtocolError):
                     pass  # cache refresh is opportunistic; journal covers it
                 self.migrations += 1

@@ -45,7 +45,15 @@ Ops
 ``query``            the sketch family's native query (``kind="f2"``
                      routes to ``f2_estimate``; default heavy-hitter /
                      family query)
-``snapshot``         wire-format snapshot of the merged state
+``snapshot``         wire-format snapshot of the merged state; with an
+                     ``unless`` field (a state version from an earlier
+                     reply, or ``None``) the reply is ``{"version",
+                     "snapshot"}`` and ``snapshot`` is ``None`` when the
+                     state is still at version ``unless``.  A version
+                     is ``(epoch, mutations)``: a random per-server-
+                     instance epoch and a count of applied feeds and
+                     ``load_snapshot`` calls, so equal versions from one
+                     server mean equal snapshot bytes
 ``load_snapshot``    restore a snapshot into the fleet (recovery)
 ``checkpoint``       force a checkpoint write now
 ``stats`` / ``ping`` liveness + operational monitoring counters

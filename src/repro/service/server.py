@@ -56,6 +56,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import itertools
+import secrets
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -325,6 +326,14 @@ class SketchServer:
         #: (documented caveat -- resuming clients replay from their
         #: server-acknowledged positions anyway).
         self._feed_seqs: dict = {}
+        #: State version ``(epoch, mutations)``: a random per-instance
+        #: epoch, so a restarted server never repeats an earlier
+        #: instance's version, and a count the engine thread bumps on
+        #: every applied feed and every ``load_snapshot``.  Equal
+        #: versions from one server mean equal snapshot bytes, which is
+        #: what lets ``snapshot(unless=...)`` skip an unchanged state.
+        self._epoch = secrets.token_hex(8)
+        self._mutations = 0
         self._writer: Optional[CheckpointWriter] = None
         if checkpoint_path is not None:
             self._writer = CheckpointWriter(
@@ -393,11 +402,14 @@ class SketchServer:
             self._server.close()
             await self._server.wait_closed()
         # Reap connection handlers still draining their sockets, so the
-        # event loop can close without orphaned tasks.
-        for task in list(self._handler_tasks):
-            task.cancel()
-        if self._handler_tasks:
-            await asyncio.gather(*self._handler_tasks, return_exceptions=True)
+        # event loop can close without orphaned tasks.  A connection
+        # accepted just before the close starts its handler while the
+        # first batch is being reaped, hence the loop.
+        while self._handler_tasks:
+            handlers = list(self._handler_tasks)
+            for task in handlers:
+                task.cancel()
+            await asyncio.gather(*handlers, return_exceptions=True)
         # Shutdown must not shed its own final checkpoint.
         self.queue_deadline = None
         if self._writer is not None and self._writer.last_position != self.position:
@@ -509,6 +521,9 @@ class SketchServer:
                         f"seq {last + 1}"
                     )
             self._feed_seqs[client_id] = seq
+        # Bumped before applying: a batch that fails halfway may still
+        # have changed the state.
+        self._mutations += 1
         self.engine.algorithm.process_batch(items, deltas)
         self.position += len(items)
         if self._writer is not None and self._writer.maybe(self.position):
@@ -539,6 +554,7 @@ class SketchServer:
                 "from an identically-constructed sketch (same parameters, "
                 "same seed)"
             )
+        self._mutations += 1
         if merge:
             # Additive restore (shard migration): fold the snapshot into the
             # live state and advance the feed position by the updates the
@@ -557,6 +573,15 @@ class SketchServer:
         if self._writer is not None:
             self._writer.last_position = self.position
         return self.position
+
+    def _snapshot(self, unless) -> tuple[tuple[str, int], Optional[bytes]]:
+        """The state version and the merged snapshot -- or ``None`` in
+        the snapshot's place when ``unless`` is the current version, so
+        an unchanged state is neither merged, encoded nor shipped."""
+        version = (self._epoch, self._mutations)
+        if unless == version:
+            return version, None
+        return version, self.engine.merged().snapshot()
 
     def _stats_payload(self) -> dict:
         """The monitoring snapshot: liveness first, then counters."""
@@ -779,9 +804,12 @@ class SketchServer:
         if op == "snapshot":
             connection.bump(queries=1)
             self.stats.bump(queries=1)
-            return await self._engine_call(
-                lambda: self.engine.merged().snapshot()
+            version, data = await self._engine_call(
+                self._snapshot, message.get("unless")
             )
+            if "unless" not in message:
+                return data
+            return {"version": version, "snapshot": data}
         if op == "load_snapshot":
             data = message.get("snapshot")
             if not isinstance(data, (bytes, bytearray)):

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import multiprocessing.connection
 import os
 import random
 import signal
@@ -229,20 +230,32 @@ class FaultPlan:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _abort(sock: Optional[socket.socket]) -> None:
-    """Close with an RST (SO_LINGER 0), not a graceful FIN."""
-    if sock is None:
-        return
+def _shutdown(sock: socket.socket) -> None:
+    """Shut down both directions, waking any thread blocked on ``sock``.
+
+    On Linux ``close()`` alone does not wake a thread blocked in
+    ``recv()`` or ``accept()`` on the same socket; ``shutdown()`` does.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # not connected, or already shut down
+
+
+def _abort(sock: socket.socket) -> None:
+    """Kill the connection: a FIN now, an RST when it is closed.
+
+    SO_LINGER 0 makes the eventual ``close()`` send an RST; the
+    shutdown ends the peer's next read at once and wakes the relay
+    threads blocked on this socket.
+    """
     try:
         sock.setsockopt(
             socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
         )
     except OSError:
         pass
-    try:
-        sock.close()
-    except OSError:
-        pass
+    _shutdown(sock)
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes:
@@ -268,7 +281,8 @@ class ChaosProxy:
 
     ``conn_reset``
         The frame is dropped and both sides of the connection are
-        aborted with an RST -- the client's next read or write fails.
+        aborted (a FIN, then an RST) -- the client's next read or write
+        fails.
     ``frame_truncate``
         The header plus half the payload reach the server, then both
         sides are aborted -- the server sees a mid-frame EOF
@@ -307,7 +321,10 @@ class ChaosProxy:
         self._lock = threading.Lock()
         self._listener: Optional[socket.socket] = None
         self._threads: list[threading.Thread] = []
-        self._pairs: list[tuple[socket.socket, socket.socket]] = []
+        #: Open connections, ``(downstream, upstream)`` -> relay threads
+        #: still running.  Sockets are shut down and closed only under
+        #: ``_lock``, so no thread touches a socket another has closed.
+        self._relays: dict[tuple[socket.socket, socket.socket], int] = {}
         self._closed = False
 
     # -- lifecycle ----------------------------------------------------------
@@ -329,18 +346,18 @@ class ChaosProxy:
         return self
 
     def stop(self) -> None:
-        """Close the listener and every live relay; joins the threads."""
-        self._closed = True
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        """Shut the listener and every live relay down; joins the threads.
+
+        The threads close the sockets on their way out (see
+        :meth:`_relay`).
+        """
         with self._lock:
-            pairs = list(self._pairs)
-        for downstream, upstream in pairs:
-            _abort(downstream)
-            _abort(upstream)
+            self._closed = True
+            if self._listener is not None:
+                _shutdown(self._listener)
+            for pair in self._relays:
+                for sock in pair:
+                    _abort(sock)
         for thread in self._threads:
             thread.join(timeout=5)
 
@@ -353,36 +370,80 @@ class ChaosProxy:
     # -- pumping ------------------------------------------------------------
 
     def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._closed:
-            try:
-                downstream, _ = self._listener.accept()
-            except OSError:
-                return
-            try:
-                upstream = socket.create_connection(self.upstream, timeout=10)
-            except OSError:
-                _abort(downstream)
-                continue
-            downstream.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            upstream.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        listener = self._listener
+        assert listener is not None
+        try:
+            while True:
+                try:
+                    downstream, _ = listener.accept()
+                except OSError:
+                    return  # stop() shut the listener down
+                try:
+                    upstream = socket.create_connection(self.upstream, timeout=10)
+                except OSError:
+                    _abort(downstream)
+                    downstream.close()
+                    continue
+                downstream.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                upstream.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                pair = (downstream, upstream)
+                relays = (
+                    threading.Thread(
+                        target=self._relay,
+                        args=(pair, self._pump_frames, downstream, upstream),
+                        name="chaos-c2s",
+                        daemon=True,
+                    ),
+                    threading.Thread(
+                        target=self._relay,
+                        args=(pair, self._pump_raw, upstream, downstream),
+                        name="chaos-s2c",
+                        daemon=True,
+                    ),
+                )
+                with self._lock:
+                    if self._closed:  # accepted while stop() ran
+                        for sock in pair:
+                            _abort(sock)
+                            sock.close()
+                        return
+                    self._relays[pair] = len(relays)
+                    for relay in relays:
+                        relay.start()
+                    self._threads.extend(relays)
+        finally:
             with self._lock:
-                self._pairs.append((downstream, upstream))
-            c2s = threading.Thread(
-                target=self._pump_frames,
-                args=(downstream, upstream),
-                name="chaos-c2s",
-                daemon=True,
-            )
-            s2c = threading.Thread(
-                target=self._pump_raw,
-                args=(upstream, downstream),
-                name="chaos-s2c",
-                daemon=True,
-            )
-            c2s.start()
-            s2c.start()
-            self._threads.extend((c2s, s2c))
+                listener.close()
+
+    def _relay(
+        self,
+        pair: tuple[socket.socket, socket.socket],
+        pump: Callable[[socket.socket, socket.socket], None],
+        source: socket.socket,
+        sink: socket.socket,
+    ) -> None:
+        """Run one direction of a connection; the last one out closes it.
+
+        On exit both sockets are shut down, which wakes the other
+        direction.  Only the second direction to finish closes them:
+        closing a socket while another thread may still be inside a call
+        on it can send that call to a recycled descriptor, where it
+        blocks until its timeout (a relay stuck that way held up about
+        one swarm-test ``stop()`` in ten for its 5 s join timeout).
+        """
+        try:
+            pump(source, sink)
+        except OSError:
+            pass
+        finally:
+            with self._lock:
+                for sock in pair:
+                    _shutdown(sock)
+                self._relays[pair] -= 1
+                if not self._relays[pair]:
+                    del self._relays[pair]
+                    for sock in pair:
+                        sock.close()
 
     def _next_fault(self) -> Optional[FaultEvent]:
         """Count one frame; pop and return its scheduled fault, if any."""
@@ -397,74 +458,56 @@ class ChaosProxy:
         self, downstream: socket.socket, upstream: socket.socket
     ) -> None:
         """Client-to-server direction, one RSV1 frame at a time."""
-        try:
-            while True:
-                header = _recv_exact(downstream, _HEADER.size)
-                if len(header) < _HEADER.size:
+        while True:
+            header = _recv_exact(downstream, _HEADER.size)
+            if len(header) < _HEADER.size:
+                break
+            magic, length = _HEADER.unpack(header)
+            if magic != MAGIC:
+                # Not our framing: fall back to raw passthrough.
+                upstream.sendall(header)
+                self._pump_raw(downstream, upstream)
+                return
+            payload = _recv_exact(downstream, length)
+            short = len(payload) < length
+            fault = self._next_fault()
+            if fault is None or short:
+                upstream.sendall(header + payload)
+                if short:
                     break
-                magic, length = _HEADER.unpack(header)
-                if magic != MAGIC:
-                    # Not our framing: fall back to raw passthrough.
-                    upstream.sendall(header)
-                    self._pump_raw(downstream, upstream)
-                    return
-                payload = _recv_exact(downstream, length)
-                short = len(payload) < length
-                fault = self._next_fault()
-                if fault is None or short:
-                    upstream.sendall(header + payload)
-                    if short:
-                        break
-                    continue
-                if fault.kind == "conn_reset":
-                    _abort(downstream)
-                    _abort(upstream)
-                    return
-                if fault.kind == "frame_truncate":
-                    upstream.sendall(header + payload[: length // 2])
-                    _abort(downstream)
-                    _abort(upstream)
-                    return
-                if fault.kind == "frame_delay":
-                    time.sleep(fault.param)
-                    upstream.sendall(header + payload)
-                    continue
-                if fault.kind == "slow_read":
-                    blob = header + payload
-                    pieces = 8
-                    step = max(1, len(blob) // pieces)
-                    pause = fault.param / pieces
-                    for start in range(0, len(blob), step):
-                        upstream.sendall(blob[start : start + step])
-                        time.sleep(pause)
-                    continue
-                raise AssertionError(f"unhandled fault kind {fault.kind!r}")
-        except OSError:
-            pass
-        finally:
-            for sock in (downstream, upstream):
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+                continue
+            if fault.kind == "conn_reset":
+                _abort(downstream)
+                _abort(upstream)
+                return
+            if fault.kind == "frame_truncate":
+                upstream.sendall(header + payload[: length // 2])
+                _abort(downstream)
+                _abort(upstream)
+                return
+            if fault.kind == "frame_delay":
+                time.sleep(fault.param)
+                upstream.sendall(header + payload)
+                continue
+            if fault.kind == "slow_read":
+                blob = header + payload
+                pieces = 8
+                step = max(1, len(blob) // pieces)
+                pause = fault.param / pieces
+                for start in range(0, len(blob), step):
+                    upstream.sendall(blob[start : start + step])
+                    time.sleep(pause)
+                continue
+            raise AssertionError(f"unhandled fault kind {fault.kind!r}")
 
     @staticmethod
     def _pump_raw(source: socket.socket, sink: socket.socket) -> None:
         """Server-to-client direction: unmodified byte passthrough."""
-        try:
-            while True:
-                chunk = source.recv(1 << 16)
-                if not chunk:
-                    break
-                sink.sendall(chunk)
-        except OSError:
-            pass
-        finally:
-            for sock in (source, sink):
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+        while True:
+            chunk = source.recv(1 << 16)
+            if not chunk:
+                return
+            sink.sendall(chunk)
 
 
 # -- worker kills ------------------------------------------------------------
@@ -510,11 +553,15 @@ def kill_worker(target, shard: int, *, wait: float = 5.0) -> int:
     a corpse rather than racing the signal.
     """
     pool = _resolve_pool(target)
-    pid = pool.worker_pids()[shard]
-    os.kill(pid, signal.SIGKILL)
+    # Capture the process before signalling: the engine thread may reap
+    # the corpse and install a respawned worker in its slot at any time
+    # after the kill.  Its sentinel turns readable when the child exits,
+    # whichever thread reaps it.
     process = pool._processes[shard]
-    process.join(timeout=wait)
-    if process.is_alive():  # pragma: no cover - SIGKILL cannot be ignored
+    pid = process.pid
+    os.kill(pid, signal.SIGKILL)
+    exited = multiprocessing.connection.wait([process.sentinel], timeout=wait)
+    if not exited:  # pragma: no cover - SIGKILL cannot be ignored
         raise RuntimeError(f"worker {shard} (pid {pid}) survived SIGKILL")
     return pid
 
@@ -630,8 +677,6 @@ class ServerProcess:
 
     def start(self) -> "ServerProcess":
         """Fork the child and wait for it to report its bound port."""
-        import multiprocessing
-
         if self.alive:
             raise RuntimeError("server process already running")
         context = multiprocessing.get_context("fork")

@@ -1,10 +1,18 @@
 """Tests for SIS instances and sketches (Definition 2.15 / Algorithm 5's core)."""
 
+import copy
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import StreamEngine
+from repro.crypto.modmath import next_prime
 from repro.crypto.sis import SISMatrix, SISParams, sis_parameters_for_l0
+from repro.distinct.sis_l0 import SisL0Estimator
+from repro.parallel import ShardedStreamEngine
+from repro.workloads.frequency import turnstile_arrays
 
 
 def small_matrix(mode="explicit", rows=3, cols=6, q=97, seed=0):
@@ -150,3 +158,66 @@ class TestSpace:
 
     def test_sketch_bits(self):
         assert small_matrix().sketch_bits() == 3 * 7
+
+
+# The int64 dense path at a benchmark-like shape (q ~ 2^20, 8 x 1000).
+DENSE_PARAMS = SISParams(rows=8, cols=1000, modulus=next_prime(1 << 20), beta=1e9)
+DENSE_UNIVERSE = 50_000
+
+
+def dense_estimator():
+    return SisL0Estimator(DENSE_UNIVERSE, params=DENSE_PARAMS, seed=7)
+
+
+class TestDeepCopy:
+    def test_copy_shares_construction_randomness(self):
+        matrix = SISMatrix(DENSE_PARAMS, seed=3)
+        columns = matrix.columns_int64()
+        clone = copy.deepcopy(matrix)
+        assert clone is not matrix
+        assert clone.params is matrix.params
+        assert clone._columns is matrix._columns
+        assert clone.columns_int64() is columns
+        assert clone.column(17) == matrix.column(17)
+
+    def test_oracle_copy_counts_its_own_queries(self):
+        matrix = small_matrix(mode="oracle", seed=4)
+        matrix.column(0)
+        clone = copy.deepcopy(matrix)
+        assert clone.oracle is not matrix.oracle
+        assert clone._column_cache == matrix._column_cache
+        before = matrix.oracle.queries
+        assert clone.column(3) == small_matrix(mode="oracle", seed=4).column(3)
+        assert clone.oracle.queries > before
+        assert matrix.oracle.queries == before
+        assert 3 not in matrix._column_cache
+
+    @pytest.mark.parametrize("force_exact", [False, True])
+    def test_mutating_a_copy_leaves_the_original_untouched(self, force_exact):
+        items, deltas = turnstile_arrays(DENSE_UNIVERSE, 4_000, seed=11)
+        original = SisL0Estimator(
+            DENSE_UNIVERSE, params=DENSE_PARAMS, seed=7, force_exact=force_exact
+        )
+        original.feed_batch(items[:2_000], deltas[:2_000])
+        before = original.snapshot()
+        clone = copy.deepcopy(original)
+        if not force_exact:
+            # The estimator's own handle on the column matrix is shared too.
+            assert clone._cols64 is original._cols64
+            assert clone.matrix._columns_int64 is clone._cols64
+        clone.feed_batch(items[2_000:], deltas[2_000:])
+        assert original.snapshot() == before
+        assert clone.snapshot() != before
+
+    def test_sharded_fleet_byte_identical_to_serial_engine(self):
+        items, deltas = turnstile_arrays(DENSE_UNIVERSE, 30_000, seed=12)
+        reference = dense_estimator()
+        StreamEngine(chunk_size=4_096).drive_arrays(reference, items, deltas)
+        with ShardedStreamEngine(dense_estimator, 3, chunk_size=4_096) as engine:
+            engine.drive_arrays(items[:15_000], deltas[:15_000])
+            engine.merged()  # a mid-stream fan-in copies shard 0
+            engine.drive_arrays(items[15_000:], deltas[15_000:])
+            merged = engine.merged()
+        assert merged.snapshot() == reference.snapshot()
+        assert merged.query() == reference.query()
+        assert np.array_equal(merged._dense, reference._dense)

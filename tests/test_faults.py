@@ -26,6 +26,8 @@ double-applies even one update changes the bytes.
 """
 
 import asyncio
+import multiprocessing
+import os
 import threading
 import time
 
@@ -471,6 +473,44 @@ class TestSupervisedRecovery:
                 snapshot = direct.snapshot()
         assert snapshot == serial_reference(items, deltas).snapshot()
         assert restarts_metric_total() >= before + 2
+
+    def test_kill_worker_waits_on_the_killed_process_not_its_successor(
+        self, monkeypatch
+    ):
+        context = multiprocessing.get_context("fork")
+        victim = context.Process(target=time.sleep, args=(60,), daemon=True)
+        successor = context.Process(target=time.sleep, args=(60,), daemon=True)
+        victim.start()
+        successor.start()
+        pool = FakePool([victim])
+        signal_process = os.kill
+
+        def kill_then_respawn(pid, signum):
+            # The engine thread reaps the corpse and installs a respawned
+            # worker before the killer looks at the pool again.
+            signal_process(pid, signum)
+            victim.join(timeout=5)
+            pool._processes[0] = successor
+
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "kill", kill_then_respawn)
+                assert kill_worker(pool, 0, wait=2.0) == victim.pid
+            assert not victim.is_alive()
+            assert successor.is_alive()
+        finally:
+            successor.kill()
+            successor.join(timeout=5)
+
+
+class FakePool:
+    """The process-pool surface :func:`kill_worker` reads."""
+
+    def __init__(self, processes):
+        self._processes = processes
+
+    def worker_pids(self):
+        return [process.pid for process in self._processes]
 
 
 # -- the acceptance scenario: a 4-client swarm under the full repertoire ------

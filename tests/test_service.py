@@ -5,7 +5,8 @@ malformed-frame rejection, array packing, error-reply mapping), the
 server/client path end to end (feed -> estimate bit-exact against a
 serial ``StreamEngine`` run, with concurrent clients and with a
 process-backend fleet), the coordinator (universe partitioning across
-two servers, wire merge, fleet checkpoint), and the recovery story
+two servers, wire merge, fleet checkpoint, the versioned fan-in and its
+merged-view cache), and the recovery story
 (fingerprint-mismatch rejection that leaves the fleet intact, server
 restart from checkpoint with a reconnecting client replaying the tail).
 
@@ -15,7 +16,6 @@ tests stay loop-free.
 """
 
 import asyncio
-import os
 import socket
 import struct
 
@@ -49,7 +49,6 @@ from repro.service.protocol import (
     unpack_array,
     unpack_message,
 )
-from repro.workloads.frequency import uniform_arrays
 
 UNIVERSE = 1 << 14
 STREAM_LENGTH = 20_000
@@ -82,6 +81,63 @@ def serial_reference(factory, items, deltas):
 
 
 PROBE = np.arange(256, dtype=np.int64)
+
+
+def chunked(items, deltas, chunk=CHUNK):
+    return [
+        (items[i : i + chunk], deltas[i : i + chunk])
+        for i in range(0, len(items), chunk)
+    ]
+
+
+class HostedFleet:
+    """In-process CountMin servers, each stoppable and restartable
+    (empty) on its own port."""
+
+    def __init__(self, count):
+        self.ports = [0] * count
+        self._contexts = [None] * count
+        for index in range(count):
+            self.start(index)
+
+    def start(self, index):
+        server = SketchServer(
+            count_min_factory, chunk_size=CHUNK, port=self.ports[index]
+        )
+        context = server.run_in_thread()
+        context.__enter__()
+        self._contexts[index] = context
+        self.ports[index] = server.port
+
+    def stop(self, index):
+        context, self._contexts[index] = self._contexts[index], None
+        if context is not None:
+            context.__exit__(None, None, None)
+
+    def addresses(self):
+        return [("127.0.0.1", port) for port in self.ports]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        for index in range(len(self._contexts)):
+            self.stop(index)
+
+
+def record_snapshot_replies(coordinator):
+    """Log every snapshot reply the coordinator's server clients receive."""
+    replies = []
+    for client in coordinator.clients:
+        original = client.snapshot
+
+        async def recorded(*args, _original=original, **kwargs):
+            reply = await _original(*args, **kwargs)
+            replies.append(reply)
+            return reply
+
+        client.snapshot = recorded
+    return replies
 
 
 # -- protocol layer, no sockets ----------------------------------------------
@@ -523,6 +579,221 @@ class TestCoordinator:
     def test_coordinator_requires_addresses(self):
         with pytest.raises(ValueError):
             SketchCoordinator(count_min_factory, [])
+
+    # -- the versioned fan-in and the merged view ----------------------------
+
+    async def connected(self, fleet):
+        coordinator = SketchCoordinator(count_min_factory, fleet.addresses())
+        await coordinator.connect(retry=RetryPolicy(max_attempts=4, base_delay=0.05))
+        return coordinator
+
+    def test_unchanged_fleet_read_ships_no_bytes_and_reuses_the_view(self):
+        items, deltas = stream(20, 4 * CHUNK)
+        reference = serial_reference(count_min_factory, items, deltas)
+
+        async def scenario(fleet):
+            coordinator = await self.connected(fleet)
+            await coordinator.feed_chunks(chunked(items, deltas))
+            first = await coordinator.merged()
+            assert first.snapshot() == reference.snapshot()
+            replies = record_snapshot_replies(coordinator)
+            second = await coordinator.merged()
+            assert second is first
+            assert len(replies) == 2
+            assert all(reply["snapshot"] is None for reply in replies)
+            assert np.array_equal(
+                await coordinator.estimate(PROBE), reference.estimate_batch(PROBE)
+            )
+            await coordinator.close()
+
+        with HostedFleet(2) as fleet:
+            asyncio.run(scenario(fleet))
+
+    def test_direct_feed_to_one_server_shows_in_the_next_read(self):
+        items, deltas = stream(21, 2 * CHUNK)
+        extra_items, extra_deltas = stream(22, CHUNK)
+        reference = serial_reference(
+            count_min_factory,
+            np.concatenate([items, extra_items]),
+            np.concatenate([deltas, extra_deltas]),
+        )
+
+        async def scenario(fleet):
+            coordinator = await self.connected(fleet)
+            await coordinator.feed_chunks(chunked(items, deltas))
+            before = await coordinator.merged()
+            # Another client writes to server 1 behind the coordinator's back.
+            with SketchClient.connect(*fleet.addresses()[1]) as other:
+                other.feed(extra_items, extra_deltas)
+            after = await coordinator.merged()
+            assert after is not before
+            assert after.snapshot() == reference.snapshot()
+            await coordinator.close()
+
+        with HostedFleet(2) as fleet:
+            asyncio.run(scenario(fleet))
+
+    def test_restart_at_the_same_mutation_count_is_a_miss(self):
+        items, deltas = stream(23, CHUNK)
+        extra_items, extra_deltas = stream(24, CHUNK)
+        reference = serial_reference(
+            count_min_factory,
+            np.concatenate([items, extra_items]),
+            np.concatenate([deltas, extra_deltas]),
+        )
+
+        async def scenario(fleet):
+            coordinator = await self.connected(fleet)
+            await coordinator.feed(items, deltas)  # one feed per server
+            await coordinator.merged()
+            old_version = coordinator._versions[1]
+            # Server 1 restarts on its port and takes exactly one feed, as
+            # before: its slice of the chunk plus updates the old server
+            # never saw.
+            slice_items, slice_deltas = coordinator.partitioner.split(
+                items, deltas
+            )[1]
+            fleet.stop(1)
+            fleet.start(1)
+            with SketchClient.connect(*fleet.addresses()[1]) as direct:
+                direct.feed(
+                    np.concatenate([slice_items, extra_items]),
+                    np.concatenate([slice_deltas, extra_deltas]),
+                )
+            await coordinator.readmit(1)
+            new_version = coordinator._versions[1]
+            assert new_version[1] == old_version[1]
+            assert new_version != old_version
+            merged = await coordinator.merged()
+            assert coordinator.last_read["degraded"] is False
+            assert merged.snapshot() == reference.snapshot()
+            await coordinator.close()
+
+        with HostedFleet(2) as fleet:
+            asyncio.run(scenario(fleet))
+
+    def test_reads_stay_exact_through_degradation_readmission_and_migration(
+        self, tmp_path
+    ):
+        items, deltas = stream(25, 6 * CHUNK)
+        chunks = chunked(items, deltas)
+        cuts = (2 * CHUNK, 4 * CHUNK, 6 * CHUNK)
+        references = [
+            serial_reference(count_min_factory, items[:cut], deltas[:cut])
+            for cut in cuts
+        ]
+        path = tmp_path / "fleet.ckpt"
+
+        async def scenario(fleet):
+            coordinator = await self.connected(fleet)
+            for batch in chunks[:2]:
+                await coordinator.feed(*batch)
+            hit = await coordinator.merged()
+            assert await coordinator.merged() is hit
+            # Server 2 goes down: the degraded read serves its cache.
+            fleet.stop(2)
+            degraded = await coordinator.merged()
+            assert coordinator.last_read["degraded"] is True
+            assert degraded is hit  # the cached versions still match
+            assert degraded.snapshot() == references[0].snapshot()
+            # It comes back empty and is restored from cache + journal.
+            fleet.start(2)
+            assert (await coordinator.readmit(2))["restored"] is True
+            readmitted = await coordinator.merged()
+            assert coordinator.last_read["degraded"] is False
+            assert readmitted.snapshot() == references[0].snapshot()
+            for batch in chunks[2:4]:
+                await coordinator.feed(*batch)
+            # Server 1 is lost for good: its shards move to a survivor.
+            fleet.stop(1)
+            assert (await coordinator.migrate_server(1))["migrated"] is True
+            migrated = await coordinator.merged(allow_degraded=False)
+            assert migrated.snapshot() == references[1].snapshot()
+            for batch in chunks[4:]:
+                await coordinator.feed(*batch)
+            final = await coordinator.merged(allow_degraded=False)
+            assert final.snapshot() == references[2].snapshot()
+            await coordinator.checkpoint(path)
+            await coordinator.close()
+
+        async def recovery(fleet):
+            coordinator = await self.connected(fleet)
+            empty = await coordinator.merged()
+            assert empty.snapshot() == count_min_factory().snapshot()
+            await coordinator.recover(path)
+            recovered = await coordinator.merged()
+            assert recovered is not empty
+            assert recovered.snapshot() == references[2].snapshot()
+            await coordinator.close()
+
+        with HostedFleet(3) as fleet:
+            asyncio.run(scenario(fleet))
+        with HostedFleet(2) as fleet:
+            asyncio.run(recovery(fleet))
+
+    def test_a_handed_out_view_is_unchanged_by_later_misses(self):
+        items, deltas = stream(26, 3 * CHUNK)
+        chunks = chunked(items, deltas)
+
+        async def scenario(fleet):
+            coordinator = await self.connected(fleet)
+            views = []
+            for end, batch in enumerate(chunks, start=1):
+                await coordinator.feed(*batch)
+                views.append((end, await coordinator.merged()))
+            assert len({id(view) for _, view in views}) == len(chunks)
+            for end, view in views:
+                cut = end * CHUNK
+                reference = serial_reference(
+                    count_min_factory, items[:cut], deltas[:cut]
+                )
+                assert view.snapshot() == reference.snapshot()
+            await coordinator.close()
+
+        with HostedFleet(2) as fleet:
+            asyncio.run(scenario(fleet))
+
+    def test_snapshot_unless_skips_only_an_unchanged_state(self):
+        items, deltas = stream(27, CHUNK)
+        reference = serial_reference(count_min_factory, items, deltas)
+        twice = serial_reference(
+            count_min_factory,
+            np.concatenate([items, items]),
+            np.concatenate([deltas, deltas]),
+        )
+        # One shard, so a replacing load_snapshot replaces the whole state.
+        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        with server.run_in_thread() as srv:
+            with SketchClient.connect("127.0.0.1", srv.port) as client:
+                empty = client.snapshot(unless=None)
+                assert empty["snapshot"] == client.snapshot()
+                version = empty["version"]
+                assert client.snapshot(unless=version) == {
+                    "version": version,
+                    "snapshot": None,
+                }
+                # An applied feed moves the version ...
+                assert not client.feed(items, deltas, seq=1).get("duplicate")
+                fed = client.snapshot(unless=version)
+                assert fed["version"] != version
+                assert fed["snapshot"] == reference.snapshot()
+                version = fed["version"]
+                # ... a duplicate-acked resend does not.
+                assert client.feed(items, deltas, seq=1)["duplicate"] is True
+                assert client.snapshot(unless=version)["snapshot"] is None
+                # load_snapshot moves it in either mode, even when the
+                # replacing state is byte-identical to the current one.
+                client.load_snapshot(reference.snapshot())
+                replaced = client.snapshot(unless=version)
+                assert replaced["version"] != version
+                assert replaced["snapshot"] == reference.snapshot()
+                version = replaced["version"]
+                client.load_snapshot(reference.snapshot(), merge=True)
+                merged = client.snapshot(unless=version)
+                assert merged["version"] != version
+                assert merged["snapshot"] == twice.snapshot()
+                # A plain request still gets plain bytes.
+                assert client.snapshot() == twice.snapshot()
 
 
 # -- the metrics op and fleet exposition --------------------------------------

@@ -14,13 +14,13 @@ does not move when internals refactor.  This module is that path:
 * the deep module paths (``repro.parallel.sharded``, ...) keep working
   but are *implementation* namespaces -- new code should import from
   ``repro.api``;
-* deprecated spellings are shimmed, not broken: the ``parallel=``
-  backend flag and the positional ``queue_depth`` of
-  :func:`ingest`/:func:`ingest_async` still work one deprecation cycle,
-  emitting :class:`DeprecationWarning` (CI runs the shim tests with
-  warnings-as-errors to pin both the warning and the behavior);
-  accessing a *renamed* facade attribute goes through
-  :data:`DEPRECATED_ALIASES` and warns likewise.
+* a removal bumps the major version.  ``API_VERSION`` 2.0 removed the
+  1.x deprecation shims: the ``parallel=`` backend flag, the positional
+  ``queue_depth`` of :func:`ingest`/:func:`ingest_async`, the
+  ``retry_interval=`` connect kwarg and ``RetryPolicy.fixed``, direct
+  assignment of service stats counters, and the renamed facade aliases
+  (``encode_sketch``, ``decode_sketch``, ``ShardedEngine``).  CI imports
+  this facade with warnings-as-errors, so it stays warning-free.
 
 The surface, by layer::
 
@@ -50,13 +50,10 @@ The surface, by layer::
     alerting    AlertEngine, ThresholdRule, RateRule, AbsenceRule,
                 merge_alert_payloads, ObservabilityGateway, export_otlp
 
-See the README's "Public API" table for the name -> module map with
-deprecation status.
+See the README's "Public API" table for the name -> module map.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro import __version__
 from repro.core.adversary import WhiteBoxAdversary
@@ -134,9 +131,8 @@ from repro.service import (
 from repro.testing.faults import ChaosProxy, FaultEvent, FaultPlan, ServerProcess
 
 #: Major version of this surface.  Additions bump nothing; a removal or
-#: an incompatible signature change bumps the major and keeps the old
-#: spelling as a deprecated alias for one cycle.
-API_VERSION = "1.0"
+#: an incompatible signature change bumps the major.
+API_VERSION = "2.0"
 
 __all__ = [
     "API_VERSION",
@@ -209,33 +205,3 @@ __all__ = [
     "tail_chunks",
     "verify_checkpoint_resume",
 ]
-
-#: Legacy facade spellings -> canonical names.  Served by module
-#: ``__getattr__`` with a :class:`DeprecationWarning`; removed at the
-#: next major ``API_VERSION``.
-DEPRECATED_ALIASES = {
-    # Pre-facade spellings of the snapshot/checkpoint entry points that
-    # early deployment scripts used via the repro.distributed namespace.
-    "encode_sketch": "snapshot_sketch",
-    "decode_sketch": "restore_sketch",
-    # The PR-2-era name for the sharded driving surface.
-    "ShardedEngine": "ShardedStreamEngine",
-}
-
-
-def __getattr__(name: str):
-    canonical = DEPRECATED_ALIASES.get(name)
-    if canonical is not None:
-        warnings.warn(
-            f"repro.api.{name} is a deprecated spelling of "
-            f"repro.api.{canonical} and will be removed in the next major "
-            "API version",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return globals()[canonical]
-    raise AttributeError(f"module 'repro.api' has no attribute {name!r}")
-
-
-def __dir__() -> list:
-    return sorted(set(__all__) | set(DEPRECATED_ALIASES))

@@ -32,10 +32,10 @@ Stats-surface migration
 -----------------------
 :class:`RegistryStatsBase` is the shim that re-homes the pre-obs stats
 dataclasses (``ServerStats`` / ``ConnectionStats``) onto the registry:
-counter fields become live views over labeled registry series, sanctioned
-mutation goes through :meth:`RegistryStatsBase.bump`, and direct field
-assignment still works but emits a :class:`DeprecationWarning` (one
-source of truth; the old spelling gets one deprecation cycle).
+counter fields become live views over labeled registry series, and
+mutation goes through :meth:`RegistryStatsBase.bump`.  Assigning a
+declared field raises :class:`AttributeError` -- a plain instance
+attribute would shadow the registry view (one source of truth).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from __future__ import annotations
 import bisect
 import os
 import threading
-import warnings
 from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.obs.expo import format_label_pairs
@@ -229,14 +228,6 @@ class Counter(_Instrument):
 
     #: Prometheus-style spelling.
     inc = add
-
-    def _adjust(self, delta, **labels) -> None:
-        """Non-monotone internal adjustment (deprecated-setter shim only)."""
-        if not self.registry.enabled:
-            return
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0) + delta
 
 
 class Gauge(_Instrument):
@@ -630,8 +621,8 @@ class RegistryStatsBase:
     Subclasses declare ``_COUNTERS`` / ``_GAUGES`` mapping attribute
     names to ``(metric_name, help)`` and call :meth:`_init_metrics` with
     their label set.  Declared attributes then *read* live registry
-    values; :meth:`bump` is the sanctioned mutation; direct assignment
-    keeps working for one deprecation cycle but warns.
+    values; :meth:`bump` is the only mutation -- assigning a declared
+    attribute raises :class:`AttributeError`.
     """
 
     _COUNTERS: dict[str, tuple[str, str]] = {}
@@ -683,18 +674,8 @@ class RegistryStatsBase:
 
     def __setattr__(self, attr: str, value) -> None:
         if attr in self._COUNTERS or attr in self._GAUGES:
-            warnings.warn(
-                f"direct mutation of {type(self).__name__}.{attr} is "
-                "deprecated; these stats are views over the obs metrics "
-                f"registry -- use bump({attr}=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
+            raise AttributeError(
+                f"{type(self).__name__}.{attr} is a view over the obs "
+                f"metrics registry; use bump({attr}=...) instead"
             )
-            instrument = self._instruments[attr]
-            key = _label_key(self._labels)
-            with self._registry.lock:
-                # Absolute assignment, unconditionally -- same books-
-                # always-count contract as bump().
-                instrument._values[key] = value
-        else:
-            object.__setattr__(self, attr, value)
+        object.__setattr__(self, attr, value)

@@ -31,8 +31,7 @@ deltas)`` array pair, chunked by ``chunk_size`` exactly like
 callback with ``drive``'s semantics, and the same checkpoint parameter
 names (``checkpoint_path`` / ``checkpoint_every`` / ``start_position``)
 ``StreamEngine.drive`` accepts.  Both entry points always return
-:class:`IngestStats`.  The pre-unification positional ``queue_depth``
-spelling still works but emits a :class:`DeprecationWarning`.
+:class:`IngestStats`.
 
 Usage::
 
@@ -53,7 +52,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import AsyncIterable, Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -173,24 +171,6 @@ def chunk_updates(
         yield updates_to_arrays(pending)
 
 
-def _legacy_queue_depth(args: tuple, queue_depth: int, name: str) -> int:
-    """Shim for the pre-unification positional ``queue_depth`` spelling."""
-    if not args:
-        return queue_depth
-    if len(args) > 1:
-        raise TypeError(
-            f"{name}() takes 2 positional arguments (targets, source); "
-            "chunking/checkpoint options are keyword-only"
-        )
-    warnings.warn(
-        f"passing queue_depth positionally to {name}() is deprecated; "
-        "use the keyword queue_depth=",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return args[0]
-
-
 def _as_chunk_source(source, chunk_size: Optional[int]) -> ChunkSource:
     """Normalize ``source``: one array pair becomes engine-sized chunks.
 
@@ -221,7 +201,7 @@ def _as_chunk_source(source, chunk_size: Optional[int]) -> ChunkSource:
 async def ingest_async(
     targets,
     source: ChunkSource,
-    *args,
+    *,
     chunk_size: Optional[int] = None,
     on_chunk: Optional[Callable[[int], None]] = None,
     queue_depth: int = 4,
@@ -265,7 +245,6 @@ async def ingest_async(
     IngestStats
         Always -- throughput, scatter share, checkpoint count, position.
     """
-    queue_depth = _legacy_queue_depth(args, queue_depth, "ingest_async")
     source = _as_chunk_source(source, chunk_size)
     if queue_depth <= 0:
         raise ValueError(f"queue_depth must be positive, got {queue_depth}")
@@ -372,7 +351,7 @@ async def ingest_async(
 def ingest(
     targets,
     source: ChunkSource,
-    *args,
+    *,
     chunk_size: Optional[int] = None,
     on_chunk: Optional[Callable[[int], None]] = None,
     queue_depth: int = 4,
@@ -384,7 +363,6 @@ def ingest(
 
     Same signature and :class:`IngestStats` return as the async form.
     """
-    queue_depth = _legacy_queue_depth(args, queue_depth, "ingest")
     return asyncio.run(
         ingest_async(
             targets,

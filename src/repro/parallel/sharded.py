@@ -34,8 +34,7 @@ Three scatter backends share the routing/merge machinery:
 * ``backend="serial"`` -- one process, one thread (the default);
 * ``backend="thread"`` -- per-shard scatters on a thread pool; the numpy
   kernels release the GIL, so multi-core hosts overlap the array-bound
-  work (the PR-2 ``parallel=True`` spelling is deprecated; it still
-  selects this backend but emits a :class:`DeprecationWarning`);
+  work;
 * ``backend="process"`` -- per-shard worker *processes*
   (:class:`repro.distributed.workers.ProcessShardPool`): chunk data
   travels through shared memory, fan-in travels as wire-format snapshots
@@ -48,7 +47,6 @@ Three scatter backends share the routing/merge machinery:
 from __future__ import annotations
 
 import copy
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
 
@@ -79,31 +77,6 @@ _obs_shard_updates = _obs_registry.counter(
 )
 
 
-def _resolve_backend(parallel: Optional[bool], backend: Optional[str]) -> str:
-    """Resolve the scatter backend, warning on the deprecated alias.
-
-    ``parallel=`` was the PR-2 spelling for "scatter on threads"; the
-    backend triple replaced it in PR 3.  Passing it (with either value)
-    now emits a :class:`DeprecationWarning`; an explicit ``backend=``
-    always wins, silently, so migrated callers never warn.
-    """
-    if backend is None and parallel is not None:
-        warnings.warn(
-            "the parallel= flag is deprecated; pass backend='thread' "
-            "(parallel=True) or backend='serial' (parallel=False) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        backend = "thread" if parallel else "serial"
-    if backend is None:
-        backend = "serial"
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {_BACKENDS}"
-        )
-    return backend
-
-
 class ShardedAlgorithm(StreamAlgorithm):
     """N mergeable replicas behind the single-algorithm interface.
 
@@ -118,10 +91,6 @@ class ShardedAlgorithm(StreamAlgorithm):
     partitioner:
         Item -> shard map; defaults to a seed-0
         :class:`UniversePartitioner`.
-    parallel:
-        Deprecated alias for ``backend`` (``True`` -> ``"thread"``,
-        ``False`` -> ``"serial"``); passing it emits a
-        :class:`DeprecationWarning`.
     backend:
         ``"serial"`` (default), ``"thread"``, or ``"process"`` (see the
         module docstring).
@@ -139,14 +108,16 @@ class ShardedAlgorithm(StreamAlgorithm):
         factory: Callable[[], StreamAlgorithm],
         num_shards: int,
         partitioner: Optional[UniversePartitioner] = None,
-        parallel: Optional[bool] = None,
-        backend: Optional[str] = None,
+        backend: str = "serial",
         supervise: bool = False,
         snapshot_every: Optional[int] = None,
     ) -> None:
         if num_shards <= 0:
             raise ValueError(f"num_shards must be positive, got {num_shards}")
-        backend = _resolve_backend(parallel, backend)
+        if backend not in _BACKENDS:
+            raise ValueError(
+                f"unknown backend {backend!r}; expected one of {_BACKENDS}"
+            )
         super().__init__(seed=0)
         self.shards: list[StreamAlgorithm] = [factory() for _ in range(num_shards)]
         first = self.shards[0]
@@ -476,9 +447,6 @@ class ShardedStreamEngine:
         Updates per partition round; defaults to
         ``DEFAULT_CHUNK_SIZE * num_shards`` so per-shard sub-chunks stay
         near the single-engine sweet spot.
-    parallel:
-        Deprecated alias for ``backend`` (``True`` -> ``"thread"``,
-        ``False`` -> ``"serial"``); emits a :class:`DeprecationWarning`.
     backend:
         ``"serial"`` / ``"thread"`` / ``"process"`` scatter backend (see
         :class:`ShardedAlgorithm`).
@@ -493,14 +461,10 @@ class ShardedStreamEngine:
         num_shards: int,
         chunk_size: Optional[int] = None,
         partitioner: Optional[UniversePartitioner] = None,
-        parallel: Optional[bool] = None,
-        backend: Optional[str] = None,
+        backend: str = "serial",
         supervise: bool = False,
         snapshot_every: Optional[int] = None,
     ) -> None:
-        # Resolve the deprecated alias here (one warning, pointing at the
-        # caller) rather than letting it tunnel through ShardedAlgorithm.
-        backend = _resolve_backend(parallel, backend)
         self.algorithm = ShardedAlgorithm(
             factory,
             num_shards,

@@ -15,7 +15,8 @@ puts a service boundary in front of it:
   :class:`~repro.parallel.sharded.ShardedStreamEngine` with
   backpressure, per-connection stats, and chunk-boundary checkpointing;
 * :mod:`repro.service.client` -- :class:`SketchClient` (blocking) and
-  :class:`AsyncSketchClient` (asyncio), pipelined feeding plus the full
+  :class:`AsyncSketchClient` (asyncio), two transports of one client
+  core: pipelined and sequenced feeding, hedged reads, and the full
   query/snapshot/checkpoint surface;
 * :mod:`repro.service.coordinator` -- :class:`SketchCoordinator`, which
   owns the :class:`~repro.parallel.partition.UniversePartitioner`,

@@ -18,10 +18,17 @@ Both clients expose the same call surface over the
     the in-process merge protocol trusts; ``snapshot(unless=version)``
     skips the transfer when the server's state is still at ``version``.
 
-The sync client is a plain blocking socket (no event loop), which makes
+One core, two transports
+------------------------
+Identity and request ids, the call surface and reply handling, the feed
+pipeline (plain and sequenced) and the hedged race are written once, in
+:class:`_ClientCore`, as sequences of I/O steps.  :class:`SketchClient`
+executes the steps on blocking sockets with no event loop, which makes
 it safe to drive from anywhere -- benchmark harnesses, shell tools,
-worker threads.  The async client mirrors it coroutine-for-method for
-callers already inside a loop (the coordinator uses it).
+worker threads, even code inside a running loop.
+:class:`AsyncSketchClient` executes them on asyncio streams, so each of
+its calls is awaitable (the coordinator uses it).  On both, the
+policy's ``op_timeout`` bounds every reply wait; ``None`` means no timer.
 
 Server-side failures raise the *same* exceptions a local engine would
 (:class:`~repro.distributed.codec.FingerprintMismatch`,
@@ -35,16 +42,17 @@ Fault tolerance
 ---------------
 ``connect`` rides out restarts through a
 :class:`~repro.service.retry.RetryPolicy` (capped exponential backoff
-under a total deadline; the bare ``retry_interval=`` kwarg is a
-deprecated fixed-interval shim).  ``feed_chunks(..., retry=policy)``
-goes further: every chunk carries this client's opaque ``client_id``
-and a contiguous ``seq`` number, so after a dropped connection, a
-truncated frame, or a ``busy`` shed the client reconnects and
-retransmits everything unacknowledged -- the server's contiguous-seq
-dedup acks duplicates without re-applying them, making the whole replay
+under a total deadline).  ``feed_chunks(..., retry=policy)`` goes
+further: every chunk carries this client's opaque ``client_id`` and a
+contiguous ``seq`` number, so after a dropped connection, a truncated
+frame, or a ``busy`` shed the client reconnects and retransmits
+everything unacknowledged -- the server's contiguous-seq dedup acks
+duplicates without re-applying them, making the whole replay
 **exactly-once** (the chaos tests pin byte-identical final state
 against a serial engine).  Only idempotent-by-construction traffic
-auto-retries: connects, and sequenced feeds.
+auto-retries: connects, and sequenced feeds.  Callers that sequence
+their own feeds (the coordinator) use ``feed(..., seq=client.next_seq())``
+and an identity-keeping ``reconnect()``.
 
 Hedged reads
 ------------
@@ -52,12 +60,13 @@ Hedged reads
 *replicated* deployments (two servers fed the same stream, verified by
 construction fingerprint): an ``estimate`` that has not answered within
 ``hedge_delay`` seconds is fired again at the backup server and the
-first full reply wins.  The loser's reply is drained off its connection
-later (never interleaved with a live request), so the one-in-flight
-protocol invariant holds on both sockets.  The delay defaults to the
-p99 of the ``repro_phase_seconds`` estimate-latency series when
-observability is on (:func:`hedge_delay_from_metrics`); outcomes land
-in ``repro_hedged_reads_total{outcome=}`` -- ``fast`` (no hedge fired),
+first full reply wins.  The loser's request is marked abandoned and its
+reply discarded by request id when it arrives, so the one-in-flight
+protocol invariant holds on both connections; a backup that fails is
+closed before it is dropped.  The delay defaults to the p99 of the
+``repro_phase_seconds`` estimate-latency series when observability is
+on (:func:`hedge_delay_from_metrics`); outcomes land in
+``repro_hedged_reads_total{outcome=}`` -- ``fast`` (no hedge fired),
 ``primary`` / ``backup`` (hedge fired, who won), ``failover`` (primary
 connection died, backup answered).
 """
@@ -69,8 +78,9 @@ import select
 import socket
 import time
 import uuid
-import warnings
 from collections import deque
+from contextlib import suppress
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -95,6 +105,7 @@ from repro.service.protocol import (
     ProtocolError,
     SequenceGap,
     ServerBusy,
+    ServiceError,
 )
 from repro.service.retry import RetryPolicy, count_retry
 
@@ -117,6 +128,12 @@ ESTIMATE_PHASE = "client.estimate"
 
 #: ``snapshot()``'s default: no ``unless`` given, plain bytes wanted.
 _UNVERSIONED = object()
+
+#: What the next-chunk step returns once the feed source is exhausted.
+_END = object()
+
+#: The connection failed (unlike an error reply over a healthy one).
+_TRANSPORT_ERRORS = (OSError, ProtocolError)
 
 _obs_registry = _get_obs_registry()
 _obs_hedged = _obs_registry.counter(
@@ -158,6 +175,12 @@ def hedge_delay_from_metrics(
     return default
 
 
+def _abandon(racing: dict) -> None:
+    """Mark the losers' requests abandoned: replies discarded on arrival."""
+    for client, request_id in racing.items():
+        client._stale_ids.add(request_id)
+
+
 def _as_feed_arrays(items, deltas) -> tuple[np.ndarray, np.ndarray]:
     items = np.ascontiguousarray(items, dtype=np.int64)
     deltas = np.ascontiguousarray(deltas, dtype=np.int64)
@@ -169,54 +192,43 @@ def _as_feed_arrays(items, deltas) -> tuple[np.ndarray, np.ndarray]:
     return items, deltas
 
 
-def _resolve_retry(
-    retry: Optional[RetryPolicy],
-    retries: int,
-    retry_interval: Optional[float],
-    *,
-    stacklevel: int = 3,
-) -> RetryPolicy:
-    """Resolve ``connect``'s retry surface onto one :class:`RetryPolicy`.
+@dataclass
+class _Frame:
+    """One feed batch in the pipeline (``seq`` is ``None`` unsequenced)."""
 
-    ``retry_interval=`` was the fixed-interval spelling; passing it now
-    warns and maps onto :meth:`RetryPolicy.fixed` (same schedule,
-    byte-compatible behavior).  An explicit ``retry=`` policy always
-    wins, silently, so migrated callers never warn.  Bare ``retries=N``
-    stays supported and now gets the default capped-exponential shape.
-    """
-    if retry_interval is not None and retry is None:
-        warnings.warn(
-            "the retry_interval= kwarg is deprecated; pass "
-            "retry=RetryPolicy(...) (or RetryPolicy.fixed(interval, "
-            "retries) for the old fixed-interval schedule) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        return RetryPolicy.fixed(retry_interval, retries)
-    if retry is not None:
-        return retry
-    return RetryPolicy(max_attempts=retries + 1)
+    seq: Optional[int]
+    items: np.ndarray
+    deltas: np.ndarray
+    request_id: int = 0
+    error: Optional[BaseException] = None
 
 
-class SketchClient:
-    """Blocking-socket client for one :class:`SketchServer`.
+class _ClientCore:
+    """The client written once, as generators of I/O steps.
 
-    Usage::
-
-        with SketchClient.connect("127.0.0.1", port) as client:
-            client.feed(items, deltas)
-            counts = client.estimate(probe_items)
+    A step is a tuple ``(callable, *args)``; the transport's ``_run``
+    calls it (blocking) or awaits it (asyncio) and sends the result, or
+    throws the failure, back in.  Each transport supplies the steps
+    ``_open``, ``_close``, ``_write`` (one request frame), ``_read`` (one
+    reply frame), ``_wait`` (the clients among several with a reply
+    ready, or none after a timeout), ``_sleep`` and ``_next_chunk``.  On
+    :class:`AsyncSketchClient` every public method returns an awaitable,
+    except :meth:`enable_hedging` and :meth:`next_seq`.
     """
 
     def __init__(
         self,
-        sock: socket.socket,
-        max_frame: int = DEFAULT_MAX_FRAME,
+        address: tuple[str, int],
+        policy: RetryPolicy,
         *,
+        max_frame: int = DEFAULT_MAX_FRAME,
+        hello: bool = True,
         client_id: Optional[str] = None,
     ) -> None:
-        self._sock = sock
+        self._address = address
+        self._policy = policy
         self._max_frame = max_frame
+        self._hello = hello
         self._request_seq = 0
         self.server_info: Optional[dict] = None
         #: Opaque identity for sequenced (exactly-once) feeds; stable
@@ -225,13 +237,12 @@ class SketchClient:
         self._feed_seq = 0
         #: Retries this client consumed (connects + feed replays).
         self.retries = 0
-        self._address: Optional[tuple[str, int]] = None
-        self._policy: Optional[RetryPolicy] = None
-        self._hello = False
         #: Abandoned hedged-request ids whose replies are still due on
-        #: this connection; ``_drain`` discards them on arrival.
+        #: this connection; ``_reply`` discards them on arrival.
         self._stale_ids: set[int] = set()
-        self._hedge: Optional[dict] = None
+        #: ``(backup address, delay)`` once hedging is armed.
+        self._hedge: Optional[tuple[tuple[str, int], Optional[float]]] = None
+        self._backup: Optional["_ClientCore"] = None
         #: Functional hedged-read accounting (works under ``REPRO_OBS=0``).
         self.hedge_outcomes: dict[str, int] = {}
 
@@ -242,116 +253,79 @@ class SketchClient:
         port: int,
         *,
         retries: int = 0,
-        retry_interval: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         max_frame: int = DEFAULT_MAX_FRAME,
         hello: bool = True,
         client_id: Optional[str] = None,
-    ) -> "SketchClient":
+    ):
         """Connect under a retry policy and perform the ``hello`` handshake.
 
         ``retry=`` takes a full :class:`RetryPolicy` (backoff, deadline,
         per-op timeout); bare ``retries=N`` gets the default
-        capped-exponential shape.  ``retry_interval=`` is deprecated --
-        it warns and maps onto :meth:`RetryPolicy.fixed`.  The handshake
-        pins the server's sketch class and construction fingerprint in
-        ``client.server_info``.
+        capped-exponential shape.  The handshake pins the server's sketch
+        class and construction fingerprint in ``client.server_info``.
+        ``client_id=`` reuses an existing sequenced-feed identity.
         """
-        policy = _resolve_retry(retry, retries, retry_interval)
+        policy = retry if retry is not None else RetryPolicy(max_attempts=retries + 1)
         client = cls(
-            cls._open_socket(host, port, policy),
-            max_frame=max_frame,
-            client_id=client_id,
+            (host, port), policy, max_frame=max_frame, hello=hello, client_id=client_id
         )
-        client._address = (host, port)
-        client._policy = policy
-        client._hello = hello
-        if hello:
-            client.server_info = client.hello()
-        return client
+        return client._run(client._connecting(policy))
 
-    # -- plumbing -----------------------------------------------------------
+    # -- request/reply steps --------------------------------------------------
 
-    @staticmethod
-    def _open_socket(
-        host: str, port: int, policy: RetryPolicy
-    ) -> socket.socket:
+    def _connecting(self, policy: RetryPolicy):
         schedule = policy.start()
         while True:
             try:
-                sock = socket.create_connection(
-                    (host, port), timeout=policy.op_timeout
-                )
+                yield (self._open,)
                 break
             except OSError:
                 delay = schedule.next_delay()
                 if delay is None:
                     raise
                 count_retry("connect")
-                time.sleep(delay)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(policy.op_timeout)
-        return sock
-
-    def _reopen(self) -> None:
-        """One fresh connection attempt to the remembered address.
-
-        Keeps this client's identity (``client_id``, feed ``seq``
-        counter) so the server's dedup recognizes replays.  A single
-        attempt by design: the resilient feed loop owns backoff, so a
-        refused connect surfaces as ``OSError`` for it to schedule.
-        """
-        if self._address is None:
-            raise RuntimeError(
-                "cannot reconnect: this client was not built via connect()"
-            )
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        policy = self._policy or RetryPolicy(max_attempts=1)
-        sock = socket.create_connection(
-            self._address, timeout=policy.op_timeout
-        )
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(policy.op_timeout)
-        self._sock = sock
-        self._stale_ids.clear()
+                yield (self._sleep, delay)
         if self._hello:
-            self.server_info = self.hello()
+            self.server_info = yield from self._call("hello")
+        return self
 
-    def _send(self, op: str, **fields) -> int:
+    def _reconnecting(self):
+        yield (self._close,)
+        self._stale_ids.clear()
+        yield from self._connecting(RetryPolicy(max_attempts=1))
+
+    def _send(self, op: str, fields: dict):
         self._request_seq += 1
-        send_message(self._sock, make_request(op, self._request_seq, **fields))
+        yield (self._write, make_request(op, self._request_seq, **fields))
         return self._request_seq
 
-    def _drain(self, request_id: int):
+    def _reply(self, request_id: int):
         while True:
-            message = recv_message(self._sock, self._max_frame)
-            reply_id = message.get("id")
-            if reply_id in self._stale_ids:
-                # A hedged request this client abandoned: its reply
-                # arrives here, out of band -- discard and keep reading.
-                self._stale_ids.discard(reply_id)
+            message = yield (self._read,)
+            if message.get("id") in self._stale_ids:
+                # An abandoned hedged request's reply: discard it.
+                self._stale_ids.discard(message["id"])
                 continue
             return raise_for_reply(message, request_id)
 
-    def _request(self, op: str, **fields):
-        return self._drain(self._send(op, **fields))
+    def _call(self, op: str, **fields):
+        request_id = yield from self._send(op, fields)
+        return (yield from self._reply(request_id))
 
-    # -- the call surface ---------------------------------------------------
+    # -- the call surface -----------------------------------------------------
 
     def hello(self) -> dict:
         """Server identity: sketch class, fingerprint, fleet shape."""
-        return self._request("hello")
+        return self._run(self._call("hello"))
 
     def ping(self) -> dict:
         """Liveness probe; returns ``{"pong": True, "position": ...}``."""
-        return self._request("ping")
+        return self._run(self._call("ping"))
 
     def stats(self) -> dict:
         """The server's operational monitoring counters."""
-        return self._request("stats")
+        return self._run(self._call("stats"))
 
     def metrics(self) -> dict:
         """The server's fleet-merged telemetry.
@@ -361,7 +335,7 @@ class SketchClient:
         :func:`repro.obs.merge_snapshots`) plus its Prometheus text
         rendering.
         """
-        return self._request("metrics")
+        return self._run(self._call("metrics"))
 
     def alerts(self) -> dict:
         """The server's current alert states.
@@ -372,20 +346,44 @@ class SketchClient:
         evaluation pass on the server, so polling cadence is evaluation
         cadence.
         """
-        return self._request("alerts")
+        return self._run(self._call("alerts"))
+
+    def next_seq(self) -> int:
+        """Reserve the next contiguous ``seq`` of this client's identity.
+
+        Pass it to ``feed(..., seq=)``: resending the same seq after a
+        lost acknowledgement acks as a duplicate and never re-applies.
+        """
+        self._feed_seq += 1
+        return self._feed_seq
+
+    def reconnect(self):
+        """Reopen the connection to the same server, keeping identity.
+
+        One attempt -- the caller owns backoff, so a refused connect
+        surfaces as :class:`OSError`.  ``client_id`` and the ``seq``
+        counter survive, so the server's dedup recognizes replays; the
+        ``hello`` handshake is repeated when ``connect`` performed it.
+        """
+        return self._run(self._reconnecting())
 
     def feed(self, items, deltas, *, seq: Optional[int] = None) -> dict:
         """Send one update batch; returns ``{"count", "position"}``.
 
-        With ``seq=`` the batch is sequenced under this client's
-        identity (the exactly-once dedup channel ``feed_chunks`` uses);
-        resending the *same* seq after a lost acknowledgement is safe.
+        With ``seq=`` (from :meth:`next_seq`) the batch is sequenced
+        under this client's identity -- the exactly-once dedup channel
+        ``feed_chunks`` uses; resending the *same* seq after a lost
+        acknowledgement is safe.
         """
         items, deltas = _as_feed_arrays(items, deltas)
-        fields = {"items": items, "deltas": deltas}
-        if seq is not None:
-            fields.update(client=self.client_id, seq=int(seq))
-        return self._request("feed", **fields)
+        frame = _Frame(None if seq is None else int(seq), items, deltas)
+        return self._run(self._call("feed", **self._feed_fields(frame)))
+
+    def _feed_fields(self, frame: _Frame) -> dict:
+        fields = {"items": frame.items, "deltas": frame.deltas}
+        if frame.seq is not None:
+            fields.update(client=self.client_id, seq=frame.seq)
+        return fields
 
     def feed_chunks(
         self,
@@ -398,38 +396,26 @@ class SketchClient:
         Keeps up to ``window`` batches in flight: the socket send of
         chunk ``t+1`` overlaps the server's scatter of chunk ``t``.
         Returns ``{"count": total updates, "position": last ack'd}``.
+        :class:`AsyncSketchClient` also takes an async iterable.
 
         With ``retry=`` a policy, every chunk is sequenced (``client`` +
         ``seq`` fields) and the stream survives faults: a dropped or
         corrupted connection triggers reconnect-and-retransmit of every
         unacknowledged chunk, and a ``busy``/gap rejection backs off and
         resends -- the server's contiguous-seq dedup makes all of it
-        exactly-once.  Without it, behavior is the original fail-fast
-        pipeline.
+        exactly-once.  Without it, a fault fails fast.  Either way, when
+        the source, a chunk's validation or an error reply raises, the
+        acks of every frame already sent are read before the error
+        propagates, so the connection stays usable.
         """
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
-        if retry is not None:
-            return self._feed_chunks_resilient(source, window, retry)
-        pending: deque[int] = deque()
-        total = 0
-        position = None
-        for items, deltas in source:
-            items, deltas = _as_feed_arrays(items, deltas)
-            total += len(items)
-            pending.append(self._send("feed", items=items, deltas=deltas))
-            if len(pending) >= window:
-                position = self._drain(pending.popleft())["position"]
-        while pending:
-            position = self._drain(pending.popleft())["position"]
-        return {"count": total, "position": position}
+        return self._run(self._feeding(source, window, retry))
 
-    def _feed_chunks_resilient(
-        self, source, window: int, policy: RetryPolicy
-    ) -> dict:
-        """Sequenced feed pipeline with reconnect-and-replay.
+    def _feeding(self, source, window: int, policy: Optional[RetryPolicy]):
+        """The feed pipeline, plain (``policy=None``) or sequenced.
 
-        Invariants that make this exactly-once:
+        Invariants that make the sequenced form exactly-once:
 
         * every chunk gets the next contiguous ``seq`` *before* its
           first send and keeps it across resends;
@@ -443,97 +429,101 @@ class SketchClient:
         on any successful acknowledgement, so the deadline bounds each
         outage rather than the whole (arbitrarily long) stream.
         """
-        if self._address is None:
-            raise RuntimeError(
-                "feed_chunks(retry=...) needs a client built via connect()"
-            )
-        pending: deque[list] = deque()  # [request_id, seq, items, deltas]
-        failed: list[list] = []  # rejected (busy/gap), awaiting resend
-        state = {"schedule": None}
+        pending: deque[_Frame] = deque()  # sent, ack not yet read
+        failed: list[_Frame] = []  # rejected (busy/gap), awaiting resend
+        schedule = None
         total = 0
         position = None
 
-        def backoff(kind: str, exc: BaseException) -> None:
-            if state["schedule"] is None:
-                state["schedule"] = policy.start()
-            delay = state["schedule"].next_delay()
+        def backoff(kind: str, exc: BaseException):
+            nonlocal schedule
+            if policy is None:
+                raise exc
+            if schedule is None:
+                schedule = policy.start()
+            delay = schedule.next_delay()
             if delay is None:
                 raise exc
             self.retries += 1
             count_retry(kind)
-            time.sleep(delay)
+            yield (self._sleep, delay)
 
-        def send_entry(entry: list) -> None:
-            entry[0] = self._send(
-                "feed",
-                items=entry[2],
-                deltas=entry[3],
-                client=self.client_id,
-                seq=entry[1],
-            )
+        def send(frame: _Frame):
+            frame.request_id = yield from self._send("feed", self._feed_fields(frame))
 
-        def requeue_all() -> None:
-            entries = sorted([*failed, *pending], key=lambda entry: entry[1])
+        def replay():
+            # Every unacknowledged frame, resent in seq order.
+            frames = sorted([*failed, *pending], key=lambda frame: frame.seq)
             failed.clear()
             pending.clear()
-            pending.extend(entries)
+            pending.extend(frames)
+            for frame in frames:
+                yield from send(frame)
 
-        def reopen_and_replay(exc: BaseException) -> None:
-            requeue_all()
+        def recover(exc: BaseException):
             while True:
-                backoff("reconnect", exc)
+                yield from backoff("reconnect", exc)
                 try:
-                    self._reopen()
-                    for entry in pending:
-                        send_entry(entry)
-                except (OSError, ProtocolError) as retry_exc:
+                    yield from self._reconnecting()
+                    yield from replay()
+                    return
+                except _TRANSPORT_ERRORS as retry_exc:
                     exc = retry_exc
-                    continue
-                return
 
-        def drain_step() -> None:
-            nonlocal position
+        def drain_one():
+            nonlocal position, schedule
             if failed and not pending:
-                # Whole suffix was rejected (busy or gap): back off,
+                # The whole suffix was rejected (busy or gap): back off,
                 # then resend it in seq order on the live connection.
-                backoff("feed-replay", failed[0][4])
-                requeue_all()
-                for entry in pending:
-                    send_entry(entry)
+                yield from backoff("feed-replay", failed[0].error)
+                yield from replay()
                 return
-            entry = pending[0]
+            frame = pending.popleft()
             try:
-                reply = self._drain(entry[0])
+                reply = yield from self._reply(frame.request_id)
+            except _TRANSPORT_ERRORS:
+                pending.appendleft(frame)  # unacknowledged: replay it
+                raise
             except (ServerBusy, SequenceGap) as exc:
-                pending.popleft()
-                failed.append(entry[:4] + [exc])
+                if policy is None:
+                    raise
+                frame.error = exc
+                failed.append(frame)
                 return
-            pending.popleft()
             if not reply.get("duplicate"):
                 position = reply["position"]
-            state["schedule"] = None  # progress: fresh budget per outage
+            schedule = None  # progress: fresh budget per outage
 
-        def pump(limit: int) -> None:
-            while len(pending) + len(failed) > limit or (
-                failed and not pending
-            ):
+        def pump(limit: int):
+            while len(pending) + len(failed) > limit or (failed and not pending):
                 try:
-                    drain_step()
-                except (OSError, ProtocolError) as exc:
-                    reopen_and_replay(exc)
+                    yield from drain_one()
+                except _TRANSPORT_ERRORS as exc:
+                    yield from recover(exc)
 
-        for items, deltas in source:
-            items, deltas = _as_feed_arrays(items, deltas)
-            total += len(items)
-            self._feed_seq += 1
-            entry = [None, self._feed_seq, items, deltas]
-            pending.append(entry)
-            try:
-                send_entry(entry)
-            except (OSError, ProtocolError) as exc:
-                reopen_and_replay(exc)
-            pump(window - 1)
-        pump(0)
+        chunks = source.__aiter__() if hasattr(source, "__aiter__") else iter(source)
+        try:
+            while (chunk := (yield (self._next_chunk, chunks))) is not _END:
+                items, deltas = _as_feed_arrays(*chunk)
+                seq = self.next_seq() if policy is not None else None
+                frame = _Frame(seq, items, deltas)
+                total += len(items)
+                pending.append(frame)
+                try:
+                    yield from send(frame)
+                except _TRANSPORT_ERRORS as exc:
+                    yield from recover(exc)
+                yield from pump(window - 1)
+            yield from pump(0)
+        except _TRANSPORT_ERRORS:
+            raise
+        except Exception:
+            # A source, validation or application error: read the acks
+            # of the frames still in flight so the stream stays in step.
+            for frame in pending:
+                with suppress(ServiceError):
+                    yield from self._reply(frame.request_id)
+            raise
         return {"count": total, "position": position}
 
     def estimate(self, items) -> np.ndarray:
@@ -542,144 +532,21 @@ class SketchClient:
         Idempotent by construction, so this is the one call
         ``enable_hedging`` races against a backup replica.
         """
-        items = np.ascontiguousarray(items, dtype=np.int64)
-        if self._hedge is not None:
-            return unpack_array(self._hedged_request("estimate", items=items))
+        return self._run(self._estimate(np.ascontiguousarray(items, dtype=np.int64)))
+
+    def _estimate(self, items: np.ndarray):
         started = time.perf_counter()
-        reply = self._request("estimate", items=items)
+        if self._hedge is None:
+            reply = yield from self._call("estimate", items=items)
+        else:
+            reply, outcome = yield from self._race("estimate", {"items": items})
+            self._count_hedge(outcome)
         _observe_estimate(time.perf_counter() - started)
         return unpack_array(reply)
 
-    # -- hedged reads -------------------------------------------------------
-
-    def enable_hedging(
-        self, host: str, port: int, *, delay: Optional[float] = None
-    ) -> None:
-        """Arm hedged estimates against a backup replica at ``host:port``.
-
-        The backup connection opens lazily on the first hedge and its
-        construction fingerprint must match the primary's.  ``delay`` is
-        the seconds to wait on the primary before firing the hedge;
-        ``None`` (default) re-derives the p99 from the latency histogram
-        on every hedged call (:func:`hedge_delay_from_metrics`).
-        """
-        self._hedge = {"address": (host, int(port)), "delay": delay, "client": None}
-
-    def _count_hedge(self, outcome: str) -> None:
-        self.hedge_outcomes[outcome] = self.hedge_outcomes.get(outcome, 0) + 1
-        if _obs_registry.enabled:
-            _obs_hedged.add(1, outcome=outcome)
-
-    def _hedge_backup(self) -> "SketchClient":
-        hedge = self._hedge
-        backup = hedge["client"]
-        if backup is None or backup._sock.fileno() < 0:
-            host, port = hedge["address"]
-            backup = SketchClient.connect(
-                host, port, retry=self._policy or RetryPolicy(max_attempts=1)
-            )
-            mine = (self.server_info or {}).get("fingerprint")
-            theirs = (backup.server_info or {}).get("fingerprint")
-            if mine is not None and theirs is not None and mine != theirs:
-                backup.close()
-                raise FingerprintMismatch(
-                    "hedge backup's construction fingerprint disagrees with "
-                    "the primary's; hedged reads need identically "
-                    "constructed replicas"
-                )
-            hedge["client"] = backup
-        return backup
-
-    def _hedged_request(self, op: str, **fields):
-        hedge = self._hedge
-        started = time.perf_counter()
-        request_id = self._send(op, **fields)
-        delay = hedge["delay"]
-        if delay is None:
-            delay = hedge_delay_from_metrics()
-        primary_exc: Optional[BaseException] = None
-        readable, _, _ = select.select([self._sock], [], [], max(delay, 0.0))
-        if readable:
-            try:
-                reply = self._drain(request_id)
-            except (OSError, ProtocolError) as exc:
-                # Primary died inside the hedge window: hedge anyway --
-                # the backup turns a would-be error into a failover.
-                primary_exc = exc
-            else:
-                _observe_estimate(time.perf_counter() - started)
-                self._count_hedge("fast")
-                return reply
-        try:
-            backup = self._hedge_backup()
-            backup_id = backup._send(op, **fields)
-        except FingerprintMismatch:
-            raise
-        except (OSError, ProtocolError):
-            # Backup unusable: fall back to waiting out the primary.
-            hedge["client"] = None
-            if primary_exc is not None:
-                raise primary_exc
-            reply = self._drain(request_id)
-            _observe_estimate(time.perf_counter() - started)
-            self._count_hedge("fast")
-            return reply
-        timeout = self._policy.op_timeout if self._policy else None
-        backup_alive = True
-        while True:
-            socks = []
-            if primary_exc is None:
-                socks.append(self._sock)
-            if backup_alive:
-                socks.append(backup._sock)
-            if not socks:
-                raise primary_exc
-            readable, _, _ = select.select(socks, [], [], timeout)
-            if not readable:
-                raise OSError("hedged read timed out on both servers")
-            if primary_exc is None and self._sock in readable:
-                try:
-                    reply = self._drain(request_id)
-                except (OSError, ProtocolError) as exc:
-                    primary_exc = exc
-                    continue
-                except Exception:
-                    # The primary answered with an authoritative error;
-                    # the backup's eventual reply is abandoned.
-                    if backup_alive:
-                        backup._stale_ids.add(backup_id)
-                    raise
-                if backup_alive:
-                    backup._stale_ids.add(backup_id)
-                _observe_estimate(time.perf_counter() - started)
-                self._count_hedge("primary")
-                return reply
-            if backup_alive and backup._sock in readable:
-                try:
-                    reply = backup._drain(backup_id)
-                except (OSError, ProtocolError) as exc:
-                    backup.close()
-                    hedge["client"] = None
-                    backup_alive = False
-                    if primary_exc is not None:
-                        raise exc from primary_exc
-                    continue
-                except Exception:
-                    if primary_exc is None:
-                        self._stale_ids.add(request_id)
-                    raise
-                if primary_exc is None:
-                    self._stale_ids.add(request_id)
-                    outcome = "backup"
-                else:
-                    outcome = "failover"
-                _observe_estimate(time.perf_counter() - started)
-                self._count_hedge(outcome)
-                return reply
-
     def query(self, kind: Optional[str] = None):
         """The sketch family's native query (``kind="f2"`` for F2)."""
-        return self._request("query", kind=kind)
+        return self._run(self._call("query", kind=kind))
 
     def f2_estimate(self) -> float:
         """Second-moment estimate from the server's merged state."""
@@ -696,8 +563,8 @@ class SketchClient:
         (nothing was merged, encoded or sent).
         """
         if unless is _UNVERSIONED:
-            return self._request("snapshot")
-        return self._request("snapshot", unless=unless)
+            return self._run(self._call("snapshot"))
+        return self._run(self._call("snapshot", unless=unless))
 
     def load_snapshot(
         self,
@@ -716,21 +583,180 @@ class SketchClient:
             fields["position"] = int(position)
         if merge:
             fields["merge"] = True
-        return self._request("load_snapshot", **fields)
+        return self._run(self._call("load_snapshot", **fields))
 
     def checkpoint(self) -> dict:
         """Force a server-side checkpoint write now."""
-        return self._request("checkpoint")
+        return self._run(self._call("checkpoint"))
 
     def close(self) -> None:
-        """Close the socket and any hedge backup (idempotent)."""
-        if self._hedge is not None and self._hedge.get("client") is not None:
-            self._hedge["client"].close()
-            self._hedge["client"] = None
+        """Close the connection and any hedge backup (idempotent)."""
+        return self._run(self._closing())
+
+    def _closing(self):
+        yield from self._drop_backup()
+        yield (self._close,)
+
+    # -- hedged reads ---------------------------------------------------------
+
+    def enable_hedging(
+        self, host: str, port: int, *, delay: Optional[float] = None
+    ) -> None:
+        """Arm hedged estimates against a backup replica at ``host:port``.
+
+        The backup connection opens lazily on the first hedge and its
+        construction fingerprint must match the primary's.  ``delay`` is
+        the seconds to wait on the primary before firing the hedge;
+        ``None`` (default) re-derives the p99 from the latency histogram
+        on every hedged call (:func:`hedge_delay_from_metrics`).
+        """
+        self._hedge = ((host, int(port)), delay)
+
+    def _count_hedge(self, outcome: str) -> None:
+        self.hedge_outcomes[outcome] = self.hedge_outcomes.get(outcome, 0) + 1
+        if _obs_registry.enabled:
+            _obs_hedged.add(1, outcome=outcome)
+
+    def _drop_backup(self):
+        backup, self._backup = self._backup, None
+        if backup is not None:
+            yield (backup._close,)
+
+    def _open_backup(self, address: tuple[str, int]):
+        if self._backup is not None and self._backup._address == address:
+            return self._backup
+        yield from self._drop_backup()
+        backup = type(self)(address, self._policy, max_frame=self._max_frame)
         try:
-            self._sock.close()
-        except OSError:
-            pass
+            yield from backup._connecting(self._policy)
+            mine = (self.server_info or {}).get("fingerprint")
+            theirs = (backup.server_info or {}).get("fingerprint")
+            if mine is not None and theirs is not None and mine != theirs:
+                raise FingerprintMismatch(
+                    "hedge backup's construction fingerprint disagrees with "
+                    "the primary's; hedged reads need identically "
+                    "constructed replicas"
+                )
+        except Exception:
+            yield (backup._close,)
+            raise
+        self._backup = backup
+        return backup
+
+    def _race(self, op: str, fields: dict):
+        """Race ``op`` on the primary against the backup; returns
+        ``(reply, outcome)``.  The first answer -- a result or an error
+        reply -- wins and the loser's request is abandoned; a failed
+        backup is closed, dropped, and the primary waited out alone."""
+        address, delay = self._hedge
+        request_id = yield from self._send(op, fields)
+        if delay is None:
+            delay = hedge_delay_from_metrics()
+        primary_exc: Optional[BaseException] = None
+        if (yield (self._wait, [self], max(delay, 0.0))):
+            try:
+                return (yield from self._reply(request_id)), "fast"
+            except _TRANSPORT_ERRORS as exc:
+                # Primary died inside the hedge window: hedge anyway --
+                # the backup turns a would-be error into a failover.
+                primary_exc = exc
+        try:
+            backup = yield from self._open_backup(address)
+            backup_id = yield from backup._send(op, fields)
+        except _TRANSPORT_ERRORS:
+            # Backup unusable: close and drop it, wait out the primary.
+            yield from self._drop_backup()
+            if primary_exc is not None:
+                raise primary_exc
+            return (yield from self._reply(request_id)), "fast"
+        except Exception:
+            # A refused backup (fingerprint): the primary's reply is due
+            # on its connection still, so mark it abandoned.
+            self._stale_ids.add(request_id)
+            raise
+        # Each contender's outstanding request id; the winner is popped.
+        racing = {backup: backup_id}
+        if primary_exc is None:
+            racing[self] = request_id
+        while racing:
+            ready = yield (self._wait, list(racing), self._policy.op_timeout)
+            if not ready:
+                _abandon(racing)
+                raise OSError("hedged read timed out on both servers")
+            winner = self if self in ready else backup
+            try:
+                reply = yield from winner._reply(racing.pop(winner))
+            except _TRANSPORT_ERRORS as exc:
+                if winner is self:
+                    primary_exc = exc
+                    continue
+                # Backup died: close and drop it; a live primary answers.
+                yield from self._drop_backup()
+                if primary_exc is not None:
+                    raise exc from primary_exc
+                continue
+            except Exception:
+                _abandon(racing)  # an authoritative error reply wins too
+                raise
+            _abandon(racing)
+            if winner is self:
+                return reply, "primary"
+            return reply, "backup" if primary_exc is None else "failover"
+        raise primary_exc
+
+
+class SketchClient(_ClientCore):
+    """Blocking-socket client for one :class:`SketchServer`.
+
+    Usage::
+
+        with SketchClient.connect("127.0.0.1", port) as client:
+            client.feed(items, deltas)
+            counts = client.estimate(probe_items)
+    """
+
+    _sock: Optional[socket.socket] = None
+
+    def _run(self, steps):
+        result = error = None
+        while True:
+            try:
+                step = steps.send(result) if error is None else steps.throw(error)
+            except StopIteration as stop:
+                return stop.value
+            try:
+                result, error = step[0](*step[1:]), None
+            except Exception as exc:
+                result, error = None, exc
+
+    def _open(self) -> None:
+        timeout = self._policy.op_timeout
+        sock = socket.create_connection(self._address, timeout=timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock = sock
+
+    def _close(self) -> None:
+        if self._sock is not None:
+            with suppress(OSError):
+                self._sock.close()
+
+    def _write(self, message: dict) -> None:
+        send_message(self._sock, message)
+
+    def _read(self) -> dict:
+        return recv_message(self._sock, self._max_frame)
+
+    @staticmethod
+    def _wait(clients: list, timeout: Optional[float]) -> list:
+        socks = [client._sock for client in clients]
+        readable, _, _ = select.select(socks, [], [], timeout)
+        return [client for client in clients if client._sock in readable]
+
+    _sleep = staticmethod(time.sleep)
+
+    @staticmethod
+    def _next_chunk(chunks):
+        return next(chunks, _END)
 
     def __enter__(self) -> "SketchClient":
         return self
@@ -739,503 +765,83 @@ class SketchClient:
         self.close()
 
 
-class AsyncSketchClient:
-    """Asyncio counterpart of :class:`SketchClient` (same surface)."""
+class AsyncSketchClient(_ClientCore):
+    """Asyncio transport of the same client: every call is awaitable."""
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        max_frame: int = DEFAULT_MAX_FRAME,
-        *,
-        client_id: Optional[str] = None,
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
-        self._max_frame = max_frame
-        self._request_seq = 0
-        self.server_info: Optional[dict] = None
-        self.client_id = client_id or uuid.uuid4().hex
-        self._feed_seq = 0
-        self.retries = 0
-        self._address: Optional[tuple[str, int]] = None
-        self._policy: Optional[RetryPolicy] = None
-        self._hello = False
-        #: A hedged loser's drain task still reading this connection;
-        #: awaited (and its reply discarded) before the next send.
-        self._pending_drain: Optional[asyncio.Task] = None
-        self._hedge: Optional[dict] = None
-        self.hedge_outcomes: dict[str, int] = {}
+    _reader: Optional[asyncio.StreamReader] = None
+    _writer: Optional[asyncio.StreamWriter] = None
+    #: A frame read already under way (started by ``_wait``); the next
+    #: ``_read`` takes its result.
+    _reading: Optional[asyncio.Task] = None
 
-    @classmethod
-    async def connect(
-        cls,
-        host: str,
-        port: int,
-        *,
-        retries: int = 0,
-        retry_interval: Optional[float] = None,
-        retry: Optional[RetryPolicy] = None,
-        max_frame: int = DEFAULT_MAX_FRAME,
-        hello: bool = True,
-        client_id: Optional[str] = None,
-    ) -> "AsyncSketchClient":
-        """See :meth:`SketchClient.connect` (same retry surface)."""
-        policy = _resolve_retry(retry, retries, retry_interval)
-        schedule = policy.start()
+    async def _run(self, steps):
+        result = error = None
         while True:
             try:
-                reader, writer = await cls._open_stream(host, port, policy)
-                break
-            except OSError:
-                delay = schedule.next_delay()
-                if delay is None:
-                    raise
-                count_retry("connect")
-                await asyncio.sleep(delay)
-        client = cls(reader, writer, max_frame=max_frame, client_id=client_id)
-        client._address = (host, port)
-        client._policy = policy
-        client._hello = hello
-        if hello:
-            client.server_info = await client.hello()
-        return client
-
-    # -- plumbing -----------------------------------------------------------
-
-    @staticmethod
-    async def _open_stream(host: str, port: int, policy: RetryPolicy):
-        opening = asyncio.open_connection(host, port)
-        if policy.op_timeout is not None:
+                step = steps.send(result) if error is None else steps.throw(error)
+            except StopIteration as stop:
+                return stop.value
             try:
-                return await asyncio.wait_for(opening, policy.op_timeout)
-            except asyncio.TimeoutError:
-                raise OSError("connect timed out") from None
-        return await opening
+                result, error = await step[0](*step[1:]), None
+            except Exception as exc:
+                result, error = None, exc
 
-    async def _reopen(self) -> None:
-        """See :meth:`SketchClient._reopen` (one attempt, same identity)."""
-        if self._address is None:
-            raise RuntimeError(
-                "cannot reconnect: this client was not built via connect()"
-            )
-        await self._cancel_pending()
-        self._writer.close()
+    async def _open(self) -> None:
+        opening = asyncio.open_connection(*self._address)
         try:
-            await self._writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
-        policy = self._policy or RetryPolicy(max_attempts=1)
-        self._reader, self._writer = await self._open_stream(
-            self._address[0], self._address[1], policy
-        )
-        if self._hello:
-            self.server_info = await self.hello()
+            timeout = self._policy.op_timeout
+            self._reader, self._writer = await asyncio.wait_for(opening, timeout)
+        except asyncio.TimeoutError:
+            raise OSError("connect timed out") from None
 
-    async def _settle(self) -> None:
-        """Wait out an abandoned hedge drain before touching the stream.
+    async def _close(self) -> None:
+        reading, self._reading = self._reading, None
+        if reading is not None:
+            reading.cancel()
+            await asyncio.gather(reading, return_exceptions=True)
+        if self._writer is not None:
+            self._writer.close()
+            with suppress(OSError):
+                await self._writer.wait_closed()
 
-        The loser of a hedged race keeps a task reading its own reply
-        off this connection; letting a new request interleave with it
-        would desynchronize the one-in-flight protocol.  The task's
-        result (or failure) is discarded -- the race already answered.
-        """
-        task = self._pending_drain
-        if task is None:
-            return
-        self._pending_drain = None
+    async def _write(self, message: dict) -> None:
+        await write_message(self._writer, message)
+
+    async def _read(self) -> dict:
+        reading, self._reading = self._reading, None
+        if reading is not None:
+            return await reading
+        return await self._read_frame()
+
+    async def _read_frame(self) -> dict:
+        reading = read_message(self._reader, self._max_frame)
         try:
-            await task
-        except Exception:
-            pass
-
-    async def _cancel_pending(self) -> None:
-        """Drop an abandoned drain outright (the connection is going away)."""
-        task = self._pending_drain
-        if task is None:
-            return
-        self._pending_drain = None
-        task.cancel()
-        try:
-            await task
-        except BaseException:
-            pass
-
-    async def _send(self, op: str, **fields) -> int:
-        await self._settle()
-        self._request_seq += 1
-        await write_message(
-            self._writer, make_request(op, self._request_seq, **fields)
-        )
-        return self._request_seq
-
-    async def _drain(self, request_id: int):
-        message = await read_message(self._reader, self._max_frame)
-        if message is None:
-            raise ProtocolError("connection closed while awaiting a reply")
-        return raise_for_reply(message, request_id)
-
-    async def _drain_timed(self, request_id: int):
-        timeout = self._policy.op_timeout if self._policy else None
-        if timeout is None:
-            return await self._drain(request_id)
-        try:
-            return await asyncio.wait_for(self._drain(request_id), timeout)
+            message = await asyncio.wait_for(reading, self._policy.op_timeout)
         except asyncio.TimeoutError:
             raise OSError("reply timed out") from None
-
-    async def _request(self, op: str, **fields):
-        return await self._drain(await self._send(op, **fields))
-
-    # -- the call surface ---------------------------------------------------
-
-    async def hello(self) -> dict:
-        """See :meth:`SketchClient.hello`."""
-        return await self._request("hello")
-
-    async def ping(self) -> dict:
-        """See :meth:`SketchClient.ping`."""
-        return await self._request("ping")
-
-    async def stats(self) -> dict:
-        """See :meth:`SketchClient.stats`."""
-        return await self._request("stats")
-
-    async def metrics(self) -> dict:
-        """See :meth:`SketchClient.metrics`."""
-        return await self._request("metrics")
-
-    async def alerts(self) -> dict:
-        """See :meth:`SketchClient.alerts`."""
-        return await self._request("alerts")
-
-    async def feed(self, items, deltas, *, seq: Optional[int] = None) -> dict:
-        """See :meth:`SketchClient.feed` (``seq=`` sequences the batch)."""
-        items, deltas = _as_feed_arrays(items, deltas)
-        fields = {"items": items, "deltas": deltas}
-        if seq is not None:
-            fields.update(client=self.client_id, seq=int(seq))
-        return await self._request("feed", **fields)
-
-    async def feed_chunks(
-        self,
-        source,
-        window: int = DEFAULT_WINDOW,
-        retry: Optional[RetryPolicy] = None,
-    ) -> dict:
-        """Pipelined chunk streaming (see :meth:`SketchClient.feed_chunks`).
-
-        ``source`` may be a sync or async iterable of chunk pairs.  With
-        ``retry=`` a policy, chunks are sequenced and the stream
-        reconnects and retransmits exactly-once, as in the sync client.
-        """
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        if retry is not None:
-            return await self._feed_chunks_resilient(source, window, retry)
-        pending: deque[int] = deque()
-        total = 0
-        position = None
-
-        async def _push(items, deltas) -> None:
-            nonlocal position, total
-            items, deltas = _as_feed_arrays(items, deltas)
-            total += len(items)
-            pending.append(await self._send("feed", items=items, deltas=deltas))
-            if len(pending) >= window:
-                position = (await self._drain(pending.popleft()))["position"]
-
-        if hasattr(source, "__aiter__"):
-            async for items, deltas in source:
-                await _push(items, deltas)
-        else:
-            for items, deltas in source:
-                await _push(items, deltas)
-        while pending:
-            position = (await self._drain(pending.popleft()))["position"]
-        return {"count": total, "position": position}
-
-    async def _feed_chunks_resilient(
-        self, source, window: int, policy: RetryPolicy
-    ) -> dict:
-        """Async twin of :meth:`SketchClient._feed_chunks_resilient`."""
-        if self._address is None:
-            raise RuntimeError(
-                "feed_chunks(retry=...) needs a client built via connect()"
-            )
-        pending: deque[list] = deque()
-        failed: list[list] = []
-        state = {"schedule": None}
-        total = 0
-        position = None
-
-        async def backoff(kind: str, exc: BaseException) -> None:
-            if state["schedule"] is None:
-                state["schedule"] = policy.start()
-            delay = state["schedule"].next_delay()
-            if delay is None:
-                raise exc
-            self.retries += 1
-            count_retry(kind)
-            await asyncio.sleep(delay)
-
-        async def send_entry(entry: list) -> None:
-            entry[0] = await self._send(
-                "feed",
-                items=entry[2],
-                deltas=entry[3],
-                client=self.client_id,
-                seq=entry[1],
-            )
-
-        def requeue_all() -> None:
-            entries = sorted([*failed, *pending], key=lambda entry: entry[1])
-            failed.clear()
-            pending.clear()
-            pending.extend(entries)
-
-        async def reopen_and_replay(exc: BaseException) -> None:
-            requeue_all()
-            while True:
-                await backoff("reconnect", exc)
-                try:
-                    await self._reopen()
-                    for entry in pending:
-                        await send_entry(entry)
-                except (OSError, ProtocolError) as retry_exc:
-                    exc = retry_exc
-                    continue
-                return
-
-        async def drain_step() -> None:
-            nonlocal position
-            if failed and not pending:
-                await backoff("feed-replay", failed[0][4])
-                requeue_all()
-                for entry in pending:
-                    await send_entry(entry)
-                return
-            entry = pending[0]
-            try:
-                reply = await self._drain_timed(entry[0])
-            except (ServerBusy, SequenceGap) as exc:
-                pending.popleft()
-                failed.append(entry[:4] + [exc])
-                return
-            pending.popleft()
-            if not reply.get("duplicate"):
-                position = reply["position"]
-            state["schedule"] = None
-
-        async def pump(limit: int) -> None:
-            while len(pending) + len(failed) > limit or (
-                failed and not pending
-            ):
-                try:
-                    await drain_step()
-                except (OSError, ProtocolError) as exc:
-                    await reopen_and_replay(exc)
-
-        async def push(items, deltas) -> None:
-            nonlocal total
-            items, deltas = _as_feed_arrays(items, deltas)
-            total += len(items)
-            self._feed_seq += 1
-            entry = [None, self._feed_seq, items, deltas]
-            pending.append(entry)
-            try:
-                await send_entry(entry)
-            except (OSError, ProtocolError) as exc:
-                await reopen_and_replay(exc)
-            await pump(window - 1)
-
-        if hasattr(source, "__aiter__"):
-            async for items, deltas in source:
-                await push(items, deltas)
-        else:
-            for items, deltas in source:
-                await push(items, deltas)
-        await pump(0)
-        return {"count": total, "position": position}
-
-    async def estimate(self, items) -> np.ndarray:
-        """See :meth:`SketchClient.estimate` (hedged when armed)."""
-        items = np.ascontiguousarray(items, dtype=np.int64)
-        if self._hedge is not None:
-            return unpack_array(
-                await self._hedged_request("estimate", items=items)
-            )
-        started = time.perf_counter()
-        reply = await self._request("estimate", items=items)
-        _observe_estimate(time.perf_counter() - started)
-        return unpack_array(reply)
-
-    # -- hedged reads -------------------------------------------------------
-
-    def enable_hedging(
-        self, host: str, port: int, *, delay: Optional[float] = None
-    ) -> None:
-        """See :meth:`SketchClient.enable_hedging`."""
-        self._hedge = {"address": (host, int(port)), "delay": delay, "client": None}
-
-    def _count_hedge(self, outcome: str) -> None:
-        self.hedge_outcomes[outcome] = self.hedge_outcomes.get(outcome, 0) + 1
-        if _obs_registry.enabled:
-            _obs_hedged.add(1, outcome=outcome)
-
-    async def _hedge_backup(self) -> "AsyncSketchClient":
-        hedge = self._hedge
-        backup = hedge["client"]
-        if backup is None:
-            host, port = hedge["address"]
-            backup = await AsyncSketchClient.connect(
-                host, port, retry=self._policy or RetryPolicy(max_attempts=1)
-            )
-            mine = (self.server_info or {}).get("fingerprint")
-            theirs = (backup.server_info or {}).get("fingerprint")
-            if mine is not None and theirs is not None and mine != theirs:
-                await backup.close()
-                raise FingerprintMismatch(
-                    "hedge backup's construction fingerprint disagrees with "
-                    "the primary's; hedged reads need identically "
-                    "constructed replicas"
-                )
-            hedge["client"] = backup
-        return backup
+        if message is None:
+            raise ProtocolError("connection closed while awaiting a reply")
+        return message
 
     @staticmethod
-    def _abandon(owner: "AsyncSketchClient", task: asyncio.Task) -> None:
-        """Park a losing drain on its connection (settled pre-next-send)."""
-        if task.done():
-            if not task.cancelled():
-                task.exception()  # retrieve, so failures never warn
-        else:
-            owner._pending_drain = task
-
-    async def _hedged_request(self, op: str, **fields):
-        hedge = self._hedge
-        started = time.perf_counter()
-        request_id = await self._send(op, **fields)
-        delay = hedge["delay"]
-        if delay is None:
-            delay = hedge_delay_from_metrics()
-        primary = asyncio.ensure_future(self._drain_timed(request_id))
-        done, _ = await asyncio.wait({primary}, timeout=max(delay, 0.0))
-        primary_exc: Optional[BaseException] = None
-        if done:
-            try:
-                reply = primary.result()
-            except (OSError, ProtocolError) as exc:
-                # Primary died inside the hedge window: hedge anyway --
-                # the backup turns a would-be error into a failover.
-                primary_exc = exc
-            else:
-                # Server-side (application) errors raised faithfully above.
-                _observe_estimate(time.perf_counter() - started)
-                self._count_hedge("fast")
-                return reply
-        try:
-            backup = await self._hedge_backup()
-            backup_id = await backup._send(op, **fields)
-        except FingerprintMismatch:
-            self._abandon(self, primary)
-            raise
-        except (OSError, ProtocolError):
-            hedge["client"] = None
-            if primary_exc is not None:
-                raise primary_exc
-            reply = await primary
-            _observe_estimate(time.perf_counter() - started)
-            self._count_hedge("fast")
-            return reply
-        secondary = asyncio.ensure_future(backup._drain_timed(backup_id))
-        if primary_exc is not None:
-            reply = await secondary  # backup's own failure propagates
-            _observe_estimate(time.perf_counter() - started)
-            self._count_hedge("failover")
-            return reply
+    async def _wait(clients: list, timeout: Optional[float]) -> list:
+        for client in clients:
+            if client._reading is None:
+                client._reading = asyncio.ensure_future(client._read_frame())
         done, _ = await asyncio.wait(
-            {primary, secondary}, return_when=asyncio.FIRST_COMPLETED
+            [client._reading for client in clients],
+            timeout=timeout,
+            return_when=asyncio.FIRST_COMPLETED,
         )
-        if primary in done:
-            try:
-                reply = primary.result()
-            except (OSError, ProtocolError):
-                # Primary connection died mid-read: the backup is now
-                # the only answer.  Its own failure propagates.
-                reply = await secondary
-                _observe_estimate(time.perf_counter() - started)
-                self._count_hedge("failover")
-                return reply
-            except Exception:
-                self._abandon(backup, secondary)
-                raise
-            self._abandon(backup, secondary)
-            _observe_estimate(time.perf_counter() - started)
-            self._count_hedge("primary")
-            return reply
-        try:
-            reply = secondary.result()
-        except (OSError, ProtocolError):
-            hedge["client"] = None
-            reply = await primary  # wait out the primary alone
-            _observe_estimate(time.perf_counter() - started)
-            self._count_hedge("primary")
-            return reply
-        except Exception:
-            self._abandon(self, primary)
-            raise
-        self._abandon(self, primary)
-        _observe_estimate(time.perf_counter() - started)
-        self._count_hedge("backup")
-        return reply
+        return [client for client in clients if client._reading in done]
 
-    async def query(self, kind: Optional[str] = None):
-        """See :meth:`SketchClient.query`."""
-        return await self._request("query", kind=kind)
+    _sleep = staticmethod(asyncio.sleep)
 
-    async def f2_estimate(self) -> float:
-        """See :meth:`SketchClient.f2_estimate`."""
-        return await self.query(kind="f2")
-
-    async def snapshot(self, *, unless=_UNVERSIONED) -> bytes | dict:
-        """See :meth:`SketchClient.snapshot` (``unless=`` for the
-        versioned form)."""
-        if unless is _UNVERSIONED:
-            return await self._request("snapshot")
-        return await self._request("snapshot", unless=unless)
-
-    async def load_snapshot(
-        self,
-        data: bytes,
-        position: Optional[int] = None,
-        *,
-        merge: bool = False,
-    ) -> dict:
-        """See :meth:`SketchClient.load_snapshot` (``merge=True`` folds in)."""
-        fields = {"snapshot": bytes(data)}
-        if position is not None:
-            fields["position"] = int(position)
-        if merge:
-            fields["merge"] = True
-        return await self._request("load_snapshot", **fields)
-
-    async def checkpoint(self) -> dict:
-        """See :meth:`SketchClient.checkpoint`."""
-        return await self._request("checkpoint")
-
-    async def close(self) -> None:
-        """Close the connection and wait for the transport to drop."""
-        await self._cancel_pending()
-        if self._hedge is not None and self._hedge.get("client") is not None:
-            backup = self._hedge["client"]
-            self._hedge["client"] = None
-            await backup.close()
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
+    @staticmethod
+    async def _next_chunk(chunks):
+        if hasattr(chunks, "__anext__"):
+            return await anext(chunks, _END)
+        return next(chunks, _END)
 
     async def __aenter__(self) -> "AsyncSketchClient":
         return self

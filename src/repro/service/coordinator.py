@@ -211,7 +211,6 @@ class SketchCoordinator:
     async def connect(
         self,
         retries: int = 0,
-        retry_interval: Optional[float] = None,
         *,
         retry: Optional[RetryPolicy] = None,
     ) -> "SketchCoordinator":
@@ -219,19 +218,17 @@ class SketchCoordinator:
 
         Retries follow the same surface as :meth:`SketchClient.connect`
         (``retry=`` policy wins; bare ``retries=`` gets the default
-        exponential shape; ``retry_interval=`` is deprecated).  A server
-        whose ``hello`` fingerprint differs from the local template's
-        was built with other parameters or another seed; routing updates
-        to it would silently break merge exactness, so the handshake
-        raises :class:`FingerprintMismatch` instead.  The per-server
-        snapshot cache is seeded here so degraded reads are possible
-        from the first fan-in on.
+        exponential shape).  A server whose ``hello`` fingerprint
+        differs from the local template's was built with other
+        parameters or another seed; routing updates to it would
+        silently break merge exactness, so the handshake raises
+        :class:`FingerprintMismatch` instead.  The per-server snapshot
+        cache is seeded here so degraded reads are possible from the
+        first fan-in on.
         """
         if self.clients:
             raise RuntimeError("coordinator already connected")
-        from repro.service.client import _resolve_retry
-
-        policy = _resolve_retry(retry, retries, retry_interval)
+        policy = retry if retry is not None else RetryPolicy(max_attempts=retries + 1)
         self._policy = policy
         self.clients = list(
             await asyncio.gather(
@@ -301,21 +298,11 @@ class SketchCoordinator:
         mechanism: a chunk that was applied but whose ack was lost comes
         back as a duplicate-ack, never a double apply.
         """
-        async def attempt() -> dict:
-            request_id = await client._send(
-                "feed",
-                items=items,
-                deltas=deltas,
-                client=client.client_id,
-                seq=seq,
-            )
-            return await client._drain_timed(request_id)
-
         try:
-            return await attempt()
+            return await client.feed(items, deltas, seq=seq)
         except (OSError, ProtocolError):
-            await client._reopen()
-            return await attempt()
+            await client.reconnect()
+            return await client.feed(items, deltas, seq=seq)
 
     async def feed(self, items, deltas) -> int:
         """Partition one batch and feed every owning server its slice.
@@ -364,8 +351,6 @@ class SketchCoordinator:
                     group = tuple(groups[owner])
                     reserved = reservations.get(owner)
                     if reserved is None or reserved[1] != group:
-                        client = clients[owner]
-                        client._feed_seq += 1
                         if len(group) == 1:
                             merged_items, merged_deltas = pending[group[0]]
                         else:
@@ -376,7 +361,10 @@ class SketchCoordinator:
                                 [pending[p][1] for p in group]
                             )
                         reserved = (
-                            client._feed_seq, group, merged_items, merged_deltas
+                            clients[owner].next_seq(),
+                            group,
+                            merged_items,
+                            merged_deltas,
                         )
                         reservations[owner] = reserved
                     sends.append((owner, reserved))
@@ -625,22 +613,24 @@ class SketchCoordinator:
             raise IndexError(f"server index {index} outside fleet")
         host, port = self.addresses[index]
         async with self._feed_lock:
-            old = clients[index]
-            await old.close()
-            client = await AsyncSketchClient.connect(
-                host,
-                port,
-                retry=self._policy or RetryPolicy(max_attempts=1),
-                client_id=old.client_id,
-            )
-            client._feed_seq = old._feed_seq
+            client = clients[index]
+            schedule = self._policy.start()
+            while True:
+                try:
+                    await client.reconnect()
+                    break
+                except OSError:
+                    delay = schedule.next_delay()
+                    if delay is None:
+                        raise
+                    count_retry("connect")
+                    await asyncio.sleep(delay)
             if client.server_info["fingerprint"] != self.fingerprint:
                 await client.close()
                 raise FingerprintMismatch(
                     f"server {host}:{port} came back differently-constructed; "
                     "refusing to re-admit it into the fleet"
                 )
-            clients[index] = client
             pong = await client.ping()
             if index in self._migrated:
                 if pong.get("position"):
@@ -663,9 +653,8 @@ class SketchCoordinator:
                     position=self._snapshot_positions[index],
                 )
                 for chunk_items, chunk_deltas in self._journals[index]:
-                    client._feed_seq += 1
                     await self._send_feed(
-                        client, client._feed_seq, chunk_items, chunk_deltas
+                        client, client.next_seq(), chunk_items, chunk_deltas
                     )
                 restored = True
             await self._pull(index)
@@ -747,9 +736,8 @@ class SketchCoordinator:
                 if snapshot is not None:
                     await dest.load_snapshot(snapshot, merge=True)
                 for chunk_items, chunk_deltas in self._journals[index]:
-                    dest._feed_seq += 1
                     await self._send_feed(
-                        dest, dest._feed_seq, chunk_items, chunk_deltas
+                        dest, dest.next_seq(), chunk_items, chunk_deltas
                     )
                     moved += int(chunk_items.size)
                 self.routing = [

@@ -347,30 +347,27 @@ class FleetProber:
 
         A dedicated throwaway connection: probing through the
         coordinator's feed clients would race their one-in-flight
-        request streams.  Timeout is the policy's ``op_timeout`` (or
-        ``base_delay * 4`` when unset -- a probe must never hang the
-        loop).
+        request streams.  The connect and the ping reply are bounded by
+        the client's ``op_timeout``: the policy's, or ``base_delay * 4``
+        when unset -- a probe must never hang the loop.
         """
         from repro.service.client import AsyncSketchClient
 
         host, port = self.coordinator.addresses[index]
         timeout = self.policy.op_timeout or max(self.policy.base_delay * 4, 0.2)
         try:
-            client = await asyncio.wait_for(
-                AsyncSketchClient.connect(
-                    host,
-                    port,
-                    retry=RetryPolicy(max_attempts=1, op_timeout=timeout),
-                    hello=False,
-                ),
-                timeout,
+            client = await AsyncSketchClient.connect(
+                host,
+                port,
+                retry=RetryPolicy(max_attempts=1, op_timeout=timeout),
+                hello=False,
             )
-        except (OSError, asyncio.TimeoutError):
+        except OSError:
             return False
         try:
-            await asyncio.wait_for(client.ping(), timeout)
+            await client.ping()
             return True
-        except (OSError, ProtocolError, asyncio.TimeoutError):
+        except (OSError, ProtocolError):
             return False
         finally:
             await client.close()

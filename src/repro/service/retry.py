@@ -62,15 +62,16 @@ class RetryPolicy:
         Sleep before the first retry, in seconds.
     multiplier:
         Backoff growth per retry (``2.0`` doubles each time; ``1.0``
-        is a fixed interval -- the legacy ``retry_interval`` shape).
+        is a fixed interval).
     max_delay:
         Upper clamp on any single sleep.
     deadline:
         Wall-clock budget for the whole episode (attempts + sleeps),
         measured from :meth:`start`; ``None`` = attempts-bounded only.
     op_timeout:
-        Per-operation socket timeout clients apply while this policy
-        governs a connection; ``None`` = block indefinitely.
+        Per-operation timeout clients apply while this policy governs a
+        connection: it bounds each connect and every reply wait;
+        ``None`` = block indefinitely.
     """
 
     max_attempts: int = 5
@@ -101,23 +102,6 @@ class RetryPolicy:
             raise ValueError(
                 f"op_timeout must be positive, got {self.op_timeout}"
             )
-
-    @classmethod
-    def fixed(cls, interval: float, retries: int) -> "RetryPolicy":
-        """The legacy fixed-interval shape (``retry_interval`` shim).
-
-        ``retries`` extra attempts, ``interval`` seconds apart, no
-        deadline -- byte-compatible with the old ``connect(retries=...,
-        retry_interval=...)`` sleep loop it deprecates.
-        """
-        interval = max(float(interval), 0.0)
-        return cls(
-            max_attempts=retries + 1,
-            base_delay=interval,
-            multiplier=1.0,
-            max_delay=max(interval, 1e-9),
-            deadline=None,
-        )
 
     def delay(self, retry_index: int) -> float:
         """The sleep before retry ``retry_index`` (0-based), clamped."""

@@ -159,8 +159,8 @@ class ServerStats(RegistryStatsBase):
     Counter fields are live views over ``repro_service_*{server=}``
     series in the obs registry -- the ``stats`` payload and the
     ``metrics`` exposition therefore reconcile exactly, being two
-    renderings of the same instruments.  :meth:`bump` is the sanctioned
-    mutation; direct assignment warns (:class:`DeprecationWarning`).
+    renderings of the same instruments.  :meth:`bump` is the only
+    mutation; assigning a counter field raises :class:`AttributeError`.
     """
 
     _COUNTERS = {

@@ -1,16 +1,13 @@
-"""The versioned public surface and its deprecation shims.
+"""The versioned public surface.
 
 ``repro.api`` pins the stable names; this file pins the pin.  It checks
 that every ``__all__`` entry resolves and points at the documented
-implementation, that the deprecated spellings (the ``parallel=`` flag,
-positional ``queue_depth``, renamed facade attributes) still work *and*
-warn, and -- run under ``-W error::DeprecationWarning`` in CI -- that the
-canonical spellings stay warning-free.
+implementation, and -- run under ``-W error::DeprecationWarning`` in CI
+-- that the canonical spellings stay warning-free.
 """
 
 import warnings
 
-import numpy as np
 import pytest
 
 import repro.api as api
@@ -30,7 +27,7 @@ class TestFacadeSurface:
             assert getattr(api, name) is not None, name
 
     def test_api_version_and_library_version(self):
-        assert api.API_VERSION == "1.0"
+        assert api.API_VERSION == "2.0"
         import repro
 
         assert api.__version__ == repro.__version__
@@ -50,8 +47,6 @@ class TestFacadeSurface:
         names = dir(api)
         for name in api.__all__:
             assert name in names
-        for alias in api.DEPRECATED_ALIASES:
-            assert alias in names
 
     def test_unknown_attribute_raises_attribute_error(self):
         with pytest.raises(AttributeError):
@@ -67,39 +62,8 @@ class TestFacadeSurface:
                 getattr(api, name)
 
 
-class TestDeprecatedFacadeAliases:
-    def test_aliases_resolve_to_canonical_with_warning(self):
-        for alias, canonical in api.DEPRECATED_ALIASES.items():
-            with pytest.warns(DeprecationWarning, match=alias):
-                assert getattr(api, alias) is getattr(api, canonical)
-
-
 class TestParallelFlagShim:
-    def test_parallel_true_warns_and_selects_thread_backend(self):
-        with pytest.warns(DeprecationWarning, match="parallel="):
-            wrapper = ShardedAlgorithm(_count_min, 2, parallel=True)
-        assert wrapper.backend == "thread"
-        wrapper.close()
-
-    def test_parallel_false_warns_and_selects_serial_backend(self):
-        with pytest.warns(DeprecationWarning, match="parallel="):
-            wrapper = ShardedAlgorithm(_count_min, 2, parallel=False)
-        assert wrapper.backend == "serial"
-        wrapper.close()
-
-    def test_engine_parallel_flag_warns_once_and_behaves(self):
-        items, deltas = uniform_arrays(4096, 5000, seed=1)
-        with pytest.warns(DeprecationWarning, match="parallel="):
-            engine = ShardedStreamEngine(_count_min, 2, parallel=True)
-        assert engine.backend == "thread"
-        engine.drive_arrays(items, deltas)
-        reference = _count_min()
-        api.StreamEngine().drive_arrays([reference], items, deltas)
-        probe = np.arange(64, dtype=np.int64)
-        assert np.array_equal(
-            engine.estimate_batch(probe), reference.estimate_batch(probe)
-        )
-        engine.close()
+    """``backend=``, the keyword that replaced the removed ``parallel=``."""
 
     def test_backend_keyword_is_warning_free(self):
         with warnings.catch_warnings():
@@ -109,31 +73,12 @@ class TestParallelFlagShim:
         wrapper.close()
         engine.close()
 
-    def test_explicit_backend_beats_stale_parallel_flag(self):
-        # an explicit backend= wins without consulting the deprecated
-        # flag, and without warning -- migrated callers are clean even if
-        # a stale parallel= lingers in a config dict
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            wrapper = ShardedAlgorithm(
-                _count_min, 2, parallel=True, backend="serial"
-            )
-        assert wrapper.backend == "serial"
-        wrapper.close()
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             ShardedAlgorithm(_count_min, 2, backend="gpu")
 
 
 class TestIngestSignatureUnification:
-    def test_positional_queue_depth_warns_but_works(self):
-        items, deltas = uniform_arrays(4096, 3000, seed=2)
-        sketch = _count_min()
-        with pytest.warns(DeprecationWarning, match="queue_depth"):
-            stats = api.ingest([sketch], [(items, deltas)], 2)
-        assert stats.updates == len(items)
-
     def test_keyword_queue_depth_is_warning_free(self):
         items, deltas = uniform_arrays(4096, 3000, seed=2)
         sketch = _count_min()

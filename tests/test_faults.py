@@ -4,14 +4,15 @@ Everything here derives from seeded :class:`FaultPlan` schedules, so a
 failing run reproduces under its seed.  The layers under test:
 
 * :class:`RetryPolicy` -- backoff shape, attempt cap, deadline (fake
-  clock), and the deprecated ``retry_interval`` fixed-interval shim;
+  clock);
 * the exactly-once feed protocol -- contiguous per-client ``seq``
   dedup, :class:`SequenceGap` on skips, duplicate acks that do not
-  re-apply;
+  re-apply -- on both client transports;
 * graceful degradation -- :class:`ServerBusy` shedding past the queue
   deadline, and the resilient client riding it out;
 * the :class:`ChaosProxy` wire faults (connection resets, truncated
-  frames, delayed frames, slow reads), each certified bit-exact;
+  frames, delayed frames, slow reads), each certified bit-exact on both
+  client transports;
 * supervised worker respawn under SIGKILL, over the wire, including
   the acceptance scenario: a 4-client swarm against a process-backend
   fleet absorbing the full fault repertoire and finishing byte-identical
@@ -33,6 +34,7 @@ import time
 
 import numpy as np
 import pytest
+from client_transports import connect
 
 from repro import obs
 from repro.core.engine import StreamEngine
@@ -166,12 +168,6 @@ class TestRetryPolicy:
         # ...and the budget is gone.
         assert schedule.next_delay() is None
 
-    def test_fixed_shim_matches_the_legacy_sleep_loop(self):
-        policy = RetryPolicy.fixed(0.25, retries=3)
-        assert policy.max_attempts == 4
-        assert policy.deadline is None
-        assert [policy.delay(n) for n in range(3)] == [0.25, 0.25, 0.25]
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -237,36 +233,32 @@ class TestFaultPlan:
 
 
 class TestExactlyOnceFeeds:
+    """Sequenced-feed dedup on :class:`SketchClient`;
+    :class:`TestExactlyOnceFeedsAsync` reruns it on the async client."""
+
+    transport = "sync"
+
     def test_duplicate_seq_acks_without_reapplying(self):
         items, deltas = stream(2, 500)
         server = SketchServer(count_min_factory)
         with server.run_in_thread():
-            with SketchClient.connect("127.0.0.1", server.port) as client:
-
-                def feed(seq, who="c1"):
-                    return client._drain(
-                        client._send(
-                            "feed",
-                            items=items,
-                            deltas=deltas,
-                            client=who,
-                            seq=seq,
-                        )
-                    )
-
-                first = feed(1)
+            with connect(
+                self.transport, "127.0.0.1", server.port, client_id="c1"
+            ) as client, connect(
+                self.transport, "127.0.0.1", server.port, client_id="c2"
+            ) as other:
+                first = client.feed(items, deltas, seq=1)
                 assert first == {"count": 500, "position": 500}
                 # The retransmit: acked as a duplicate, never re-applied.
-                dup = feed(1)
+                dup = client.feed(items, deltas, seq=1)
                 assert dup == {"count": 0, "position": 500, "duplicate": True}
                 # A skip is rejected before the engine sees it.
                 with pytest.raises(SequenceGap, match="resend from seq 2"):
-                    feed(3)
-                second = feed(2)
+                    client.feed(items, deltas, seq=3)
+                second = client.feed(items, deltas, seq=2)
                 assert second["position"] == 1000
                 # An unknown client's first seq is accepted as-is.
-                other = feed(41, who="c2")
-                assert other["position"] == 1500
+                assert other.feed(items, deltas, seq=41)["position"] == 1500
                 snapshot = client.snapshot()
         # Three applications exactly, despite five feed frames.
         reference = count_min_factory()
@@ -281,10 +273,12 @@ class TestExactlyOnceFeeds:
         server = SketchServer(count_min_factory)
         items, deltas = stream(3, 10)
         with server.run_in_thread():
-            with SketchClient.connect("127.0.0.1", server.port) as client:
+            with connect(self.transport, "127.0.0.1", server.port) as client:
+                # feed(seq=) only sends integers, so build the frame the
+                # call surface would refuse through the core's request.
                 with pytest.raises(ServiceError, match="integer 'seq'"):
-                    client._drain(
-                        client._send(
+                    client._run(
+                        client._call(
                             "feed",
                             items=items,
                             deltas=deltas,
@@ -292,6 +286,10 @@ class TestExactlyOnceFeeds:
                             seq="one",
                         )
                     )
+
+
+class TestExactlyOnceFeedsAsync(TestExactlyOnceFeeds):
+    transport = "async"
 
 
 # -- graceful degradation: the busy reply -------------------------------------
@@ -361,6 +359,11 @@ class TestServerBusyShedding:
 
 
 class TestWireFaults:
+    """Each wire fault on :class:`SketchClient`;
+    :class:`TestWireFaultsAsync` reruns them on the async client."""
+
+    transport = "sync"
+
     @pytest.mark.parametrize("kind", WIRE_FAULT_KINDS)
     def test_each_kind_completes_bit_exact(self, kind):
         items, deltas = stream(5, 4 * CHUNK)
@@ -371,8 +374,8 @@ class TestWireFaults:
         )
         with server.run_in_thread():
             with ChaosProxy("127.0.0.1", server.port) as proxy:
-                client = SketchClient.connect(
-                    "127.0.0.1", proxy.port, retry=policy
+                client = connect(
+                    self.transport, "127.0.0.1", proxy.port, retry=policy
                 )
                 # Register after the handshake so the fault hits a feed
                 # frame (the resilient loop owns all replay from there).
@@ -405,8 +408,8 @@ class TestWireFaults:
         )
         with server.run_in_thread():
             with ChaosProxy("127.0.0.1", server.port) as proxy:
-                client = SketchClient.connect(
-                    "127.0.0.1", proxy.port, retry=policy
+                client = connect(
+                    self.transport, "127.0.0.1", proxy.port, retry=policy
                 )
                 proxy.faults.update(
                     {
@@ -421,6 +424,10 @@ class TestWireFaults:
                         iter(chunked(items, deltas)), window=2, retry=policy
                     )
                 client.close()
+
+
+class TestWireFaultsAsync(TestWireFaults):
+    transport = "async"
 
 
 # -- supervised respawn over the wire -----------------------------------------

@@ -476,16 +476,16 @@ class TestRegistryStatsBase:
         a.bump(frames=5)
         assert b.frames == 0
 
-    def test_direct_mutation_warns_but_lands(self):
+    def test_direct_mutation_raises(self):
         registry = MetricsRegistry(enabled=True)
         stats = _DemoStats(registry, "a")
         stats.bump(frames=1)
-        with pytest.warns(DeprecationWarning):
+        with pytest.raises(AttributeError, match="bump"):
             stats.frames = 10
-        assert stats.frames == 10
-        with pytest.warns(DeprecationWarning):
+        assert stats.frames == 1
+        with pytest.raises(AttributeError, match="bump"):
             stats.open = 7
-        assert stats.open == 7
+        assert stats.open == 0
 
     def test_plain_attributes_stay_plain(self):
         registry = MetricsRegistry(enabled=True)

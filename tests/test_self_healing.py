@@ -11,9 +11,10 @@ Three layers under test:
   journal-replaying readmission that refreshes the snapshot cache
   (a readmitted-then-relost server must degrade to *post*-readmission
   state), and cross-server shard migration certified bit-exact;
-* hedged reads -- fast path, forced hedges with stale-reply draining,
-  failover to the backup when the primary dies mid-read, fingerprint
-  screening of the backup, and outcome accounting;
+* hedged reads, on both client transports -- fast path, forced hedges
+  with stale-reply discarding, failover to the backup when the primary
+  dies mid-read, fingerprint screening of the backup, closing a failed
+  backup, and outcome accounting;
 
 plus the acceptance scenario: a concurrent feed swarm against a
 three-server fleet whose member gets SIGKILLed mid-ingest (a full
@@ -28,6 +29,7 @@ import types
 
 import numpy as np
 import pytest
+from client_transports import connect, is_closed
 
 from repro import obs
 from repro.core.engine import StreamEngine
@@ -46,7 +48,6 @@ from repro.obs import (
 )
 from repro.service import (
     DEFAULT_HEDGE_DELAY,
-    AsyncSketchClient,
     FleetProber,
     MembershipStateMachine,
     RetryPolicy,
@@ -535,47 +536,60 @@ class TwinServers:
 
 
 class TestHedgedReadsSync:
+    """Hedged reads on :class:`SketchClient`;
+    :class:`TestHedgedReadsAsync` reruns every scenario on the async
+    client."""
+
+    transport = "sync"
+
     def test_fast_primary_never_hedges(self):
         items, deltas = stream(40, 2 * CHUNK)
         expected = serial_reference(items, deltas).estimate_batch(PROBE)
         with TwinServers(items, deltas) as twins:
-            with SketchClient.connect("127.0.0.1", twins.primary.port) as client:
+            with connect(self.transport, "127.0.0.1", twins.primary.port) as client:
                 client.enable_hedging(
                     "127.0.0.1", twins.backup.port, delay=5.0
                 )
                 assert np.array_equal(client.estimate(PROBE), expected)
                 assert client.hedge_outcomes == {"fast": 1}
                 # The backup connection never even opened.
-                assert client._hedge["client"] is None
+                assert client._backup is None
 
     def test_forced_hedges_stay_correct_and_accounted(self):
         items, deltas = stream(41, 2 * CHUNK)
         expected = serial_reference(items, deltas).estimate_batch(PROBE)
         before = counter_sum(HEDGED_READS_METRIC)
         with TwinServers(items, deltas) as twins:
-            with SketchClient.connect(
+            with connect(
+                self.transport,
                 "127.0.0.1",
                 twins.primary.port,
                 retry=RetryPolicy(max_attempts=2, op_timeout=10.0),
             ) as client:
+                client.enable_hedging(
+                    "127.0.0.1", twins.backup.port, delay=5.0
+                )
+                assert np.array_equal(client.estimate(PROBE), expected)
+                assert client.hedge_outcomes == {"fast": 1}
                 # delay=0 hedges every call: both servers answer every
-                # read, and the loser's replies must be drained as stale
-                # before the next round -- five rounds exercise that.
+                # read, and the loser's replies must be discarded as
+                # stale on later rounds -- five rounds exercise that.
                 client.enable_hedging(
                     "127.0.0.1", twins.backup.port, delay=0.0
                 )
                 for _ in range(5):
                     assert np.array_equal(client.estimate(PROBE), expected)
-                assert sum(client.hedge_outcomes.values()) == 5
+                assert sum(client.hedge_outcomes.values()) == 6
                 assert "failover" not in client.hedge_outcomes
-        assert counter_sum(HEDGED_READS_METRIC) >= before + 5
+                assert client.ping()["pong"]
+        assert counter_sum(HEDGED_READS_METRIC) >= before + 6
 
     def test_primary_death_fails_over_to_the_backup(self):
         items, deltas = stream(42, 2 * CHUNK)
         expected = serial_reference(items, deltas).estimate_batch(PROBE)
         with TwinServers(items, deltas) as twins:
             with ChaosProxy("127.0.0.1", twins.primary.port) as proxy:
-                client = SketchClient.connect("127.0.0.1", proxy.port)
+                client = connect(self.transport, "127.0.0.1", proxy.port)
                 client.enable_hedging(
                     "127.0.0.1", twins.backup.port, delay=0.0
                 )
@@ -601,57 +615,44 @@ class TestHedgedReadsSync:
             )
 
         with TwinServers(items, deltas, backup_factory=other_factory) as twins:
-            with SketchClient.connect("127.0.0.1", twins.primary.port) as client:
+            with connect(self.transport, "127.0.0.1", twins.primary.port) as client:
                 client.enable_hedging(
                     "127.0.0.1", twins.backup.port, delay=0.0
                 )
                 with pytest.raises(FingerprintMismatch):
                     client.estimate(PROBE)
+                # The primary's reply to the refused read is discarded,
+                # not mistaken for the next call's.
+                assert client.ping()["position"] == len(items)
 
-
-class TestHedgedReadsAsync:
-    def test_fast_and_forced_hedges(self):
-        items, deltas = stream(44, 2 * CHUNK)
+    def test_failed_backup_is_closed_before_it_is_dropped(self):
+        items, deltas = stream(46, CHUNK)
         expected = serial_reference(items, deltas).estimate_batch(PROBE)
+        with TwinServers(items, deltas) as twins, ChaosProxy(
+            "127.0.0.1", twins.primary.port
+        ) as slow, ChaosProxy("127.0.0.1", twins.backup.port) as flaky:
+            with connect(self.transport, "127.0.0.1", slow.port) as client:
+                client.enable_hedging("127.0.0.1", flaky.port, delay=0.0)
+                assert np.array_equal(client.estimate(PROBE), expected)
+                backup = client._backup
+                assert backup is not None
+                # Next read: the primary answers late and the backup's
+                # connection resets under the hedge.
+                slow.faults[slow.frames_seen + 1] = FaultEvent(
+                    at=0, kind="frame_delay", param=0.3
+                )
+                flaky.faults[flaky.frames_seen + 1] = FaultEvent(
+                    at=0, kind="conn_reset"
+                )
+                assert np.array_equal(client.estimate(PROBE), expected)
+                assert client.hedge_outcomes.get("primary", 0) >= 1
+                assert client._backup is None
+                assert is_closed(backup)
+                assert client.ping()["pong"]
 
-        async def scenario(twins):
-            client = await AsyncSketchClient.connect(
-                "127.0.0.1",
-                twins.primary.port,
-                retry=RetryPolicy(max_attempts=2, op_timeout=10.0),
-            )
-            client.enable_hedging("127.0.0.1", twins.backup.port, delay=5.0)
-            assert np.array_equal(await client.estimate(PROBE), expected)
-            assert client.hedge_outcomes == {"fast": 1}
-            # Now force a hedge on every read: the losing drain parks on
-            # its connection and must settle before the next send.
-            client._hedge["delay"] = 0.0
-            for _ in range(5):
-                assert np.array_equal(await client.estimate(PROBE), expected)
-            assert sum(client.hedge_outcomes.values()) == 6
-            assert "failover" not in client.hedge_outcomes
-            await client.close()
 
-        with TwinServers(items, deltas) as twins:
-            asyncio.run(scenario(twins))
-
-    def test_primary_death_fails_over(self):
-        items, deltas = stream(45, 2 * CHUNK)
-        expected = serial_reference(items, deltas).estimate_batch(PROBE)
-
-        async def scenario(twins, proxy):
-            client = await AsyncSketchClient.connect("127.0.0.1", proxy.port)
-            client.enable_hedging("127.0.0.1", twins.backup.port, delay=0.0)
-            proxy.faults[proxy.frames_seen + 1] = FaultEvent(
-                at=0, kind="conn_reset"
-            )
-            assert np.array_equal(await client.estimate(PROBE), expected)
-            assert set(client.hedge_outcomes) <= {"failover", "backup"}
-            await client.close()
-
-        with TwinServers(items, deltas) as twins:
-            with ChaosProxy("127.0.0.1", twins.primary.port) as proxy:
-                asyncio.run(scenario(twins, proxy))
+class TestHedgedReadsAsync(TestHedgedReadsSync):
+    transport = "async"
 
 
 # -- merge-mode snapshot loading ----------------------------------------------

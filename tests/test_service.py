@@ -21,6 +21,7 @@ import struct
 
 import numpy as np
 import pytest
+from client_transports import connect
 
 from repro import obs
 from repro.core.engine import StreamEngine
@@ -393,7 +394,7 @@ class TestApplicationErrors:
         with server.run_in_thread() as srv:
             with SketchClient.connect("127.0.0.1", srv.port) as client:
                 with pytest.raises(ServiceError) as info:
-                    client._request("definitely_not_an_op")
+                    client._run(client._call("definitely_not_an_op"))
                 assert info.value.kind == "ValueError"
                 with pytest.raises(ServiceError):
                     client.query(kind="nope")
@@ -429,6 +430,44 @@ class TestApplicationErrors:
                 assert info.value.kind == "RuntimeError"
 
 
+class TestFeedPipelineErrors:
+    """A failing ``feed_chunks`` source on :class:`SketchClient`;
+    :class:`TestFeedPipelineErrorsAsync` reruns it on the async client."""
+
+    transport = "sync"
+
+    @pytest.mark.parametrize("sequenced", [False, True], ids=["plain", "sequenced"])
+    @pytest.mark.parametrize("failure", ["misshapen", "raises"])
+    def test_source_error_reads_the_in_flight_acks_first(self, failure, sequenced):
+        items, deltas = stream(12, 3 * CHUNK)
+
+        def source():
+            # Three frames are in flight (the window is 8) when the
+            # fourth chunk fails: their acks must still be read.
+            yield from chunked(items, deltas)
+            if failure == "raises":
+                raise RuntimeError("source failed")
+            yield items[:10], deltas[:5]
+
+        retry = RetryPolicy(max_attempts=3, base_delay=0.01) if sequenced else None
+        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        with server.run_in_thread() as srv:
+            with connect(self.transport, "127.0.0.1", srv.port) as client:
+                expected = RuntimeError if failure == "raises" else ValueError
+                with pytest.raises(expected, match="source failed|aligned"):
+                    client.feed_chunks(source(), retry=retry)
+                assert client.ping()["position"] == len(items)
+                # ...and the stream goes on from there.
+                assert client.feed_chunks(chunked(items, deltas), retry=retry) == {
+                    "count": len(items),
+                    "position": 2 * len(items),
+                }
+
+
+class TestFeedPipelineErrorsAsync(TestFeedPipelineErrors):
+    transport = "async"
+
+
 # -- restart / reconnect -----------------------------------------------------
 
 
@@ -461,7 +500,9 @@ class TestRestartRecovery:
             client = SketchClient.connect(
                 "127.0.0.1",
                 srv.port,
-                retry=RetryPolicy.fixed(0.05, retries=20),
+                retry=RetryPolicy(
+                    max_attempts=21, base_delay=0.05, multiplier=1.0, deadline=None
+                ),
             )
             with client:
                 position = client.ping()["position"]
@@ -490,17 +531,6 @@ class TestRestartRecovery:
                 port,
                 retry=RetryPolicy(max_attempts=3, base_delay=0.01),
             )
-
-    def test_retry_interval_kwarg_warns_but_still_works(self):
-        probe_sock = socket.socket()
-        probe_sock.bind(("127.0.0.1", 0))
-        port = probe_sock.getsockname()[1]
-        probe_sock.close()
-        with pytest.warns(DeprecationWarning, match="retry_interval"):
-            with pytest.raises(OSError):
-                SketchClient.connect(
-                    "127.0.0.1", port, retries=1, retry_interval=0.01
-                )
 
 
 # -- the coordinator ---------------------------------------------------------

@@ -645,8 +645,15 @@ def _reset_native_for_tests() -> None:
 
 
 def _contiguous_i64(*arrays: np.ndarray) -> bool:
+    """Whether every operand can go to C as an ``int64*``.
+
+    Aligned too, not just C-contiguous: a view such as
+    ``np.frombuffer(buf, "<i8", offset=3)`` is contiguous but unaligned,
+    and dereferencing it as ``int64*`` is undefined behaviour in C.
+    """
     return all(
-        a.dtype == np.int64 and a.flags.c_contiguous for a in arrays
+        a.dtype == np.int64 and a.flags.c_contiguous and a.flags.aligned
+        for a in arrays
     )
 
 
@@ -704,8 +711,8 @@ def count_min_scatter(
 ) -> bool:
     """Native fused CountMin batch; ``False`` keeps the caller's path.
 
-    Gates: int64 contiguous operands, ``prime < NATIVE_HASH_BOUND``, and
-    every item inside the ``0 <= x < prime`` hash domain (together these
+    Gates: aligned, contiguous int64 operands, ``prime <
+    NATIVE_HASH_BOUND``, and every item inside the ``0 <= x < prime`` hash domain (together these
     keep every ``a*x + b`` nonnegative and under 2**52, the range where
     the kernel's double-reciprocal reduction is exact).
     """
@@ -784,7 +791,7 @@ def count_min_estimate(
 
     One pass per block: hash every row, gather its cells, fold the
     running minimum -- the read-side twin of :func:`count_min_scatter`,
-    with the same gates (int64 contiguous operands, ``prime <
+    with the same gates (aligned, contiguous int64 operands, ``prime <
     NATIVE_HASH_BOUND``, items inside the ``0 <= x < prime`` hash
     domain so the double-reciprocal reduction stays exact and every
     table read stays in bounds).

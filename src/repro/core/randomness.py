@@ -29,6 +29,7 @@ individual coins it replaces.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from collections import deque
@@ -197,6 +198,22 @@ class WitnessedRandom:
         child_seed = self._rng.getrandbits(63)
         self._record(f"spawn({label})", child_seed)
         return WitnessedRandom(seed=child_seed, retain=self._transcript.maxlen)
+
+    def __deepcopy__(self, memo: dict) -> "WitnessedRandom":
+        """An independent clone: same generator state, same transcript.
+
+        The generator state moves through ``getstate``/``setstate``; the
+        default deep copy would recurse over the Mersenne Twister's
+        625-word state one int at a time.  The clone gets its own
+        transcript deque holding the same :class:`RandomDraw` records,
+        which are never mutated once made.
+        """
+        clone = copy.copy(self)
+        memo[id(self)] = clone
+        clone._rng = random.Random()
+        clone._rng.setstate(self._rng.getstate())
+        clone._transcript = copy.copy(self._transcript)
+        return clone
 
     # -- inspection ------------------------------------------------------
 

@@ -47,6 +47,7 @@ import numpy as np
 __all__ = [
     "SnapshotError",
     "FingerprintMismatch",
+    "encode_into",
     "encode_value",
     "decode_value",
     "construction_fingerprint",
@@ -74,6 +75,13 @@ class FingerprintMismatch(SnapshotError):
 # Tagged, length-prefixed encoding.  Tags:
 #   N None   T/F bool   i int   f float   s str   b bytes
 #   t tuple  l list     d dict  a int64 ndarray   O object ndarray (ints)
+#
+# Copies: encoding writes every value once into one output bytearray (an
+# int64 array's buffer goes straight in, with no ``tobytes``).  Decoding
+# walks a memoryview of the input, so no field is sliced into an
+# intermediate copy: a ``b`` field costs one copy into its ``bytes`` and
+# an int64 array one copy into a fresh owned, writable, aligned array,
+# never a view into the input buffer.
 
 
 def _write_varint(out: bytearray, value: int) -> None:
@@ -89,7 +97,7 @@ def _write_varint(out: bytearray, value: int) -> None:
             return
 
 
-def _read_varint(data: bytes, offset: int) -> tuple[int, int]:
+def _read_varint(data: memoryview, offset: int) -> tuple[int, int]:
     result = 0
     shift = 0
     while True:
@@ -105,7 +113,8 @@ def _read_varint(data: bytes, offset: int) -> tuple[int, int]:
             raise SnapshotError("malformed varint (too long)")
 
 
-def _encode_into(out: bytearray, value: Any) -> None:
+def encode_into(out: bytearray, value: Any) -> None:
+    """Append the encoding of ``value`` to ``out`` (see :func:`encode_value`)."""
     if value is None:
         out.append(ord("N"))
     elif value is True:
@@ -136,12 +145,12 @@ def _encode_into(out: bytearray, value: Any) -> None:
         out.append(ord("t"))
         _write_varint(out, len(value))
         for element in value:
-            _encode_into(out, element)
+            encode_into(out, element)
     elif isinstance(value, list):
         out.append(ord("l"))
         _write_varint(out, len(value))
         for element in value:
-            _encode_into(out, element)
+            encode_into(out, element)
     elif isinstance(value, dict):
         out.append(ord("d"))
         _write_varint(out, len(value))
@@ -156,23 +165,23 @@ def _encode_into(out: bytearray, value: Any) -> None:
         )
         for raw_key, entry in entries:
             out.extend(raw_key)
-            _encode_into(out, entry)
+            encode_into(out, entry)
     elif isinstance(value, np.ndarray):
         if value.dtype == np.int64:
             out.append(ord("a"))
             _write_varint(out, value.ndim)
             for dim in value.shape:
                 _write_varint(out, dim)
-            # Fixed little-endian int64 bytes: platform-independent.
-            raw = np.ascontiguousarray(value, dtype="<i8").tobytes()
-            out.extend(raw)
+            # Fixed little-endian int64 bytes: platform-independent.  The
+            # buffer is copied once, straight into ``out``.
+            out.extend(np.ascontiguousarray(value, dtype="<i8"))
         elif value.dtype == object:
             out.append(ord("O"))
             _write_varint(out, value.ndim)
             for dim in value.shape:
                 _write_varint(out, dim)
             for element in value.ravel().tolist():
-                _encode_into(out, element)
+                encode_into(out, element)
         else:
             raise SnapshotError(
                 f"unsupported ndarray dtype for snapshots: {value.dtype}"
@@ -183,7 +192,19 @@ def _encode_into(out: bytearray, value: Any) -> None:
         )
 
 
-def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
+def _read_shape(data: memoryview, offset: int) -> tuple[list[int], int, int]:
+    ndim, offset = _read_varint(data, offset)
+    shape = []
+    for _ in range(ndim):
+        dim, offset = _read_varint(data, offset)
+        shape.append(dim)
+    count = 1
+    for dim in shape:
+        count *= dim
+    return shape, count, offset
+
+
+def _decode_from(data: memoryview, offset: int) -> tuple[Any, int]:
     if offset >= len(data):
         raise SnapshotError("truncated payload (missing tag)")
     tag = data[offset]
@@ -207,12 +228,15 @@ def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
     if tag == ord("f"):
         if offset + 8 > len(data):
             raise SnapshotError("truncated payload (float)")
-        return struct.unpack(">d", data[offset : offset + 8])[0], offset + 8
+        return struct.unpack_from(">d", data, offset)[0], offset + 8
     if tag == ord("s"):
         length, offset = _read_varint(data, offset)
         if offset + length > len(data):
             raise SnapshotError("truncated payload (str)")
-        return data[offset : offset + length].decode("utf-8"), offset + length
+        try:
+            return str(data[offset : offset + length], "utf-8"), offset + length
+        except UnicodeDecodeError:
+            raise SnapshotError("malformed payload (str is not UTF-8)") from None
     if tag == ord("b"):
         length, offset = _read_varint(data, offset)
         if offset + length > len(data):
@@ -231,33 +255,23 @@ def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
         for _ in range(count):
             key, offset = _decode_from(data, offset)
             entry, offset = _decode_from(data, offset)
-            result[key] = entry
+            try:
+                result[key] = entry
+            except TypeError:
+                raise SnapshotError("malformed payload (unhashable dict key)") from None
         return result, offset
     if tag == ord("a"):
-        ndim, offset = _read_varint(data, offset)
-        shape = []
-        for _ in range(ndim):
-            dim, offset = _read_varint(data, offset)
-            shape.append(dim)
-        count = 1
-        for dim in shape:
-            count *= dim
+        shape, count, offset = _read_shape(data, offset)
         end = offset + 8 * count
         if end > len(data):
             raise SnapshotError("truncated payload (int64 ndarray)")
-        array = np.frombuffer(data[offset:end], dtype="<i8").astype(
-            np.int64, copy=True
-        )
-        return array.reshape(shape), end
+        # The one copy: a fresh native-int64 array that owns its memory.
+        array = np.frombuffer(data, dtype="<i8", count=count, offset=offset)
+        return array.reshape(shape).astype(np.int64), end
     if tag == ord("O"):
-        ndim, offset = _read_varint(data, offset)
-        shape = []
-        for _ in range(ndim):
-            dim, offset = _read_varint(data, offset)
-            shape.append(dim)
-        count = 1
-        for dim in shape:
-            count *= dim
+        shape, count, offset = _read_shape(data, offset)
+        if count > len(data) - offset:  # every element takes a byte at least
+            raise SnapshotError("truncated payload (object ndarray)")
         array = np.empty(count, dtype=object)
         for index in range(count):
             element, offset = _decode_from(data, offset)
@@ -269,13 +283,21 @@ def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
 def encode_value(value: Any) -> bytes:
     """Deterministic byte encoding of one plain-data value."""
     out = bytearray()
-    _encode_into(out, value)
+    encode_into(out, value)
     return bytes(out)
 
 
-def decode_value(data: bytes) -> Any:
-    """Inverse of :func:`encode_value`; rejects trailing bytes."""
-    value, offset = _decode_from(data, 0)
+def decode_value(data) -> Any:
+    """Inverse of :func:`encode_value`; rejects trailing bytes.
+
+    ``data`` may be any byte buffer (``bytes``, ``bytearray``,
+    ``memoryview``); nothing decoded refers to it afterwards.
+    """
+    data = memoryview(data)
+    try:
+        value, offset = _decode_from(data, 0)
+    except RecursionError:
+        raise SnapshotError("malformed payload (nested too deeply)") from None
     if offset != len(data):
         raise SnapshotError(
             f"trailing bytes after value ({len(data) - offset} unread)"
@@ -315,7 +337,6 @@ def snapshot_sketch(sketch: Any) -> bytes:
             "records it"
         )
     state["updates_processed"] = sketch.updates_processed
-    payload = encode_value(state)
     out = bytearray()
     out.extend(MAGIC)
     out.append(VERSION)
@@ -323,13 +344,22 @@ def snapshot_sketch(sketch: Any) -> bytes:
     _write_varint(out, len(name))
     out.extend(name)
     out.extend(construction_fingerprint(sketch))
-    out.extend(hashlib.sha256(payload).digest())
-    out.extend(payload)
+    # The payload is encoded in place after a slot for its digest.
+    digest_at = len(out)
+    out.extend(bytes(_DIGEST_BYTES))
+    encode_into(out, state)
+    out[digest_at : digest_at + _DIGEST_BYTES] = hashlib.sha256(
+        memoryview(out)[digest_at + _DIGEST_BYTES :]
+    ).digest()
     return bytes(out)
 
 
-def _parse_envelope(data: bytes) -> tuple[str, bytes, bytes]:
-    """Split a snapshot into (class name, fingerprint, payload), verified."""
+def _parse_envelope(data: bytes) -> tuple[str, bytes, memoryview]:
+    """Split a snapshot into (class name, fingerprint, payload), verified.
+
+    The payload is a view into ``data``, not a copy.
+    """
+    data = memoryview(data)
     if len(data) < len(MAGIC) + 1 or data[: len(MAGIC)] != MAGIC:
         raise SnapshotError("not a sketch snapshot (bad magic)")
     offset = len(MAGIC)
@@ -342,13 +372,16 @@ def _parse_envelope(data: bytes) -> tuple[str, bytes, bytes]:
     name_length, offset = _read_varint(data, offset)
     if offset + name_length > len(data):
         raise SnapshotError("truncated snapshot (class name)")
-    name = data[offset : offset + name_length].decode("utf-8")
+    try:
+        name = str(data[offset : offset + name_length], "utf-8")
+    except UnicodeDecodeError:
+        raise SnapshotError("malformed snapshot (class name)") from None
     offset += name_length
     if offset + 2 * _DIGEST_BYTES > len(data):
         raise SnapshotError("truncated snapshot (digests)")
-    fingerprint = data[offset : offset + _DIGEST_BYTES]
+    fingerprint = bytes(data[offset : offset + _DIGEST_BYTES])
     offset += _DIGEST_BYTES
-    payload_digest = data[offset : offset + _DIGEST_BYTES]
+    payload_digest = bytes(data[offset : offset + _DIGEST_BYTES])
     offset += _DIGEST_BYTES
     payload = data[offset:]
     if hashlib.sha256(payload).digest() != payload_digest:

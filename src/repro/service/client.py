@@ -26,9 +26,11 @@ pipeline (plain and sequenced) and the hedged race are written once, in
 executes the steps on blocking sockets with no event loop, which makes
 it safe to drive from anywhere -- benchmark harnesses, shell tools,
 worker threads, even code inside a running loop.
-:class:`AsyncSketchClient` executes them on asyncio streams, so each of
-its calls is awaitable (the coordinator uses it).  On both, the
-policy's ``op_timeout`` bounds every reply wait; ``None`` means no timer.
+:class:`AsyncSketchClient` executes them on asyncio, reading and writing
+through the same :class:`~repro.service.protocol.FrameProtocol` the
+server uses, so each of its calls is awaitable (the coordinator uses
+it).  On both, the policy's ``op_timeout`` bounds every reply wait;
+``None`` means no timer.
 
 Server-side failures raise the *same* exceptions a local engine would
 (:class:`~repro.distributed.codec.FingerprintMismatch`,
@@ -95,13 +97,12 @@ from repro.obs import (
 )
 from repro.service.protocol import (
     DEFAULT_MAX_FRAME,
+    FrameProtocol,
     make_request,
     raise_for_reply,
-    read_message,
     recv_message,
     send_message,
     unpack_array,
-    write_message,
     ProtocolError,
     SequenceGap,
     ServerBusy,
@@ -768,8 +769,7 @@ class SketchClient(_ClientCore):
 class AsyncSketchClient(_ClientCore):
     """Asyncio transport of the same client: every call is awaitable."""
 
-    _reader: Optional[asyncio.StreamReader] = None
-    _writer: Optional[asyncio.StreamWriter] = None
+    _frames: Optional[FrameProtocol] = None
     #: A frame read already under way (started by ``_wait``); the next
     #: ``_read`` takes its result.
     _reading: Optional[asyncio.Task] = None
@@ -787,10 +787,12 @@ class AsyncSketchClient(_ClientCore):
                 result, error = None, exc
 
     async def _open(self) -> None:
-        opening = asyncio.open_connection(*self._address)
+        opening = asyncio.get_running_loop().create_connection(
+            lambda: FrameProtocol(self._max_frame), *self._address
+        )
         try:
             timeout = self._policy.op_timeout
-            self._reader, self._writer = await asyncio.wait_for(opening, timeout)
+            _, self._frames = await asyncio.wait_for(opening, timeout)
         except asyncio.TimeoutError:
             raise OSError("connect timed out") from None
 
@@ -799,13 +801,11 @@ class AsyncSketchClient(_ClientCore):
         if reading is not None:
             reading.cancel()
             await asyncio.gather(reading, return_exceptions=True)
-        if self._writer is not None:
-            self._writer.close()
-            with suppress(OSError):
-                await self._writer.wait_closed()
+        if self._frames is not None:
+            await self._frames.close()
 
     async def _write(self, message: dict) -> None:
-        await write_message(self._writer, message)
+        await self._frames.write(message)
 
     async def _read(self) -> dict:
         reading, self._reading = self._reading, None
@@ -814,9 +814,8 @@ class AsyncSketchClient(_ClientCore):
         return await self._read_frame()
 
     async def _read_frame(self) -> dict:
-        reading = read_message(self._reader, self._max_frame)
         try:
-            message = await asyncio.wait_for(reading, self._policy.op_timeout)
+            message = await self._frames.read(self._policy.op_timeout)
         except asyncio.TimeoutError:
             raise OSError("reply timed out") from None
         if message is None:

@@ -30,6 +30,28 @@ Requests carry a client-assigned ``"id"`` echoed in the reply, so
 clients may pipeline many requests before draining acknowledgements --
 the server processes each connection's requests in FIFO order.
 
+Copies and the read path
+------------------------
+:func:`pack_message` reserves the header, encodes the message behind it
+into the same buffer and fills the header in: each int64 array is copied
+once, from its own memory into the frame.  :func:`unpack_message`
+decodes from a view of the received payload: each int64 array is copied
+once, out of the frame into a fresh owned array, and each ``bytes``
+field once into its ``bytes``.  Every path calls these two functions.
+
+The blocking client receives a frame with :func:`recv_message`: the
+header, then the payload with ``recv_into`` into one buffer.  The
+asyncio peers -- the server and the async client -- read through one
+:class:`FrameProtocol`.  It receives small frames into a 64 KiB staging
+buffer, several per socket read, and the rest of a larger frame straight
+into that frame's own buffer; it pauses reading only while decoded
+messages nobody has read yet hold more than :data:`PAUSE_BYTES`.
+
+Memory held for a frame in flight grows with the bytes received, not
+with the length its header announces: the header is checked against the
+cap first, and a frame's buffer is allocated uninitialised, so only the
+pages the socket writes into are committed.
+
 Ops
 ---
 ``hello``            server identity, API version, sketch class +
@@ -69,7 +91,8 @@ from __future__ import annotations
 
 import asyncio
 import struct
-from typing import Any, Optional
+from collections import deque
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -77,7 +100,7 @@ from repro.distributed.codec import (
     FingerprintMismatch,
     SnapshotError,
     decode_value,
-    encode_value,
+    encode_into,
 )
 
 __all__ = [
@@ -90,8 +113,7 @@ __all__ = [
     "ServiceError",
     "pack_message",
     "unpack_message",
-    "read_message",
-    "write_message",
+    "FrameProtocol",
     "recv_message",
     "send_message",
     "make_request",
@@ -112,6 +134,14 @@ PROTOCOL_VERSION = 1
 DEFAULT_MAX_FRAME = 64 * 1024 * 1024
 
 _HEADER = struct.Struct(">4sI")
+
+#: The asyncio reader's staging buffer: frames up to this size (header
+#: included) are received into it, several per socket read.
+STAGING_BYTES = 64 * 1024
+
+#: The asyncio reader pauses the transport while decoded, unconsumed
+#: messages hold more payload bytes than this (``StreamReader``'s rule).
+PAUSE_BYTES = 2 * STAGING_BYTES
 
 #: Ops a server accepts (everything else is an application-level error).
 REQUEST_OPS = frozenset(
@@ -177,16 +207,23 @@ class SequenceGap(ServiceError):
 # -- framing -----------------------------------------------------------------
 
 
-def pack_message(message: dict) -> bytes:
-    """One message dict -> one wire frame."""
+def pack_message(message: dict) -> bytearray:
+    """One message dict -> one wire frame.
+
+    The header is reserved first and filled in once the payload is
+    encoded behind it, so the frame is built in one buffer.
+    """
     if not isinstance(message, dict) or not isinstance(message.get("op"), str):
         raise ProtocolError("message must be a dict with a string 'op'")
-    payload = encode_value(message)
-    return _HEADER.pack(MAGIC, len(payload)) + payload
+    frame = bytearray(_HEADER.size)
+    encode_into(frame, message)
+    _HEADER.pack_into(frame, 0, MAGIC, len(frame) - _HEADER.size)
+    return frame
 
 
-def unpack_message(payload: bytes) -> dict:
-    """Decode one frame payload back into a message dict, validated."""
+def unpack_message(payload) -> dict:
+    """Decode one frame payload (any byte buffer) into a message dict,
+    validated."""
     try:
         message = decode_value(payload)
     except SnapshotError as exc:
@@ -196,10 +233,8 @@ def unpack_message(payload: bytes) -> dict:
     return message
 
 
-def _check_header(header: bytes, max_frame: int) -> int:
-    if len(header) < _HEADER.size:
-        raise ProtocolError("truncated frame header")
-    magic, length = _HEADER.unpack(header)
+def _check_header(header, max_frame: int, offset: int = 0) -> int:
+    magic, length = _HEADER.unpack_from(header, offset)
     if magic != MAGIC:
         raise ProtocolError(f"bad frame magic {magic!r}")
     if length > max_frame:
@@ -209,57 +244,237 @@ def _check_header(header: bytes, max_frame: int) -> int:
     return length
 
 
-async def read_message(reader, max_frame: int = DEFAULT_MAX_FRAME) -> Optional[dict]:
-    """Read one message from an asyncio stream reader.
+def _frame_buffer(length: int) -> np.ndarray:
+    """An uninitialised buffer for one frame payload.
 
-    Returns ``None`` on a clean EOF at a frame boundary; raises
-    :class:`ProtocolError` on anything malformed (including EOF inside a
-    frame).
+    Nothing is written to it up front, so the pages it commits grow with
+    the bytes received into it, not with the length a header announces.
     """
-    try:
-        header = await reader.readexactly(_HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError("connection closed inside a frame header") from None
-    length = _check_header(header, max_frame)
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise ProtocolError("connection closed inside a frame payload") from None
-    return unpack_message(payload)
+    return np.empty(length, dtype=np.uint8)
 
 
-async def write_message(writer, message: dict) -> None:
-    """Write one message to an asyncio stream writer and drain."""
-    writer.write(pack_message(message))
-    await writer.drain()
+class FrameProtocol(asyncio.BufferedProtocol):
+    """The asyncio end of one RSV1 connection: reads frames, writes frames.
+
+    The server and :class:`~repro.service.client.AsyncSketchClient` both
+    use it (the module docstring describes its buffers).  Each frame is
+    decoded as soon as it is complete and queued for :meth:`read`, which
+    raises a framing error, or a connection lost mid-frame, only after
+    the messages decoded before it.  ``connected`` is called with the
+    protocol once the connection is made.
+    """
+
+    def __init__(
+        self,
+        max_frame: int = DEFAULT_MAX_FRAME,
+        connected: Optional[Callable[["FrameProtocol"], None]] = None,
+    ) -> None:
+        self.max_frame = max_frame
+        self._connected = connected
+        self.transport: Optional[asyncio.Transport] = None
+        self._staging = bytearray(STAGING_BYTES)
+        self._view = memoryview(self._staging)
+        #: Unparsed bytes are ``_staging[_start:_end]``.
+        self._start = self._end = 0
+        #: The payload buffer of a frame too large for the staging
+        #: buffer, and how much of it has arrived.
+        self._frame: Optional[np.ndarray] = None
+        self._filled = 0
+        self._messages: deque[tuple[dict, int]] = deque()
+        self._queued = 0
+        self._paused = False
+        #: Raised by :meth:`read` once the queue is empty.
+        self._error: Optional[BaseException] = None
+        self._eof = False
+        self._waiter: Optional[asyncio.Future] = None
+        self._drain: Optional[asyncio.Future] = None
+        self._write_paused = False
+        self._closed: Optional[asyncio.Future] = None
+
+    # -- asyncio callbacks ---------------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self._closed = asyncio.get_running_loop().create_future()
+        if self._connected is not None:
+            self._connected(self)
+
+    def get_buffer(self, sizehint: int):
+        if self._frame is not None:
+            return memoryview(self._frame)[self._filled :]
+        if self._end == STAGING_BYTES:
+            # A partial frame at the end: move it to the front.
+            self._staging[: self._end - self._start] = self._staging[
+                self._start : self._end
+            ]
+            self._start, self._end = 0, self._end - self._start
+        return self._view[self._end :]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        if self._error is not None:
+            return
+        if self._frame is not None:
+            self._filled += nbytes
+            if self._filled == len(self._frame):
+                frame, self._frame = self._frame, None
+                self._deliver(memoryview(frame))
+            return
+        self._end += nbytes
+        view = self._view
+        while self._error is None and self._end - self._start >= _HEADER.size:
+            try:
+                length = _check_header(view, self.max_frame, self._start)
+            except ProtocolError as exc:
+                self._fail(exc)
+                return
+            begin = self._start + _HEADER.size
+            if _HEADER.size + length > STAGING_BYTES:
+                # Too large to stage: copy what arrived into the frame's
+                # own buffer, and receive the rest straight into it.
+                self._frame = _frame_buffer(length)
+                self._filled = self._end - begin
+                self._frame[: self._filled] = view[begin : self._end]
+                self._start = self._end = 0
+                return
+            if self._end - begin < length:
+                break
+            self._start = begin + length
+            self._deliver(view[begin : self._start])
+        if self._start == self._end:
+            self._start = self._end = 0
+
+    def eof_received(self) -> bool:
+        self._lose(None)
+        return True  # stay open: replies to requests read may still go out
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._lose(exc)
+        if self._closed is not None and not self._closed.done():
+            self._closed.set_result(None)
+        if self._drain is not None and not self._drain.done():
+            self._drain.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        if self._drain is not None and not self._drain.done():
+            self._drain.set_result(None)
+
+    # -- frames in -----------------------------------------------------------
+
+    def _deliver(self, payload: memoryview) -> None:
+        try:
+            message = unpack_message(payload)
+        except ProtocolError as exc:
+            self._fail(exc)
+            return
+        self._messages.append((message, len(payload)))
+        self._queued += len(payload)
+        if self._queued > PAUSE_BYTES and not self._paused:
+            self._paused = True
+            self.transport.pause_reading()
+        self._wake()
+
+    def _fail(self, exc: BaseException) -> None:
+        """End the stream: no frame after this one is read."""
+        if self._error is None and not self._eof:
+            self._error = exc
+            self._frame = None
+            self._start = self._end = 0
+            if self.transport is not None and not self._paused:
+                self._paused = True
+                self.transport.pause_reading()
+        self._wake()
+
+    def _lose(self, exc: Optional[Exception]) -> None:
+        if exc is not None:
+            self._fail(exc)
+        elif self._frame is not None or self._end - self._start >= _HEADER.size:
+            self._fail(ProtocolError("connection closed inside a frame payload"))
+        elif self._end > self._start:
+            self._fail(ProtocolError("connection closed inside a frame header"))
+        elif self._error is None:
+            self._eof = True
+            self._wake()
+
+    def _wake(self) -> None:
+        if self._waiter is not None and not self._waiter.done():
+            self._waiter.set_result(None)
+
+    async def read(self, timeout: Optional[float] = None) -> Optional[dict]:
+        """The next message; ``None`` on a clean EOF at a frame boundary.
+
+        Raises :class:`ProtocolError` on a malformed frame or an EOF
+        inside one, the transport's error when the connection is lost,
+        and :class:`asyncio.TimeoutError` when no message arrives within
+        ``timeout`` seconds (``None`` waits for ever).
+        """
+        while not self._messages:
+            if self._error is not None:
+                raise self._error
+            if self._eof:
+                return None
+            self._waiter = asyncio.get_running_loop().create_future()
+            try:
+                await asyncio.wait_for(self._waiter, timeout)
+            finally:
+                self._waiter = None
+        message, size = self._messages.popleft()
+        self._queued -= size
+        if self._paused and self._queued <= PAUSE_BYTES and self._error is None:
+            self._paused = False
+            self.transport.resume_reading()
+        return message
+
+    # -- frames out ----------------------------------------------------------
+
+    async def write(self, message: dict) -> None:
+        """Send one message, waiting while the transport's buffer is full."""
+        if self._closed is None or self._closed.done():
+            raise ConnectionResetError("connection lost")
+        self.transport.write(pack_message(message))
+        while self._write_paused and not self._closed.done():
+            self._drain = asyncio.get_running_loop().create_future()
+            try:
+                await self._drain
+            finally:
+                self._drain = None
+        if self._closed.done():
+            raise ConnectionResetError("connection lost")
+
+    async def close(self) -> None:
+        """Close the connection and wait until it is gone."""
+        if self.transport is not None:
+            self.transport.close()
+            await asyncio.shield(self._closed)
 
 
-def _recv_exact(sock, count: int) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
+def _recv_into(sock, view: memoryview, in_frame: bool) -> None:
+    filled = 0
+    while filled < len(view):
+        count = sock.recv_into(view[filled:])
+        if not count:
             raise ProtocolError(
                 "connection closed mid-frame"
-                if len(chunks) or remaining != count
+                if in_frame or filled
                 else "connection closed"
             )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        filled += count
 
 
 def recv_message(sock, max_frame: int = DEFAULT_MAX_FRAME) -> dict:
-    """Blocking-socket counterpart of :func:`read_message`."""
-    length = _check_header(_recv_exact(sock, _HEADER.size), max_frame)
-    return unpack_message(_recv_exact(sock, length))
+    """Read one message from a blocking socket, one buffer per frame."""
+    header = bytearray(_HEADER.size)
+    _recv_into(sock, memoryview(header), False)
+    payload = memoryview(_frame_buffer(_check_header(header, max_frame)))
+    _recv_into(sock, payload, True)
+    return unpack_message(payload)
 
 
 def send_message(sock, message: dict) -> None:
-    """Blocking-socket counterpart of :func:`write_message`."""
+    """Write one message to a blocking socket."""
     sock.sendall(pack_message(message))
 
 

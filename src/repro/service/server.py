@@ -3,12 +3,15 @@
 Architecture
 ------------
 One asyncio TCP server accepts many concurrent clients speaking the
-:mod:`repro.service.protocol` frame format.  Each connection handler
-reads requests in order; update batches decode straight out of the frame
-into int64 arrays and go down the existing
+:mod:`repro.service.protocol` frame format.  Each connection is one
+:class:`~repro.service.protocol.FrameProtocol`, which receives frames
+into its staging buffer (or, for a large frame, the frame's own buffer)
+and decodes each one as it completes; the connection handler takes the
+decoded requests in order.  An update batch costs one copy per array
+on the way in -- out of the received frame into a fresh int64 array --
+and then goes down the existing
 :class:`~repro.parallel.sharded.ShardedStreamEngine` chunk path --
-partition, scatter, (optionally) process-pool fan-out -- with no
-intermediate copies beyond the codec's own array materialization.
+partition, scatter, (optionally) process-pool fan-out.
 
 **Serialization point.**  Every engine operation (feeds from all
 connections, queries, snapshots) runs on one single-thread executor, so
@@ -24,9 +27,11 @@ network.
 
 **Backpressure.**  At most ``queue_depth`` engine operations may be
 queued on the executor at once (an :class:`asyncio.Semaphore`); beyond
-that, connection handlers stop reading and the kernel's TCP flow control
-pushes back on the clients -- a slow sketch never buffers an unbounded
-stream in user space.
+that, connection handlers stop taking requests, each connection's
+reader pauses once its decoded backlog passes
+:data:`~repro.service.protocol.PAUSE_BYTES`, and the kernel's TCP flow
+control pushes back on the clients -- a slow sketch never buffers an
+unbounded stream in user space.
 
 **Liveness & monitoring.**  ``stats`` / ``ping`` ops expose the
 operational counters a deployed randomness-bearing component needs
@@ -90,15 +95,14 @@ from repro.parallel.sharded import ShardedStreamEngine
 from repro.service.protocol import (
     DEFAULT_MAX_FRAME,
     PROTOCOL_VERSION,
+    FrameProtocol,
     ProtocolError,
     SequenceGap,
     ServerBusy,
     make_error_reply,
     make_reply,
     pack_array,
-    read_message,
     sanitize_value,
-    write_message,
 )
 
 __all__ = ["ConnectionStats", "ServerStats", "SketchServer"]
@@ -375,8 +379,10 @@ class SketchServer:
             max_workers=1, thread_name_prefix="sketch-engine"
         )
         self._slots = asyncio.Semaphore(self.queue_depth)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: FrameProtocol(self.max_frame, connected=self._accept),
+            self.host,
+            self._requested_port,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self._gateway_port is not None:
@@ -439,7 +445,7 @@ class SketchServer:
                 started.set()
                 return
             started.set()
-            # start_server() already accepts in the background; _run just
+            # create_server() already accepts in the background; _run just
             # keeps the loop alive until the exit path asks it to stop,
             # then runs the full shutdown *inside* the loop so the final
             # checkpoint and fleet teardown always complete.
@@ -835,14 +841,17 @@ class SketchServer:
             return sanitize_value(await self._engine_call(self._alerts_payload))
         raise ValueError(f"unknown op {op!r}")
 
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handler_tasks.add(task)
-            task.add_done_callback(self._handler_tasks.discard)
+    def _accept(self, frames: FrameProtocol) -> None:
+        task = asyncio.get_running_loop().create_task(
+            self._handle_connection(frames)
+        )
+        self._handler_tasks.add(task)
+        task.add_done_callback(self._handler_tasks.discard)
+
+    async def _handle_connection(self, frames: FrameProtocol) -> None:
         key = self._connection_seq
         self._connection_seq += 1
-        peer = writer.get_extra_info("peername")
+        peer = frames.transport.get_extra_info("peername")
         connection = ConnectionStats(
             peer=f"{peer[0]}:{peer[1]}" if peer else "?",
             opened_at=time.monotonic(),
@@ -854,7 +863,7 @@ class SketchServer:
         try:
             while True:
                 try:
-                    message = await read_message(reader, self.max_frame)
+                    message = await frames.read()
                 except ProtocolError:
                     # Framing is unrecoverable mid-stream: count and drop.
                     connection.bump(errors=1)
@@ -888,18 +897,15 @@ class SketchServer:
                         op=message["op"],
                         ok=reply.get("ok", False),
                     )
-                await write_message(writer, reply)
+                await frames.write(reply)
         except (ConnectionResetError, BrokenPipeError):
             pass
         except asyncio.CancelledError:
-            # Only stop() cancels handlers (shutdown reap); finishing
-            # normally here keeps asyncio's stream-protocol done-callback
-            # from re-raising the cancellation into the event loop.
+            # Only stop() cancels handlers (shutdown reap), and it waits
+            # for them itself; ending normally closes the connection.
             pass
         finally:
             self.stats.bump(connections_open=-1)
             self.stats.connections.pop(key, None)
             connection.dispose()
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+            await frames.close()

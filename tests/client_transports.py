@@ -67,4 +67,4 @@ def is_closed(client) -> bool:
     """Whether a client's own connection has been closed."""
     if isinstance(client, SketchClient):
         return client._sock.fileno() < 0
-    return client._writer.is_closing()
+    return client._frames.transport.is_closing()

@@ -1,5 +1,7 @@
 """Tests for witnessed randomness: visibility, determinism, batched draws."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +55,28 @@ class TestWitnessing:
         spawn_draw = parent.transcript[-1]
         assert spawn_draw.label == "spawn(sub)"
         assert child.seed == spawn_draw.value
+
+    def test_deep_copy_is_an_independent_clone(self):
+        source = WitnessedRandom(seed=12, retain=16)
+        for _ in range(5):
+            source.randint(0, 1 << 30)
+        clone = copy.deepcopy(source)
+        assert clone.seed == source.seed and clone.draws == source.draws
+        assert clone.transcript == source.transcript
+        assert clone._transcript.maxlen == 16
+        # Same generator state: both draw the same next values ...
+        ahead = [source.randint(0, 1 << 30) for _ in range(10)]
+        before = clone.transcript
+        assert [clone.randint(0, 1 << 30) for _ in range(10)] == ahead
+        # ... and drawing from one left the other's transcript alone.
+        assert clone.transcript != before
+        assert source.transcript == clone.transcript
+        source.bits(9)
+        assert clone.draws == source.draws - 1
+        assert clone.transcript[-1].label == "randint(0,1073741824)"
+        # The memo keeps one clone per source inside a copied holder.
+        holder = copy.deepcopy({"a": source, "b": source})
+        assert holder["a"] is holder["b"] and holder["a"] is not source
 
 
 class TestDrawDomains:

@@ -140,6 +140,49 @@ class TestValueCodec:
         with pytest.raises(SnapshotError):
             encode_value(np.zeros(3, dtype=np.float32))
 
+    @pytest.mark.parametrize("kind", ["bytes", "bytearray", "memoryview"])
+    def test_decoded_arrays_own_their_memory(self, kind):
+        value = {
+            "items": np.arange(1_000, dtype=np.int64) * 3 - 7,
+            "grid": np.arange(12, dtype=np.int64).reshape(3, 4),
+            "blob": b"\x01\x02",
+        }
+        raw = encode_value(value)
+        # One leading byte leaves every int64 field at an odd address.
+        buffer = bytearray(b"\x00" + raw)
+        data = {
+            "bytes": raw,
+            "bytearray": bytearray(raw),
+            "memoryview": memoryview(buffer)[1:],
+        }[kind]
+        out = decode_value(data)
+        for name in ("items", "grid"):
+            array = out[name]
+            assert array.dtype == np.int64
+            assert array.flags.owndata and array.flags.writeable
+            assert array.flags.aligned and array.flags.c_contiguous
+            assert np.array_equal(array, value[name])
+        assert type(out["blob"]) is bytes
+        if kind != "bytes":
+            data[:] = bytes(len(data))  # scribble over the input
+        assert np.array_equal(out["items"], value["items"])
+        assert np.array_equal(out["grid"], value["grid"])
+        assert out["blob"] == b"\x01\x02"
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"s\x02\xff\xfe",  # a str that is not UTF-8
+            b"d\x01l\x00N",  # an unhashable (list) dict key
+            b"O\x01\x80\x80\x80\x80\x10",  # 2**32 object elements, no bytes
+            b"l\x01" * 100_000 + b"N",  # nested past the recursion limit
+        ],
+        ids=["utf8", "unhashable-key", "object-count", "nesting"],
+    )
+    def test_malformed_values_raise_snapshot_error(self, data):
+        with pytest.raises(SnapshotError):
+            decode_value(data)
+
 
 class TestSnapshotRoundTrip:
     @pytest.mark.parametrize("name", sorted(FAMILIES))

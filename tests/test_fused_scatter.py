@@ -326,6 +326,91 @@ class TestCountingSortPartitioner:
         assert sum(p is not None for p in parts) == 1
 
 
+def _unaligned(array):
+    """A C-contiguous but unaligned int64 view holding ``array``'s values."""
+    buffer = np.zeros(array.nbytes + 8, dtype=np.uint8)
+    view = np.frombuffer(buffer, dtype=np.int64, count=array.size, offset=3)
+    view[:] = array
+    assert view.flags.c_contiguous and not view.flags.aligned
+    assert np.ascontiguousarray(view, dtype=np.int64) is view
+    return view
+
+
+class TestUnalignedOperands:
+    """Unaligned int64 views never reach C: the numpy tier answers."""
+
+    @pytest.fixture
+    def dispatches(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            kernels, "record_dispatch", lambda kernel, tier: seen.append((kernel, tier))
+        )
+        return seen
+
+    def _stream(self, universe):
+        rng = np.random.default_rng(31)
+        items = rng.integers(0, universe, 5_000, dtype=np.int64)
+        deltas = rng.integers(-4, 9, 5_000, dtype=np.int64)
+        return items, deltas
+
+    @pytest.mark.parametrize(
+        "factory, kernel",
+        [
+            (lambda: CountMinSketch(9_999, 64, 4, seed=3), "count_min_scatter"),
+            (lambda: CountSketch(9_999, 64, 4, seed=3), "count_sketch_scatter"),
+        ],
+    )
+    def test_scatter_matches_aligned_copies(self, factory, kernel, dispatches):
+        items, deltas = self._stream(9_999)
+        aligned, unaligned = factory(), factory()
+        aligned.process_batch(items.copy(), deltas.copy())
+        unaligned.process_batch(_unaligned(items), _unaligned(deltas))
+        assert np.array_equal(aligned.table, unaligned.table)
+        assert dispatches[-1][0] == kernel and dispatches[-1][1] != "native"
+
+    def test_count_min_estimate_matches_aligned_copy(self, dispatches):
+        items, deltas = self._stream(9_999)
+        sketch = CountMinSketch(9_999, 64, 4, seed=3)
+        sketch.process_batch(items, deltas)
+        probe = np.arange(0, 9_999, 7, dtype=np.int64)
+        want = sketch.estimate_batch(probe.copy())
+        got = sketch.estimate_batch(_unaligned(probe))
+        assert np.array_equal(want, got)
+        assert dispatches[-1] == ("count_min_estimate", "numpy")
+
+    def test_sis_l0_matches_aligned_copies(self):
+        params = SISParams(rows=6, cols=50, modulus=next_prime(1 << 18), beta=1e9)
+        items, deltas = self._stream(10_000)
+        aligned = SisL0Estimator(10_000, params=params, seed=6)
+        unaligned = SisL0Estimator(10_000, params=params, seed=6)
+        aligned.process_batch(items.copy(), deltas.copy())
+        unaligned.process_batch(_unaligned(items), _unaligned(deltas))
+        assert aligned.sketches == unaligned.sketches
+        assert aligned.query() == unaligned.query()
+        # The entry point itself refuses an unaligned operand.
+        chunks = items // unaligned.chunk_width
+        assert not kernels.sis_dense_scatter(
+            unaligned._dense,
+            _unaligned(chunks),
+            items - chunks * unaligned.chunk_width,
+            deltas % params.modulus,
+            unaligned._cols64,
+            params.modulus,
+        )
+
+    def test_partitioner_matches_aligned_copies(self, dispatches):
+        items, deltas = self._stream(1 << 30)
+        partitioner = UniversePartitioner(4, seed=9)
+        want = partitioner.split(items.copy(), deltas.copy())
+        got = partitioner.split(_unaligned(items), _unaligned(deltas))
+        for w, g in zip(want, got):
+            assert (w is None) == (g is None)
+            if w is not None:
+                assert np.array_equal(w[0], g[0]) and np.array_equal(w[1], g[1])
+        assert dispatches[-1][0] == "partition_scatter"
+        assert dispatches[-1][1] != "native"
+
+
 class TestNumpyTierFallback:
     """The kill switch runs everything on the numpy tier, bit-identically."""
 

@@ -614,10 +614,17 @@ class TestHedgedReadsSync:
                 universe_size=UNIVERSE, depth=4, width=512, seed=8
             )
 
-        with TwinServers(items, deltas, backup_factory=other_factory) as twins:
-            with connect(self.transport, "127.0.0.1", twins.primary.port) as client:
+        with TwinServers(
+            items, deltas, backup_factory=other_factory
+        ) as twins, ChaosProxy("127.0.0.1", twins.primary.port) as slow:
+            with connect(self.transport, "127.0.0.1", slow.port) as client:
                 client.enable_hedging(
                     "127.0.0.1", twins.backup.port, delay=0.0
+                )
+                # The primary answers the estimate late, so the hedge
+                # always fires and meets the mis-built backup.
+                slow.faults[slow.frames_seen + 1] = FaultEvent(
+                    at=0, kind="frame_delay", param=0.3
                 )
                 with pytest.raises(FingerprintMismatch):
                     client.estimate(PROBE)
@@ -633,6 +640,11 @@ class TestHedgedReadsSync:
         ) as slow, ChaosProxy("127.0.0.1", twins.backup.port) as flaky:
             with connect(self.transport, "127.0.0.1", slow.port) as client:
                 client.enable_hedging("127.0.0.1", flaky.port, delay=0.0)
+                # A late primary makes the first read hedge for certain,
+                # which opens the backup connection.
+                slow.faults[slow.frames_seen + 1] = FaultEvent(
+                    at=0, kind="frame_delay", param=0.3
+                )
                 assert np.array_equal(client.estimate(PROBE), expected)
                 backup = client._backup
                 assert backup is not None

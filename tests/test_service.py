@@ -16,8 +16,11 @@ tests stay loop-free.
 """
 
 import asyncio
+import hashlib
+import os
 import socket
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -40,6 +43,9 @@ from repro.service import (
 )
 from repro.service.protocol import (
     MAGIC,
+    PAUSE_BYTES,
+    STAGING_BYTES,
+    FrameProtocol,
     make_error_reply,
     make_reply,
     make_request,
@@ -229,6 +235,288 @@ class TestMessageCodec:
         clean = sanitize_value(value)
         assert type(clean["f2"]) is float and type(clean["count"]) is int
         assert type(clean["seq"][0]) is int
+
+
+def pinned_messages():
+    """Feed, reply and snapshot messages whose frames are pinned below."""
+    rng = np.random.default_rng(2024)
+    items = rng.integers(0, 1 << 14, size=4096, dtype=np.int64)
+    deltas = rng.integers(-3, 9, size=4096, dtype=np.int64)
+    sketch = CountMinSketch(universe_size=1 << 14, depth=4, width=512, seed=7)
+    StreamEngine(chunk_size=1024).drive_arrays([sketch], items, deltas)
+    probe = np.arange(64, dtype=np.int64)
+    return {
+        "feed": make_request(
+            "feed", 7, items=items, deltas=deltas, client="c" * 32, seq=3
+        ),
+        "reply": make_reply(7, {"count": 4096, "position": 123456789}),
+        "error": make_error_reply(9, ValueError("bad batch")),
+        "estimate_i8": make_reply(11, pack_array(sketch.estimate_batch(probe))),
+        "estimate_f8": make_reply(12, pack_array(np.linspace(-1.5, 2.25, 33))),
+        "snapshot": make_reply(
+            13, {"version": ("0123abcd", 42), "snapshot": sketch.snapshot()}
+        ),
+        "kitchen": make_request(
+            "query",
+            14,
+            big=2**100,
+            neg=-(2**70),
+            f=0.1 + 0.2,
+            s="sketché",
+            none=None,
+            flags=(True, False),
+            nested=[1, [2, (3, b"\x00\xff")]],
+            grid=np.arange(12, dtype=np.int64).reshape(3, 4),
+            empty=np.zeros(0, dtype=np.int64),
+            objs=np.array([2**80, -1, 0], dtype=object),
+        ),
+    }
+
+
+#: ``(length, sha256)`` of each pinned message's frame.  The wire format
+#: is fixed: peers of different versions must produce the same bytes.
+PINNED_FRAMES = {
+    "feed": (65638, "3409affe5cf2b4009d3a0ebacc4ebe494e30890e39886e1717543713cb930ef9"),
+    "reply": (73, "83e300f3ea11eebc9b254cea4f9086b1f68745e5ad311797adffd4b8a43ec19b"),
+    "error": (73, "68955d63092abe4f690e5513f8db340e67a11ddaadf2a8dfe4036c46eb6f92a9"),
+    "estimate_i8": (575, "f58cfd4fbdd2e6ed299c321b94af37d280e4295bc5347f93ff6f6cd062f6cfbd"),
+    "estimate_f8": (339, "c276c41f416b41964cdfd9b0996a33b5305c5e3f2b44da92584f1ecac78e9683"),
+    "snapshot": (16650, "3eea053e5e792ce23d224b64f946a8be80407c1294eab83b63aaecd3bc5de7f2"),
+    "kitchen": (287, "25b446c008f3539e9d09c5372cd732f7a096a3626032857a8b7c4b32f3043678"),
+}
+
+
+class TestPinnedFrames:
+    @pytest.mark.parametrize("name", sorted(PINNED_FRAMES))
+    def test_frame_bytes_unchanged(self, name):
+        frame = bytes(pack_message(pinned_messages()[name]))
+        assert (len(frame), hashlib.sha256(frame).hexdigest()) == PINNED_FRAMES[name]
+        # Decoding and re-encoding reproduces the frame exactly.
+        assert bytes(pack_message(unpack_message(frame[8:]))) == frame
+
+
+# -- the asyncio frame reader, without a socket ------------------------------
+
+
+class FakeTransport:
+    """The transport calls a :class:`FrameProtocol` makes."""
+
+    def __init__(self):
+        self.paused = False
+        self.closing = False
+        self.written = bytearray()
+
+    def pause_reading(self):
+        self.paused = True
+
+    def resume_reading(self):
+        self.paused = False
+
+    def write(self, data):
+        self.written += data
+
+    def is_closing(self):
+        return self.closing
+
+    def close(self):
+        self.closing = True
+
+
+def push(frames, data, step=None):
+    """Deliver ``data`` the way a socket transport does: fill what
+    ``get_buffer`` offers, at most ``step`` bytes per read."""
+    data = memoryview(data)
+    while data:
+        buffer = frames.get_buffer(-1)
+        count = min(len(buffer), len(data), step or len(data))
+        buffer[:count] = data[:count]
+        del buffer
+        frames.buffer_updated(count)
+        data = data[count:]
+
+
+def drive(scenario):
+    """Run ``scenario(frames, transport)`` against a connected reader."""
+
+    async def main():
+        frames = FrameProtocol(max_frame=1 << 20)
+        transport = FakeTransport()
+        frames.connection_made(transport)
+        return await scenario(frames, transport)
+
+    return asyncio.run(main())
+
+
+async def read_all(frames, count):
+    return [bytes(pack_message(await frames.read(timeout=1.0))) for _ in range(count)]
+
+
+def frame_stream(*sizes):
+    """One frame per size: a feed of ``size`` updates, or a ping for 0."""
+    frames = []
+    for index, size in enumerate(sizes):
+        items, deltas = stream(index, size)
+        message = (
+            make_request("feed", index, items=items, deltas=deltas)
+            if size
+            else make_request("ping", index)
+        )
+        frames.append(bytes(pack_message(message)))
+    return frames
+
+
+class TestFrameReader:
+    def test_every_split_of_small_frames_decodes_identically(self):
+        frames_out = frame_stream(0, 3, 0, 12)
+        blob = b"".join(frames_out)
+
+        async def scenario(frames, transport):
+            results = []
+            for cut in range(len(blob) + 1):
+                reader = FrameProtocol()
+                reader.connection_made(transport)
+                push(reader, blob[:cut])
+                push(reader, blob[cut:])
+                results.append(await read_all(reader, len(frames_out)))
+            reader = FrameProtocol()
+            reader.connection_made(transport)
+            push(reader, blob, step=1)
+            results.append(await read_all(reader, len(frames_out)))
+            return results
+
+        for result in drive(scenario):
+            assert result == frames_out
+
+    def test_large_frame_split_anywhere_near_its_edges(self):
+        # A feed too large to stage, between two staged frames.
+        frames_out = frame_stream(0, 6_000, 0)
+        large = len(frames_out[0]) + len(frames_out[1])
+        assert len(frames_out[1]) > STAGING_BYTES
+        blob = b"".join(frames_out)
+        cuts = sorted(
+            {*range(len(frames_out[0]) + 12), *range(STAGING_BYTES - 8, STAGING_BYTES + 8)}
+            | {*range(large - 8, large + 8)}
+        )
+
+        async def scenario(frames, transport):
+            results = []
+            for cut in cuts:
+                reader = FrameProtocol()
+                reader.connection_made(transport)
+                push(reader, blob[:cut])
+                push(reader, blob[cut:])
+                results.append(await read_all(reader, 3))
+            for step in (1_000, 4_096, 1 << 20):
+                reader = FrameProtocol()
+                reader.connection_made(transport)
+                push(reader, blob, step=step)
+                results.append(await read_all(reader, 3))
+            return results
+
+        for result in drive(scenario):
+            assert result == frames_out
+
+    def test_many_small_frames_per_read_and_the_pause_bound(self):
+        frames_out = frame_stream(*([40] * 400))
+        blob = b"".join(frames_out)
+        assert len(blob) > PAUSE_BYTES + STAGING_BYTES
+
+        async def scenario(frames, transport):
+            push(frames, blob[:STAGING_BYTES])
+            staged = len(frames._messages)  # all whole frames, one read
+            assert staged > 50 and not transport.paused
+            push(frames, blob[STAGING_BYTES:])
+            # Unread payload passed the bound: reading paused ...
+            assert transport.paused
+            got = await read_all(frames, len(frames_out))
+            # ... and resumed once the queue drained.
+            assert not transport.paused
+            return got
+
+        assert drive(scenario) == frames_out
+
+    def test_stream_endings(self):
+        ping = bytes(pack_message(make_request("ping", 1)))
+
+        async def scenario(frames, transport):
+            outcomes = []
+            eof, reset = "eof", ConnectionResetError("reset")
+            for tail, ending in [
+                (b"", eof),  # clean EOF at a frame boundary
+                (ping[:5], eof),  # EOF inside a header
+                (ping[:-1], eof),  # EOF inside a payload
+                (b"XXXX" + ping[4:], None),  # bad magic
+                (MAGIC + struct.pack(">I", (1 << 20) + 1), None),  # oversize
+                (ping[:-1], reset),  # connection lost inside a payload
+                (b"", reset),  # connection lost at a frame boundary
+            ]:
+                reader = FrameProtocol(max_frame=1 << 20)
+                reader.connection_made(FakeTransport())
+                push(reader, ping + tail)
+                if ending is eof:
+                    reader.eof_received()
+                    reader.connection_lost(None)
+                elif ending is reset:
+                    reader.connection_lost(reset)
+                first = await reader.read()
+                try:
+                    outcomes.append((first["op"], await reader.read()))
+                except (ProtocolError, OSError) as exc:
+                    outcomes.append((first["op"], type(exc).__name__))
+            return outcomes
+
+        assert drive(scenario) == [
+            ("ping", None),
+            ("ping", "ProtocolError"),
+            ("ping", "ProtocolError"),
+            ("ping", "ProtocolError"),
+            ("ping", "ProtocolError"),
+            ("ping", "ConnectionResetError"),
+            ("ping", "ConnectionResetError"),
+        ]
+
+    def test_read_times_out_without_losing_the_next_frame(self):
+        ping = bytes(pack_message(make_request("ping", 5)))
+
+        async def scenario(frames, transport):
+            with pytest.raises(asyncio.TimeoutError):
+                await frames.read(timeout=0.01)
+            push(frames, ping)
+            return (await frames.read(timeout=0.01))["id"]
+
+        assert drive(scenario) == 5
+
+
+def resident_bytes() -> int:
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/statm"), reason="needs Linux /proc"
+)
+def test_announced_frames_do_not_commit_memory():
+    """Memory held for a frame in flight follows the bytes received."""
+    server = SketchServer(count_min_factory, chunk_size=CHUNK)
+    with server.run_in_thread() as srv:
+        before = resident_bytes()
+        raws = [socket.create_connection(("127.0.0.1", srv.port)) for _ in range(4)]
+        try:
+            for raw in raws:
+                raw.sendall(MAGIC + struct.pack(">I", srv.max_frame) + b"\x00" * 1000)
+            deadline = time.monotonic() + 10
+            while srv.stats.connections_open < 4 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert srv.stats.connections_open == 4
+            # A round trip after the announcements: the loop has read them.
+            with SketchClient.connect("127.0.0.1", srv.port) as client:
+                assert client.ping()["pong"]
+            grown = resident_bytes() - before
+        finally:
+            for raw in raws:
+                raw.close()
+    # Committing each announced frame would grow it by 4 x 64 MiB.
+    assert grown < srv.max_frame // 2, f"resident memory grew {grown} bytes"
 
 
 # -- malformed frames against a live server ----------------------------------

@@ -17,19 +17,41 @@ interpreter's own derivation -- without entering the Python interpreter
 per item, which is what makes the adversary probe loops in
 :mod:`repro.adversaries.blackbox_attack` fast.
 
-**Native tier.**  A few dozen lines of C -- compiled *on demand* with the
-host's system compiler (``cc``/``gcc``/``clang``), loaded through
+**Native tier.**  A few hundred lines of C -- compiled *on demand* with
+the host's system compiler (``cc``/``gcc``/``clang``), loaded through
 :mod:`ctypes`, and cached under ``~/.cache/repro-kernels`` keyed by a
-hash of the source and flags -- run the entire hash+scatter chain in a
-single pass per row, with the modular reductions lowered to the
-double-reciprocal trick (``q = trunc(v * (1.0/p))`` plus a branchless
-+-1 correction, exact for all ``0 <= v < 2**52``; the gates below refuse
-anything larger).  The compiler is invoked exactly once per machine; the
-``.so`` is reused across processes, and the calls release the GIL, so
-the thread scatter backend gets real parallelism out of them.  No
-compiler, a failed compile, a failed self-check, or
-``REPRO_NATIVE_KERNELS=0`` all degrade silently to the numpy tier --
-the native tier is an accelerator, never a dependency.
+hash of the source and flags -- make one native pass per batch for each
+layer of the engine thread:
+
+* *Row hash.*  ``hash_block`` computes ``((a*x + b) mod p) mod w``
+  entirely in doubles: the quotient is ``trunc(v * r)`` with ``r`` the
+  double just above ``1/m``, which lands on ``floor(v/m)`` or one past
+  it, and one branchless correction makes the remainder exact.  The
+  ``p < 2**26`` gate (:data:`NATIVE_HASH_BOUND`, with ``0 <= a, b, x <
+  p``) is what makes this exact: ``a*x + b < 2**53``, so every
+  intermediate -- products, quotients times moduli, differences -- is
+  an integer a double holds exactly, and no step ever rounds.  With no
+  int64 multiply or int64/double convert in the loop it vectorizes on
+  every SIMD level (the int64 formulation vectorizes only with
+  AVX-512DQ).  The CountMin and CountSketch scatters and the CountMin
+  estimate share it.
+* *Batch statistics.*  :func:`batch_stats` reads items min/max and
+  deltas min/max/sum in one pass; the CountMin and CountSketch batches
+  take their mass bound, running total and item-domain gate from it.
+* *SIS-L0.*  :func:`sis_update` takes raw items: it validates them
+  (refusing the whole batch, unwritten, if one lies outside the
+  universe), splits chunk/offset, reduces deltas mod q like Python's
+  ``%`` and accumulates mod q, all in one call.
+* *Partition.*  Two shards -- the top bit of the Fibonacci product --
+  take a count pass and one scatter pass with both write cursors in
+  registers; wider fleets keep the counting sort over stored shard ids.
+
+The compiler is invoked exactly once per machine; the ``.so`` is reused
+across processes, and the calls release the GIL, so the thread scatter
+backend gets real parallelism out of them.  No compiler, a failed
+compile, a failed self-check (which runs every kernel at the ``2**26``
+edge), or ``REPRO_NATIVE_KERNELS=0`` all degrade silently to the numpy
+tier -- the native tier is an accelerator, never a dependency.
 
 **Numpy tier.**  Always available, bit-identical, and itself fused where
 that wins: constant-delta scatters (the unit-insertion workloads that
@@ -63,7 +85,7 @@ import tempfile
 import threading
 from collections import deque
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -71,7 +93,9 @@ from repro.obs.metrics import get_registry as _get_obs_registry
 
 __all__ = [
     "NATIVE_HASH_BOUND",
+    "BatchStats",
     "ams_sign_bits",
+    "batch_stats",
     "count_min_estimate",
     "count_min_scatter",
     "count_sketch_scatter",
@@ -79,7 +103,7 @@ __all__ = [
     "partition_scatter",
     "record_dispatch",
     "scatter_add",
-    "sis_dense_scatter",
+    "sis_update",
 ]
 
 _obs_registry = _get_obs_registry()
@@ -143,15 +167,18 @@ def _obs_discard_dispatch() -> None:
 _obs_registry.add_collector(_obs_fold_dispatch, _obs_discard_dispatch)
 
 #: Primes (and SIS moduli) below this bound keep every hash intermediate
-#: ``a*x + b < p**2`` under 2**52, where the native kernels' double-
-#: reciprocal quotient is provably exact after a +-1 correction (error
-#: <= (v/p) * 2**-52 < 1 for all v < 2**52, p >= 2).  Larger parameters
-#: stay on the numpy tier, whose int64 Barrett path admits primes up to
-#: ``INT64_HASH_BOUND``.
+#: ``a*x + b < p**2`` under 2**53, where the native row hash holds every
+#: value exactly as a double, and every SIS accumulation ``reg + d*col``
+#: under 2**52, where its double-reciprocal quotient is exact after a +-1
+#: correction.  Larger parameters stay on the numpy tier, whose int64
+#: Barrett path admits primes up to ``INT64_HASH_BOUND``.
 NATIVE_HASH_BOUND = 1 << 26
+#: The largest prime below :data:`NATIVE_HASH_BOUND` (``2**26 - 5``).
+_EDGE_PRIME = NATIVE_HASH_BOUND - 5
 
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <string.h>
 
 /* Exact v mod p for 0 <= v < 2^52, p >= 2: double-reciprocal quotient
    plus branchless +-1 correction.  trunc == floor (v is nonnegative),
@@ -165,21 +192,95 @@ static inline int64_t mod_dr(int64_t v, int64_t p, double inv)
     return m;
 }
 
+/* x as a double, exactly, for 0 <= x < 2^52: OR the bits under the
+   exponent of 2^52 and subtract 2^52 -- an integer OR and a double
+   subtract, which vectorize where an int64 -> double convert does not. */
+static inline double exact_f64(int64_t x)
+{
+    uint64_t bits = (uint64_t)x | 0x4330000000000000ULL;
+    double d;
+    memcpy(&d, &bits, sizeof d);
+    return d - 4503599627370496.0;
+}
+
+/* The double just above 1/m (positive doubles order like their bit
+   patterns).  It is never below the real 1/m, so for an integer v >= 0
+   the product v * inv_up(m) truncates to floor(v/m) or floor(v/m) + 1,
+   never lower, and one correction step below makes it exact. */
+static inline double inv_up(double m)
+{
+    double inv = 1.0 / m;
+    uint64_t bits;
+    memcpy(&bits, &inv, sizeof bits);
+    ++bits;
+    memcpy(&inv, &bits, sizeof inv);
+    return inv;
+}
+
+/* v mod m for a double holding an integer 0 <= v < 2^53 with v/m < 2^27
+   and inv = inv_up(m).  The quotient truncates through int32 (a convert
+   every SIMD level has) and overshoots by at most one; every product
+   and difference is an integer below 2^53, so no step rounds. */
+static inline double dmod(double v, double m, double inv)
+{
+    double r = v - (double)(int32_t)(v * inv) * m;
+    r += r < 0.0 ? m : 0.0;
+    return r;
+}
+
 #define BLOCK 512
 
-/* Hash one block of items into cells: ((a*x + b) mod p) mod w.  Kept as
-   a separate table-free loop so the compiler can vectorize it; the
-   scatter loop below is loop-carried on the table and stays scalar. */
-static void hash_block(const int64_t *items, int64_t cnt,
-                       int64_t a, int64_t b, int64_t prime,
-                       int64_t width, int64_t wmask,
-                       double inv_p, double inv_w, int64_t *cells)
+/* Hash one block of items into cells: ((a*x + b) mod p) mod w, in
+   doubles.  Under the p < 2^26 gate (0 <= a, b, x < p) a*x + b < 2^53,
+   so every intermediate is an exactly represented integer and the
+   result equals the int64 formulation bit for bit; a power-of-two
+   width finishes with a mask on the exact integer.  Table-free so the
+   compiler vectorizes it; the scatter loops below are loop-carried on
+   the table and stay scalar. */
+static void hash_block(const int64_t *items, int64_t cnt, int64_t a,
+                       int64_t b, int64_t prime, int64_t width,
+                       int32_t *cells)
 {
+    double da = (double)a, db = (double)b;
+    double p = (double)prime, inv_p = inv_up(p);
+    double w = (double)width, inv_w = inv_up(w);
+    int32_t wmask = (width & (width - 1)) ? 0 : (int32_t)(width - 1);
     int64_t i;
-    for (i = 0; i < cnt; ++i) {
-        int64_t m = mod_dr(a * items[i] + b, prime, inv_p);
-        cells[i] = wmask ? (m & wmask) : mod_dr(m, width, inv_w);
+    if (wmask) {
+        for (i = 0; i < cnt; ++i) {
+            double v = da * exact_f64(items[i]) + db;
+            cells[i] = (int32_t)dmod(v, p, inv_p) & wmask;
+        }
+    } else {
+        for (i = 0; i < cnt; ++i) {
+            double v = da * exact_f64(items[i]) + db;
+            cells[i] = (int32_t)dmod(dmod(v, p, inv_p), w, inv_w);
+        }
     }
+}
+
+/* One pass over a batch: items min/max and deltas min/max/sum (the sum
+   wraps mod 2^64 exactly like numpy's int64 sum). */
+void repro_batch_stats(const int64_t *items, const int64_t *deltas,
+                       int64_t n, int64_t *out)
+{
+    int64_t imin = INT64_MAX, imax = INT64_MIN;
+    int64_t dmin = INT64_MAX, dmax = INT64_MIN;
+    uint64_t dsum = 0;
+    int64_t i;
+    for (i = 0; i < n; ++i) {
+        int64_t x = items[i], d = deltas[i];
+        imin = x < imin ? x : imin;
+        imax = x > imax ? x : imax;
+        dmin = d < dmin ? d : dmin;
+        dmax = d > dmax ? d : dmax;
+        dsum += (uint64_t)d;
+    }
+    out[0] = imin;
+    out[1] = imax;
+    out[2] = dmin;
+    out[3] = dmax;
+    out[4] = (int64_t)dsum;
 }
 
 /* Fused CountMin batch: per row, hash + scatter-add in one pass.
@@ -189,17 +290,13 @@ void repro_cm_scatter(int64_t *table, int64_t depth, int64_t width,
                       int64_t n, const int64_t *a, const int64_t *b,
                       int64_t prime)
 {
-    double inv_p = 1.0 / (double)prime;
-    double inv_w = 1.0 / (double)width;
-    int64_t wmask = (width & (width - 1)) ? 0 : width - 1;
-    int64_t cells[BLOCK];
+    int32_t cells[BLOCK];
     int64_t start, r, i;
     for (start = 0; start < n; start += BLOCK) {
         int64_t cnt = n - start < BLOCK ? n - start : BLOCK;
         for (r = 0; r < depth; ++r) {
             int64_t *row = table + r * width;
-            hash_block(items + start, cnt, a[r], b[r], prime, width,
-                       wmask, inv_p, inv_w, cells);
+            hash_block(items + start, cnt, a[r], b[r], prime, width, cells);
             if (deltas) {
                 const int64_t *d = deltas + start;
                 for (i = 0; i < cnt; ++i) row[cells[i]] += d[i];
@@ -210,60 +307,77 @@ void repro_cm_scatter(int64_t *table, int64_t depth, int64_t width,
     }
 }
 
-/* Fused CountSketch batch: bucket hash + sign hash + signed scatter. */
+/* Fused CountSketch batch: bucket hash + sign hash + signed scatter.
+   The sign hash is the bucket hash with width 2: (.. mod p) mod 2. */
 void repro_cs_scatter(int64_t *table, int64_t depth, int64_t width,
                       const int64_t *items, const int64_t *deltas,
                       int64_t n, const int64_t *ba, const int64_t *bb,
                       const int64_t *sa, const int64_t *sb, int64_t prime)
 {
-    double inv_p = 1.0 / (double)prime;
-    double inv_w = 1.0 / (double)width;
-    int64_t wmask = (width & (width - 1)) ? 0 : width - 1;
-    int64_t cells[BLOCK];
-    int64_t sgn[BLOCK];
+    int32_t cells[BLOCK];
+    int32_t parity[BLOCK];
     int64_t start, r, i;
     for (start = 0; start < n; start += BLOCK) {
         int64_t cnt = n - start < BLOCK ? n - start : BLOCK;
         const int64_t *blk = items + start;
         for (r = 0; r < depth; ++r) {
             int64_t *row = table + r * width;
-            hash_block(blk, cnt, ba[r], bb[r], prime, width, wmask,
-                       inv_p, inv_w, cells);
-            {
-                int64_t sar = sa[r], sbr = sb[r];
-                for (i = 0; i < cnt; ++i) {
-                    int64_t sm = mod_dr(sar * blk[i] + sbr, prime, inv_p);
-                    sgn[i] = 1 - ((sm & 1) << 1);
-                }
-            }
+            hash_block(blk, cnt, ba[r], bb[r], prime, width, cells);
+            hash_block(blk, cnt, sa[r], sb[r], prime, 2, parity);
             if (deltas) {
                 const int64_t *d = deltas + start;
-                for (i = 0; i < cnt; ++i) row[cells[i]] += sgn[i] * d[i];
+                for (i = 0; i < cnt; ++i)
+                    row[cells[i]] += (1 - 2 * (int64_t)parity[i]) * d[i];
             } else {
-                for (i = 0; i < cnt; ++i) row[cells[i]] += sgn[i];
+                for (i = 0; i < cnt; ++i)
+                    row[cells[i]] += 1 - 2 * (int64_t)parity[i];
             }
         }
     }
 }
 
-/* Fused SIS dense batch: gather the column, multiply by the reduced
-   delta, accumulate mod q at every step (registers stay in [0, q), so
-   no batch-limit splitting is ever needed). */
-void repro_sis_scatter(int64_t *dense, int64_t rows,
-                       const int64_t *chunks, const int64_t *offsets,
-                       const int64_t *reduced, int64_t n,
-                       const int64_t *cols, int64_t q)
+/* SIS-L0 dense batch on raw items (Algorithm 5's chunk sketches):
+   validate, split item -> (chunk, offset), reduce the delta mod q
+   exactly like Python's %, then gather the column, multiply and
+   accumulate mod q at every step, so registers stay in [0, q).
+   Returns 0 -- having written nothing -- when any item lies outside
+   [0, universe); 1 once the batch is applied. */
+int64_t repro_sis_update(int64_t *dense, int64_t rows,
+                         const int64_t *items, const int64_t *deltas,
+                         int64_t n, const int64_t *cols, int64_t q,
+                         int64_t chunk_width, int64_t universe)
 {
     double inv_q = 1.0 / (double)q;
+    double inv_cw = 1.0 / (double)chunk_width;
+    uint64_t outside = 0;
     int64_t i, r;
+    for (i = 0; i < n; ++i)
+        outside |= (uint64_t)items[i] >= (uint64_t)universe;
+    if (outside) return 0;
     for (i = 0; i < n; ++i) {
-        int64_t d = reduced[i];
-        int64_t *reg = dense + chunks[i] * rows;
-        const int64_t *col = cols + offsets[i] * rows;
+        int64_t x = items[i], d = deltas[i];
+        int64_t chunk = (int64_t)((double)x * inv_cw);
+        int64_t offset = x - chunk * chunk_width;
+        int64_t *reg;
+        const int64_t *col;
+        if (offset < 0) {
+            offset += chunk_width;
+            --chunk;
+        } else if (offset >= chunk_width) {
+            offset -= chunk_width;
+            ++chunk;
+        }
+        if (d < 0 || d >= q) {
+            d %= q;
+            d += d < 0 ? q : 0;
+        }
         if (!d) continue;
+        reg = dense + chunk * rows;
+        col = cols + offset * rows;
         for (r = 0; r < rows; ++r)
             reg[r] = mod_dr(reg[r] + d * col[r], q, inv_q);
     }
+    return 1;
 }
 
 /* Fused CountMin batched estimate: per block, hash every row and fold
@@ -273,18 +387,14 @@ void repro_cm_estimate(const int64_t *table, int64_t depth, int64_t width,
                        const int64_t *items, int64_t n, const int64_t *a,
                        const int64_t *b, int64_t prime, int64_t *out)
 {
-    double inv_p = 1.0 / (double)prime;
-    double inv_w = 1.0 / (double)width;
-    int64_t wmask = (width & (width - 1)) ? 0 : width - 1;
-    int64_t cells[BLOCK];
+    int32_t cells[BLOCK];
     int64_t start, r, i;
     for (start = 0; start < n; start += BLOCK) {
         int64_t cnt = n - start < BLOCK ? n - start : BLOCK;
         for (r = 0; r < depth; ++r) {
             const int64_t *row = table + r * width;
             int64_t *dst = out + start;
-            hash_block(items + start, cnt, a[r], b[r], prime, width,
-                       wmask, inv_p, inv_w, cells);
+            hash_block(items + start, cnt, a[r], b[r], prime, width, cells);
             if (r == 0) {
                 for (i = 0; i < cnt; ++i) dst[i] = row[cells[i]];
             } else {
@@ -364,9 +474,11 @@ void repro_ams_signs(uint64_t base_seed, const int64_t *items, int64_t n,
 }
 
 /* Fused universe partition: Fibonacci hash + counting sort + stable
-   scatter, one pass each.  counts must hold 2*num_shards slots (the
-   second half is the running-write-position scratch); shard ids land in
-   scratch (length n) for the scatter pass. */
+   scatter.  counts must hold 2*num_shards slots (the second half is the
+   running-write-position scratch).  Two shards -- the top product bit --
+   take a count pass and one scatter pass with both write cursors in
+   registers; wider fleets store shard ids in scratch (length n) for the
+   scatter pass. */
 void repro_partition(const int64_t *items, const int64_t *deltas,
                      int64_t n, uint64_t multiplier, int64_t shard_bits,
                      int64_t window_shift, int64_t num_shards,
@@ -376,6 +488,28 @@ void repro_partition(const int64_t *items, const int64_t *deltas,
 {
     int64_t *next = counts + num_shards;
     int64_t i, s, pos;
+    if (num_shards == 2) {
+        int64_t ones = 0, lo, hi;
+        for (i = 0; i < n; ++i)
+            ones += (int64_t)(((uint64_t)items[i] * multiplier) >> 63);
+        lo = 0;
+        hi = n - ones;
+        for (i = 0; i < n; ++i) {
+            int64_t x = items[i], d = deltas[i];
+            int64_t bit = (int64_t)(((uint64_t)x * multiplier) >> 63);
+            /* A masked select, not `bit ? hi : lo`: compilers turn the
+               ternary into a branch that mispredicts on every other
+               item of a well-mixed stream. */
+            int64_t dst = lo ^ ((lo ^ hi) & -bit);
+            out_items[dst] = x;
+            out_deltas[dst] = d;
+            hi += bit;
+            lo += bit ^ 1;
+        }
+        counts[0] = n - ones;
+        counts[1] = ones;
+        return;
+    }
     for (s = 0; s < num_shards; ++s) counts[s] = 0;
     for (i = 0; i < n; ++i) {
         uint64_t mixed = (uint64_t)items[i] * multiplier;
@@ -398,11 +532,14 @@ void repro_partition(const int64_t *items, const int64_t *deltas,
 _I64 = ctypes.c_int64
 _P64 = ctypes.c_void_p
 _SIGNATURES = {
+    "repro_batch_stats": [_P64, _P64, _I64, _P64],
     "repro_cm_scatter": [_P64, _I64, _I64, _P64, _P64, _I64, _P64, _P64, _I64],
     "repro_cs_scatter": [
         _P64, _I64, _I64, _P64, _P64, _I64, _P64, _P64, _P64, _P64, _I64,
     ],
-    "repro_sis_scatter": [_P64, _I64, _P64, _P64, _P64, _I64, _P64, _I64],
+    "repro_sis_update": [
+        _P64, _I64, _P64, _P64, _I64, _P64, _I64, _I64, _I64,
+    ],
     "repro_cm_estimate": [_P64, _I64, _I64, _P64, _I64, _P64, _P64, _I64, _P64],
     "repro_ams_signs": [ctypes.c_uint64, _P64, _I64, _P64],
     "repro_partition": [
@@ -482,76 +619,109 @@ def _self_check(lib: ctypes.CDLL) -> bool:
     """Smoke every compiled kernel against tiny numpy references.
 
     Guards against a miscompiling toolchain (or an exotic ABI) silently
-    poisoning sketch state: any mismatch in any of the four kernels
-    discards the native tier wholesale.
+    poisoning sketch state: any mismatch in any kernel discards the
+    native tier wholesale.  The hash kernels run at the exactness edge
+    too -- the largest prime the gate admits, items ``0`` and ``p - 1``
+    and coefficients near ``p`` (so ``a*x + b`` nears ``2**52``), with
+    a power-of-two and an odd width -- so a double path that rounds
+    anywhere fails here, at load, instead of in a sketch.
     """
     items = np.array([0, 1, 5, 6, 6, 3], dtype=np.int64)
     deltas = np.array([1, -2, 3, 1, 1, 4], dtype=np.int64)
-    prime, width, depth = 13, 3, 2
-    a = np.array([3, 7], dtype=np.int64)
-    b = np.array([1, 4], dtype=np.int64)
-    table = np.zeros((depth, width), dtype=np.int64)
-    lib.repro_cm_scatter(
-        table.ctypes.data, _I64(depth), _I64(width), items.ctypes.data,
-        deltas.ctypes.data, _I64(items.size), a.ctypes.data, b.ctypes.data,
-        _I64(prime),
+    stats = np.empty(5, dtype=np.int64)
+    lib.repro_batch_stats(
+        items.ctypes.data, deltas.ctypes.data, _I64(items.size),
+        stats.ctypes.data,
     )
-    expected = np.zeros_like(table)
-    for row in range(depth):
-        cells = ((a[row] * items + b[row]) % prime) % width
-        np.add.at(expected[row], cells, deltas)
-    if not np.array_equal(table, expected):
+    if stats.tolist() != [0, 6, -2, 4, 8]:
         return False
 
-    sa = np.array([5, 2], dtype=np.int64)
-    sb = np.array([0, 11], dtype=np.int64)
-    table[:] = 0
-    lib.repro_cs_scatter(
-        table.ctypes.data, _I64(depth), _I64(width), items.ctypes.data,
-        deltas.ctypes.data, _I64(items.size), a.ctypes.data, b.ctypes.data,
-        sa.ctypes.data, sb.ctypes.data, _I64(prime),
+    # Edge items; under the row x -> x - 1 (a = 1, b = p - 1) the last
+    # two land on exact multiples of 49, whose quotient a reciprocal
+    # rounded down would truncate one short.
+    edge = _EDGE_PRIME
+    edge_items = np.array(
+        [0, edge - 1, 1, edge - 2, edge // 2, 40_000_003, edge - 1, 50, 99],
+        dtype=np.int64,
     )
-    expected[:] = 0
-    for row in range(depth):
-        cells = ((a[row] * items + b[row]) % prime) % width
-        signs = 1 - 2 * (((sa[row] * items + sb[row]) % prime) % 2)
-        np.add.at(expected[row], cells, signs * deltas)
-    if not np.array_equal(table, expected):
-        return False
+    edge_deltas = np.array([3, -1, 7, 1, -5, 2, 9, 4, -2], dtype=np.int64)
+    cases = [
+        (items, deltas, 13, 3, [3, 7], [1, 4], [5, 2], [0, 11]),
+        (edge_items, edge_deltas, edge, 1024, [edge - 1, 977], [edge - 1, 0],
+         [edge - 2, 31_337], [5, edge - 3]),
+        (edge_items, edge_deltas, edge, 49, [edge - 1, 1], [edge - 2, edge - 1],
+         [edge - 1, 2], [edge - 1, 0]),
+    ]
+    for case_items, case_deltas, prime, width, a, b, sa, sb in cases:
+        a, b, sa, sb = (np.array(v, dtype=np.int64) for v in (a, b, sa, sb))
+        depth, n = a.size, case_items.size
+        cells = [((a[r] * case_items + b[r]) % prime) % width for r in range(depth)]
+        signs = [1 - 2 * (((sa[r] * case_items + sb[r]) % prime) % 2) for r in range(depth)]
+        table = np.zeros((depth, width), dtype=np.int64)
+        lib.repro_cm_scatter(
+            table.ctypes.data, _I64(depth), _I64(width), case_items.ctypes.data,
+            case_deltas.ctypes.data, _I64(n), a.ctypes.data, b.ctypes.data,
+            _I64(prime),
+        )
+        expected = np.zeros_like(table)
+        for row in range(depth):
+            np.add.at(expected[row], cells[row], case_deltas)
+        if not np.array_equal(table, expected):
+            return False
 
-    rows, num_chunks, modulus = 3, 4, 11
-    chunks = np.array([0, 3, 0, 2], dtype=np.int64)
-    offsets = np.array([1, 0, 1, 2], dtype=np.int64)
-    reduced = np.array([4, 10, 7, 0], dtype=np.int64)
-    cols = np.arange(9, dtype=np.int64).reshape(3, rows) % modulus
-    dense = np.ones((num_chunks, rows), dtype=np.int64)
-    lib.repro_sis_scatter(
-        dense.ctypes.data, _I64(rows), chunks.ctypes.data,
-        offsets.ctypes.data, reduced.ctypes.data, _I64(chunks.size),
-        cols.ctypes.data, _I64(modulus),
-    )
-    expected_dense = np.ones((num_chunks, rows), dtype=np.int64)
-    for chunk, offset, value in zip(chunks, offsets, reduced):
-        expected_dense[chunk] = (
-            expected_dense[chunk] + value * cols[offset]
-        ) % modulus
-    if not np.array_equal(dense, expected_dense):
-        return False
+        estimates = np.empty(n, dtype=np.int64)
+        lib.repro_cm_estimate(
+            table.ctypes.data, _I64(depth), _I64(width), case_items.ctypes.data,
+            _I64(n), a.ctypes.data, b.ctypes.data, _I64(prime),
+            estimates.ctypes.data,
+        )
+        gathered = np.stack([table[r, cells[r]] for r in range(depth)])
+        if not np.array_equal(estimates, gathered.min(axis=0)):
+            return False
 
-    probe = np.array([0, 2, 6, 12, 9], dtype=np.int64)
-    estimates = np.empty(probe.size, dtype=np.int64)
-    lib.repro_cm_estimate(
-        table.ctypes.data, _I64(depth), _I64(width), probe.ctypes.data,
-        _I64(probe.size), a.ctypes.data, b.ctypes.data, _I64(prime),
-        estimates.ctypes.data,
+        table[:] = 0
+        lib.repro_cs_scatter(
+            table.ctypes.data, _I64(depth), _I64(width), case_items.ctypes.data,
+            case_deltas.ctypes.data, _I64(n), a.ctypes.data, b.ctypes.data,
+            sa.ctypes.data, sb.ctypes.data, _I64(prime),
+        )
+        expected[:] = 0
+        for row in range(depth):
+            np.add.at(expected[row], cells[row], signs[row] * case_deltas)
+        if not np.array_equal(table, expected):
+            return False
+
+    # SIS update: universe 11 in chunks of 3 (4 chunk registers of 3
+    # rows), deltas of both signs and beyond 2**52, and a refusal.
+    rows, chunk_width, universe, modulus = 3, 3, 11, 11
+    cols = (np.arange(9, dtype=np.int64).reshape(chunk_width, rows) * 5) % modulus
+    sis_items = np.array([1, 10, 1, 8, 3, 0], dtype=np.int64)
+    sis_deltas = np.array(
+        [4, -1, (1 << 52) + 3, 22, -(1 << 62), -(1 << 63)], dtype=np.int64
     )
-    expected_est = np.min(
-        np.stack(
-            [table[r, ((a[r] * probe + b[r]) % prime) % width] for r in range(depth)]
-        ),
-        axis=0,
-    )
-    if not np.array_equal(estimates, expected_est):
+    dense = np.ones((4, rows), dtype=np.int64)
+    if lib.repro_sis_update(
+        dense.ctypes.data, _I64(rows), sis_items.ctypes.data,
+        sis_deltas.ctypes.data, _I64(sis_items.size), cols.ctypes.data,
+        _I64(modulus), _I64(chunk_width), _I64(universe),
+    ) != 1:
+        return False
+    expected_dense = [[1] * rows for _ in range(4)]
+    for item, delta in zip(sis_items.tolist(), sis_deltas.tolist()):
+        chunk, offset = divmod(item, chunk_width)
+        for row in range(rows):
+            expected_dense[chunk][row] = (
+                expected_dense[chunk][row]
+                + (delta % modulus) * int(cols[offset, row])
+            ) % modulus
+    if dense.tolist() != expected_dense:
+        return False
+    outside = np.array([2, universe], dtype=np.int64)
+    if lib.repro_sis_update(
+        dense.ctypes.data, _I64(rows), outside.ctypes.data,
+        sis_deltas.ctypes.data, _I64(outside.size), cols.ctypes.data,
+        _I64(modulus), _I64(chunk_width), _I64(universe),
+    ) != 0 or dense.tolist() != expected_dense:
         return False
 
     import random as _random
@@ -573,21 +743,33 @@ def _self_check(lib: ctypes.CDLL) -> bool:
     if not np.array_equal(signs_out, expected_signs):
         return False
 
-    out_items = np.empty_like(items)
-    out_deltas = np.empty_like(deltas)
-    counts = np.empty(8, dtype=np.int64)
-    scratch = np.empty(items.size, dtype=np.int64)
-    lib.repro_partition(
-        items.ctypes.data, deltas.ctypes.data, _I64(items.size),
-        ctypes.c_uint64(0x9E3779B97F4A7C15), _I64(2), _I64(33), _I64(4),
-        _I64(1), out_items.ctypes.data, out_deltas.ctypes.data,
-        counts.ctypes.data, scratch.ctypes.data,
-    )
-    ids = (items.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(62)
-    order = np.argsort(ids, kind="stable")
-    return np.array_equal(out_items, items[order]) and np.array_equal(
-        out_deltas, deltas[order]
-    )
+    # Partition: the generic counting sort (4 shards) and the two-way
+    # register-cursor path, each against a stable argsort.
+    multiplier = 0x9E3779B97F4A7C15
+    for num_shards, shard_bits in ((4, 2), (2, 1)):
+        out_items = np.empty_like(items)
+        out_deltas = np.empty_like(deltas)
+        counts = np.empty(2 * num_shards, dtype=np.int64)
+        scratch = np.empty(items.size, dtype=np.int64)
+        lib.repro_partition(
+            items.ctypes.data, deltas.ctypes.data, _I64(items.size),
+            ctypes.c_uint64(multiplier), _I64(shard_bits), _I64(33),
+            _I64(num_shards), _I64(1), out_items.ctypes.data,
+            out_deltas.ctypes.data, counts.ctypes.data, scratch.ctypes.data,
+        )
+        ids = (items.astype(np.uint64) * np.uint64(multiplier)) >> np.uint64(
+            64 - shard_bits
+        )
+        order = np.argsort(ids, kind="stable")
+        if not (
+            np.array_equal(out_items, items[order])
+            and np.array_equal(out_deltas, deltas[order])
+            and np.array_equal(
+                counts[:num_shards], np.bincount(ids.astype(np.int64), minlength=num_shards)
+            )
+        ):
+            return False
+    return True
 
 
 def _load_native() -> Optional[ctypes.CDLL]:
@@ -615,7 +797,7 @@ def _load_native() -> Optional[ctypes.CDLL]:
             continue
         for name, argtypes in _SIGNATURES.items():
             getattr(lib, name).argtypes = argtypes
-            getattr(lib, name).restype = None
+            getattr(lib, name).restype = _I64 if name == "repro_sis_update" else None
         if _self_check(lib):
             return lib
     return None
@@ -700,37 +882,99 @@ def _items_in_hash_domain(items: np.ndarray, prime: int) -> bool:
     return int(items.min()) >= 0 and int(items.max()) < prime
 
 
+class BatchStats(NamedTuple):
+    """One update batch and what a single pass over it found.
+
+    It carries the arrays it summarizes, so a scatter entry reads its
+    item-domain gate from the very arrays it will index with.
+    """
+
+    items: np.ndarray
+    deltas: np.ndarray
+    items_min: int
+    items_max: int
+    deltas_min: int
+    deltas_max: int
+    #: Wraps mod 2**64 exactly like numpy's int64 sum.
+    deltas_sum: int
+
+    @property
+    def max_abs_delta(self) -> int:
+        """The largest ``|delta|``: ``n`` times it bounds the batch's mass."""
+        return max(abs(self.deltas_min), abs(self.deltas_max))
+
+    @property
+    def unit_deltas(self) -> bool:
+        """Whether every delta is 1 (the kernels then skip the deltas)."""
+        return self.deltas_min == self.deltas_max == 1
+
+
+def batch_stats(items: np.ndarray, deltas: np.ndarray) -> BatchStats:
+    """Items min/max and deltas min/max/sum of a non-empty int64 batch.
+
+    One native pass when the compiled tier is up and both arrays can go
+    to C; five numpy reductions otherwise, with identical results.
+    """
+    if items.size == 0:
+        raise ValueError("batch_stats needs a non-empty batch")
+    lib = _native()
+    if lib is not None and _contiguous_i64(items, deltas):
+        out = np.empty(5, dtype=np.int64)
+        lib.repro_batch_stats(
+            items.ctypes.data, deltas.ctypes.data, _I64(items.size),
+            out.ctypes.data,
+        )
+        return BatchStats(items, deltas, *out.tolist())
+    return BatchStats(
+        items,
+        deltas,
+        int(items.min()),
+        int(items.max()),
+        int(deltas.min()),
+        int(deltas.max()),
+        int(deltas.sum(dtype=np.int64)),
+    )
+
+
+def _hash_gates(lib, prime: int, stats: BatchStats, *arrays: np.ndarray) -> bool:
+    """Whether the native hash kernels may take this batch.
+
+    Gates: aligned, contiguous int64 operands, ``prime <
+    NATIVE_HASH_BOUND`` and every item inside the ``0 <= x < prime``
+    hash domain.  Together these keep ``a*x + b`` under 2**53, where
+    the kernels' all-double hash is exact, and every hashed cell inside
+    its table row -- for an out-of-domain item the reference numpy path
+    degrades to a garbage-but-in-range cell, the native path would
+    write out of bounds.
+    """
+    return (
+        lib is not None
+        and prime < NATIVE_HASH_BOUND
+        and _contiguous_i64(stats.items, stats.deltas, *arrays)
+        and stats.items_min >= 0
+        and stats.items_max < prime
+    )
+
+
 def count_min_scatter(
     table: np.ndarray,
-    items: np.ndarray,
-    deltas: np.ndarray,
+    stats: BatchStats,
     row_a: np.ndarray,
     row_b: np.ndarray,
     prime: int,
-    unit_deltas: bool,
 ) -> bool:
-    """Native fused CountMin batch; ``False`` keeps the caller's path.
-
-    Gates: aligned, contiguous int64 operands, ``prime <
-    NATIVE_HASH_BOUND``, and every item inside the ``0 <= x < prime`` hash domain (together these
-    keep every ``a*x + b`` nonnegative and under 2**52, the range where
-    the kernel's double-reciprocal reduction is exact).
-    """
+    """Native fused CountMin batch over ``stats``'s arrays; ``False``
+    keeps the caller's path.  Gates: see :func:`_hash_gates`."""
     lib = _native()
-    if (
-        lib is None
-        or prime >= NATIVE_HASH_BOUND
-        or not _contiguous_i64(table, items, deltas, row_a, row_b)
-        or not _items_in_hash_domain(items, prime)
-    ):
+    if not _hash_gates(lib, prime, stats, table, row_a, row_b):
         return False
     lib.repro_cm_scatter(
         table.ctypes.data,
         _I64(table.shape[0]),
         _I64(table.shape[1]),
-        items.ctypes.data,
-        None if unit_deltas else deltas.ctypes.data,
-        _I64(items.size),
+        stats.items.ctypes.data,
+        None if stats.unit_deltas else stats.deltas.ctypes.data,
+        _I64(stats.items.size),
         row_a.ctypes.data,
         row_b.ctypes.data,
         _I64(prime),
@@ -740,37 +984,25 @@ def count_min_scatter(
 
 def count_sketch_scatter(
     table: np.ndarray,
-    items: np.ndarray,
-    deltas: np.ndarray,
+    stats: BatchStats,
     bucket_a: np.ndarray,
     bucket_b: np.ndarray,
     sign_a: np.ndarray,
     sign_b: np.ndarray,
     prime: int,
-    unit_deltas: bool,
 ) -> bool:
-    """Native fused CountSketch batch; ``False`` keeps the caller's path.
-
-    Same gates as :func:`count_min_scatter`, including the item-domain
-    check that keeps the C kernel's table writes in bounds.
-    """
+    """Native fused CountSketch batch over ``stats``'s arrays; ``False``
+    keeps the caller's path.  Same gates as :func:`count_min_scatter`."""
     lib = _native()
-    if (
-        lib is None
-        or prime >= NATIVE_HASH_BOUND
-        or not _contiguous_i64(
-            table, items, deltas, bucket_a, bucket_b, sign_a, sign_b
-        )
-        or not _items_in_hash_domain(items, prime)
-    ):
+    if not _hash_gates(lib, prime, stats, table, bucket_a, bucket_b, sign_a, sign_b):
         return False
     lib.repro_cs_scatter(
         table.ctypes.data,
         _I64(table.shape[0]),
         _I64(table.shape[1]),
-        items.ctypes.data,
-        None if unit_deltas else deltas.ctypes.data,
-        _I64(items.size),
+        stats.items.ctypes.data,
+        None if stats.unit_deltas else stats.deltas.ctypes.data,
+        _I64(stats.items.size),
         bucket_a.ctypes.data,
         bucket_b.ctypes.data,
         sign_a.ctypes.data,
@@ -793,8 +1025,8 @@ def count_min_estimate(
     running minimum -- the read-side twin of :func:`count_min_scatter`,
     with the same gates (aligned, contiguous int64 operands, ``prime <
     NATIVE_HASH_BOUND``, items inside the ``0 <= x < prime`` hash
-    domain so the double-reciprocal reduction stays exact and every
-    table read stays in bounds).
+    domain so the all-double hash stays exact and every table read
+    stays in bounds).
     """
     lib = _native()
     if (
@@ -847,51 +1079,58 @@ def ams_sign_bits(base_seed: int, items: np.ndarray) -> Optional[np.ndarray]:
     return out
 
 
-def sis_dense_scatter(
+def sis_update(
     dense: np.ndarray,
-    chunks: np.ndarray,
-    offsets: np.ndarray,
-    reduced: np.ndarray,
+    items: np.ndarray,
+    deltas: np.ndarray,
     cols: np.ndarray,
     modulus: int,
+    chunk_width: int,
+    universe: int,
 ) -> bool:
-    """Native fused SIS dense batch; ``False`` keeps the caller's path.
+    """Native SIS-L0 dense batch on raw items; ``False`` keeps the caller's path.
 
-    ``reduced`` must already be the deltas mod q (residues in ``[0, q)``
-    -- the caller reduces with exact int64 numpy ``%``).  The kernel
-    accumulates mod q at every step, so registers never leave ``[0, q)``
-    and the caller's batch-limit splitting is unnecessary on this path.
-    Gates: ``modulus < NATIVE_HASH_BOUND`` keeps ``reg + d*col < q**2``
-    under 2**52, and one min/max pass per index operand keeps every C
-    write inside ``dense`` and every read inside ``cols`` -- out-of-range
-    inputs refuse (the reference path raises IndexError for them; the
-    kernel must never turn that into a heap write).
+    One call validates every item against ``[0, universe)``, splits it
+    into ``(item // chunk_width, item % chunk_width)``, reduces its
+    delta mod q exactly like Python's ``%`` (any int64, negatives
+    included) and accumulates ``delta * cols[offset]`` into
+    ``dense[chunk]`` mod q at every step, so registers never leave
+    ``[0, q)`` and no batch-limit splitting is needed.  A batch holding
+    an item outside the universe is refused before anything is written:
+    the caller's reference path then raises its ``ValueError``, so the
+    error and the untouched table are the same on both tiers.  Gates:
+    ``modulus < NATIVE_HASH_BOUND`` keeps ``reg + d*col`` under 2**52,
+    ``universe < 2**52`` keeps the double-reciprocal chunk split exact,
+    and the shapes keep every chunk register and column the validated
+    items can name inside ``dense`` and ``cols``.
     """
     lib = _native()
     if (
         lib is None
         or modulus >= NATIVE_HASH_BOUND
-        or not _contiguous_i64(dense, chunks, offsets, reduced, cols)
-        or chunks.size == 0
-        or int(chunks.min()) < 0
-        or int(chunks.max()) >= dense.shape[0]
-        or int(offsets.min()) < 0
-        or int(offsets.max()) >= cols.shape[0]
-        or int(reduced.min()) < 0
-        or int(reduced.max()) >= modulus
+        or not 0 < universe < 1 << 52
+        or chunk_width <= 0
+        or not _contiguous_i64(dense, items, deltas, cols)
+        or dense.ndim != 2
+        or cols.ndim != 2
+        or cols.shape[1] != dense.shape[1]
+        or cols.shape[0] < chunk_width
+        or dense.shape[0] * chunk_width < universe
     ):
         return False
-    lib.repro_sis_scatter(
-        dense.ctypes.data,
-        _I64(dense.shape[1]),
-        chunks.ctypes.data,
-        offsets.ctypes.data,
-        reduced.ctypes.data,
-        _I64(chunks.size),
-        cols.ctypes.data,
-        _I64(modulus),
+    return bool(
+        lib.repro_sis_update(
+            dense.ctypes.data,
+            _I64(dense.shape[1]),
+            items.ctypes.data,
+            deltas.ctypes.data,
+            _I64(items.size),
+            cols.ctypes.data,
+            _I64(modulus),
+            _I64(chunk_width),
+            _I64(universe),
+        )
     )
-    return True
 
 
 def partition_scatter(
@@ -917,7 +1156,8 @@ def partition_scatter(
     out_items = np.empty(n, dtype=np.int64)
     out_deltas = np.empty(n, dtype=np.int64)
     counts = np.empty(2 * num_shards, dtype=np.int64)
-    scratch = np.empty(n, dtype=np.int64)
+    # The two-way path keeps shard ids in registers, not in scratch.
+    scratch = None if num_shards == 2 else np.empty(n, dtype=np.int64)
     lib.repro_partition(
         items.ctypes.data,
         deltas.ctypes.data,
@@ -930,6 +1170,6 @@ def partition_scatter(
         out_items.ctypes.data,
         out_deltas.ctypes.data,
         counts.ctypes.data,
-        scratch.ctypes.data,
+        None if scratch is None else scratch.ctypes.data,
     )
     return out_items, out_deltas, counts[:num_shards]

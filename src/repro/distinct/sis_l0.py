@@ -26,9 +26,10 @@ Engineering note -- two storage modes, one observable state:
 * **int64 dense mode** (``q^2 * n^eps < 2^63``, the
   :attr:`~repro.crypto.sis.SISMatrix.int64_compatible` regime): all chunk
   registers live in one ``(num_chunks, rows)`` int64 array and
-  ``process_batch`` is a fully vectorized scatter -- one fused
-  gather-multiply-accumulate pass through :mod:`repro.core.kernels` when
-  the compiled tier is available, else a chunk/offset split with per-row
+  ``process_batch`` is a fully vectorized scatter -- one native call on
+  the raw items through :mod:`repro.core.kernels` when the compiled tier
+  is available (validate, chunk/offset split, delta mod q, mod-q
+  gather-multiply-accumulate), else a chunk/offset split with per-row
   gather-multiply ``np.add.at`` and one mod over the touched rows --
   roughly 10x the throughput of the exact path at benchmark scale.
 * **exact mode** (paper-default ``q ~ n^3`` at large ``n``): a sparse dict
@@ -141,11 +142,14 @@ class SisL0Estimator(MergeableSketch, StreamAlgorithm):
             del self._sketches[chunk]
 
     def process_batch(self, items, deltas) -> None:
-        """Batch update: numpy chunk/offset split + per-chunk accumulation.
+        """Batch update: chunk/offset split + per-chunk accumulation.
 
-        Dense mode scatters the whole batch through the fused kernel
-        layer (one mod-q gather-multiply-accumulate pass) or, on the
-        numpy tier, with per-row ``np.add.at`` (splitting at the
+        Dense mode hands the raw batch to the fused kernel layer (one
+        native call validates the items, splits chunk/offset, reduces the
+        deltas mod q and accumulates mod q) or, on the numpy tier -- and
+        for a batch the kernel refused, which is how an out-of-universe
+        item reaches the ``ValueError`` below with nothing written --
+        scatters with per-row ``np.add.at`` (splitting at the
         matrix's int64 accumulation limit, never binding in practice)
         followed by one reduction of the touched chunk rows mod q.  Exact
         mode aggregates per-coordinate deltas first (the sketch map is
@@ -159,6 +163,15 @@ class SisL0Estimator(MergeableSketch, StreamAlgorithm):
             deltas = np.ascontiguousarray(deltas, dtype=np.int64)
             if items.size == 0:
                 return
+            q = self.params.modulus
+            if kernels.sis_update(
+                self._dense, items, deltas, self._cols64, q,
+                self.chunk_width, self.universe_size,
+            ):
+                # The fused kernel reduces mod q at every accumulation, so
+                # the registers it leaves behind equal the reference
+                # path's end-of-batch ``%= q`` sweep bit for bit.
+                return
             if int(items.min()) < 0:
                 raise ValueError("item must be non-negative")
             if int(items.max()) >= self.universe_size:
@@ -166,17 +179,9 @@ class SisL0Estimator(MergeableSketch, StreamAlgorithm):
                     f"item {int(items.max())} outside universe "
                     f"[0, {self.universe_size})"
                 )
-            q = self.params.modulus
             chunks = items // self.chunk_width
             offsets = items - chunks * self.chunk_width
             reduced = deltas % q  # numpy % matches Python %: residues in [0, q)
-            if kernels.sis_dense_scatter(
-                self._dense, chunks, offsets, reduced, self._cols64, q
-            ):
-                # The fused kernel reduces mod q at every accumulation, so
-                # the registers it leaves behind equal the reference
-                # path's end-of-batch ``%= q`` sweep bit for bit.
-                return
             for start in range(0, items.size, self._batch_limit):
                 sl = slice(start, start + self._batch_limit)
                 part_chunks = chunks[sl]

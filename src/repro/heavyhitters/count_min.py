@@ -108,21 +108,21 @@ class CountMinSketch(MergeableSketch, StreamAlgorithm):
         deltas = np.ascontiguousarray(deltas, dtype=np.int64)
         if items.size == 0:
             return
-        dmin, dmax = int(deltas.min()), int(deltas.max())
-        max_abs = max(abs(dmin), abs(dmax))
-        self._note_mass(max_abs * items.size)
+        stats = kernels.batch_stats(items, deltas)
+        self._note_mass(stats.max_abs_delta * items.size)
         if self.table.dtype == object:
             scatter = deltas.astype(object)
             self.total += sum(deltas.tolist())
         else:
-            self.total += int(deltas.sum(dtype=np.int64))
+            self.total += stats.deltas_sum
             if kernels.count_min_scatter(
-                self.table, items, deltas, self._row_a, self._row_b,
-                self.prime, unit_deltas=dmin == dmax == 1,
+                self.table, stats, self._row_a, self._row_b, self.prime
             ):
                 kernels.record_dispatch("count_min_scatter", "native")
                 return
-            scatter = deltas if dmin != dmax else dmin
+            scatter = (
+                deltas if stats.deltas_min != stats.deltas_max else stats.deltas_min
+            )
         kernels.record_dispatch("count_min_scatter", "numpy")
         for row, (a, b) in enumerate(self.row_params):
             # Division-free row hash; bit-identical to % prime % width.

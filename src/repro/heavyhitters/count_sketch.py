@@ -120,14 +120,12 @@ class CountSketch(MergeableSketch, StreamAlgorithm):
         deltas = np.ascontiguousarray(deltas, dtype=np.int64)
         if items.size == 0:
             return
-        dmin, dmax = int(deltas.min()), int(deltas.max())
-        max_abs = max(abs(dmin), abs(dmax))
-        self._note_mass(max_abs * items.size)
+        stats = kernels.batch_stats(items, deltas)
+        self._note_mass(stats.max_abs_delta * items.size)
         exact = self.table.dtype == object
         if not exact and kernels.count_sketch_scatter(
-            self.table, items, deltas, self._bucket_a, self._bucket_b,
+            self.table, stats, self._bucket_a, self._bucket_b,
             self._sign_a, self._sign_b, self.prime,
-            unit_deltas=dmin == dmax == 1,
         ):
             kernels.record_dispatch("count_sketch_scatter", "native")
             return

@@ -25,7 +25,9 @@ hash pass, an O(n) counting sort on the shard ids, and contiguous
 per-shard array views in stream order.  Three tiers, all bit-identical:
 
 * the **native kernel** (:func:`repro.core.kernels.partition_scatter`)
-  fuses hash + count + cumsum + stable scatter into three C passes;
+  fuses hash + count + cumsum + stable scatter into three C passes; two
+  shards (the top product bit) take a count pass and one scatter pass
+  with both write cursors in registers and no stored shard ids;
 * small shard counts use **bincount + per-shard gathers** (each
   ``flatnonzero`` pass emits one shard's positions already in stream
   order -- the counting-sort scatter run shard-major instead of

@@ -132,6 +132,10 @@ class SketchCoordinator:
         so a coordinator fleet partitions identically to a local fleet.
         Partitions map to servers through the ``routing`` table
         (identity until a migration remaps a dead server's partitions).
+        A :class:`~repro.service.server.SketchServer` seeds its own
+        default partitioner differently, so the servers' shard cuts are
+        independent of this one and every shard of every server gets
+        load.
     journal_every:
         Feed chunks between journal rotations (cache refresh + journal
         clear).  Smaller keeps less replay state in memory; larger

@@ -115,6 +115,14 @@ _obs_phase_seconds = _obs_phase_histogram()
 #: process (the coordinator tests host a whole fleet in-process).
 _SERVER_SEQ = itertools.count()
 
+#: Seed of a server's default partitioner.  A coordinator cuts the
+#: universe with a seed-0 partitioner, so a seed-0 cut behind it would
+#: only see items whose top hash bits already name the server: with
+#: power-of-two widths every server would feed just the shards whose
+#: bits match its own, leaving the rest idle.  Any other seed makes the
+#: two cuts independent.
+_SERVER_PARTITION_SEED = 1
+
 
 class ConnectionStats(RegistryStatsBase):
     """Per-connection counters (reported by the ``stats`` op).
@@ -221,9 +229,13 @@ class SketchServer:
         Zero-argument callable building one identically-seeded replica
         (the :class:`ShardedStreamEngine` contract).
     num_shards / backend / chunk_size / partitioner:
-        Passed to :class:`ShardedStreamEngine` unchanged
-        (``backend="process"`` puts a worker-process fleet behind the
-        socket).
+        Passed to :class:`ShardedStreamEngine` (``backend="process"``
+        puts a worker-process fleet behind the socket).  The default
+        partitioner is seeded apart from the seed-0 one a
+        :class:`~repro.service.coordinator.SketchCoordinator` routes
+        with, so a server behind a coordinator still spreads its part of
+        the universe over all of its shards.  The merged state, and so
+        every snapshot the server ships, does not depend on the cut.
     host / port:
         Listen address; port 0 picks a free port (read ``server.port``
         after :meth:`start`).
@@ -305,7 +317,8 @@ class SketchServer:
             factory,
             num_shards,
             chunk_size=chunk_size,
-            partitioner=partitioner,
+            partitioner=partitioner
+            or UniversePartitioner(num_shards, seed=_SERVER_PARTITION_SEED),
             backend=backend,
             supervise=supervise,
             snapshot_every=snapshot_every,
@@ -406,16 +419,18 @@ class SketchServer:
             await self.gateway.stop()
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         # Reap connection handlers still draining their sockets, so the
-        # event loop can close without orphaned tasks.  A connection
-        # accepted just before the close starts its handler while the
-        # first batch is being reaped, hence the loop.
-        while self._handler_tasks:
-            handlers = list(self._handler_tasks)
-            for task in handlers:
-                task.cancel()
-            await asyncio.gather(*handlers, return_exceptions=True)
+        # event loop can close without orphaned tasks; _accept closes any
+        # connection made from here on instead of starting a handler.
+        # This comes before wait_closed(): from Python 3.12.1 that waits
+        # until every connection is gone, and only a handler closes its
+        # connection.
+        handlers = list(self._handler_tasks)
+        for task in handlers:
+            task.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
         # Shutdown must not shed its own final checkpoint.
         self.queue_deadline = None
         if self._writer is not None and self._writer.last_position != self.position:
@@ -842,11 +857,19 @@ class SketchServer:
         raise ValueError(f"unknown op {op!r}")
 
     def _accept(self, frames: FrameProtocol) -> None:
+        if self._closed:
+            # Made after stop() began: no handler will ever own this
+            # connection.
+            frames.transport.close()
+            return
         task = asyncio.get_running_loop().create_task(
             self._handle_connection(frames)
         )
         self._handler_tasks.add(task)
         task.add_done_callback(self._handler_tasks.discard)
+        # A handler cancelled before its first step never reaches the
+        # finally that closes its connection.
+        task.add_done_callback(lambda _: frames.transport.close())
 
     async def _handle_connection(self, frames: FrameProtocol) -> None:
         key = self._connection_seq

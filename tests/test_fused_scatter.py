@@ -176,6 +176,95 @@ class TestCountSketchFused:
         assert np.array_equal(sketch.table, loop.table)
 
 
+#: The largest prime the native hash gate admits (``NATIVE_HASH_BOUND - 5``).
+EDGE_PRIME = next_prime(kernels.NATIVE_HASH_BOUND - 6)
+
+
+class TestHashEdge:
+    """The all-double row hash at the edge of ``NATIVE_HASH_BOUND``.
+
+    Items ``0`` and ``p - 1`` with coefficients near ``p`` push
+    ``a*x + b`` toward ``2**52``; the kernels must still match the int64
+    ``linear_hash_rows`` + ``np.add.at`` reference, for power-of-two and
+    odd widths alike.
+    """
+
+    @staticmethod
+    def _stream(seed):
+        rng = np.random.default_rng(seed)
+        items = np.concatenate(
+            [
+                [0, EDGE_PRIME - 1, 1, EDGE_PRIME - 2, 0, EDGE_PRIME - 1],
+                rng.integers(0, EDGE_PRIME, 3_001),
+            ]
+        ).astype(np.int64)
+        deltas = rng.integers(-6, 7, items.size, dtype=np.int64)
+        return items, deltas
+
+    @pytest.mark.parametrize("width", [1024, 999])
+    def test_sketches_match_reference(self, width):
+        items, deltas = self._stream(width)
+        cm = CountMinSketch(EDGE_PRIME - 1, width=width, depth=4, seed=5)
+        cs = CountSketch(EDGE_PRIME - 1, width=width, depth=3, seed=5)
+        assert cm.prime == cs.prime == EDGE_PRIME
+        assert next_prime(EDGE_PRIME + 1) >= kernels.NATIVE_HASH_BOUND
+        cm.process_batch(items, deltas)
+        cs.process_batch(items, deltas)
+        assert np.array_equal(cm.table, _reference_count_min(cm, items, deltas))
+        assert np.array_equal(cs.table, _reference_count_sketch(cs, items, deltas))
+        estimates = cm.estimate_batch(items)
+        rows = [
+            cm.table[r, linear_hash_rows(items, a, b, cm.prime, cm.width)]
+            for r, (a, b) in enumerate(cm.row_params)
+        ]
+        assert np.array_equal(estimates, np.min(rows, axis=0))
+
+    @pytest.mark.parametrize("width", [1 << 16, 65_521, 49])
+    def test_extreme_coefficients(self, width):
+        """``a = b = p - 1`` on item ``p - 1`` is the largest intermediate;
+        the row ``x -> x - 1`` sends items ``k*width + 1`` to exact
+        multiples of the width, where a quotient one short is wrong."""
+        items, deltas = self._stream(7)
+        items[-8:] = width * np.arange(1, 9) + 1
+        stats = kernels.batch_stats(items, deltas)
+        p = EDGE_PRIME
+        a = np.array([p - 1, p - 2, 1, 12_345_679], dtype=np.int64)
+        b = np.array([p - 1, 0, p - 1, 31_337], dtype=np.int64)
+        sign_a, sign_b = a[::-1].copy(), b[::-1].copy()
+        reference = np.zeros((a.size, width), dtype=np.int64)
+        signed_reference = np.zeros_like(reference)
+        for row in range(a.size):
+            cells = linear_hash_rows(items, int(a[row]), int(b[row]), p, width)
+            signs = 1 - 2 * (((sign_a[row] * items + sign_b[row]) % p) % 2)
+            np.add.at(reference[row], cells, deltas)
+            np.add.at(signed_reference[row], cells, signs * deltas)
+        table = np.zeros_like(reference)
+        signed = np.zeros_like(reference)
+        applied = kernels.count_min_scatter(table, stats, a, b, p)
+        assert applied == kernels.native_kernels_available()
+        assert applied == kernels.count_sketch_scatter(
+            signed, stats, a, b, sign_a, sign_b, p
+        )
+        if applied:
+            assert np.array_equal(table, reference)
+            assert np.array_equal(signed, signed_reference)
+            estimates = kernels.count_min_estimate(table, items, a, b, p)
+            rows = [
+                table[r, linear_hash_rows(items, int(a[r]), int(b[r]), p, width)]
+                for r in range(a.size)
+            ]
+            assert np.array_equal(estimates, np.min(rows, axis=0))
+
+    def test_batch_stats_match_numpy(self):
+        items, deltas = self._stream(3)
+        stats = kernels.batch_stats(items, deltas)
+        assert (stats.items_min, stats.items_max) == (0, EDGE_PRIME - 1)
+        assert stats.deltas_min == int(deltas.min())
+        assert stats.deltas_max == int(deltas.max())
+        assert stats.deltas_sum == int(deltas.sum())
+        assert stats.items is items and stats.deltas is deltas
+
+
 class TestSisDenseFused:
     def _params(self):
         return SISParams(rows=6, cols=50, modulus=next_prime(1 << 18), beta=1e9)
@@ -207,6 +296,52 @@ class TestSisDenseFused:
         fused.process_batch(items, deltas)
         assert int(fused._dense.min()) >= 0
         assert int(fused._dense.max()) < self._params().modulus
+
+    @pytest.mark.parametrize(
+        "bad_items, message",
+        [
+            ([5, 10_000, 7], r"item 10000 outside universe \[0, 10000\)"),
+            ([5, -1, 7], "item must be non-negative"),
+        ],
+    )
+    def test_out_of_range_item_refused_unchanged(self, bad_items, message):
+        """A bad item anywhere in the batch writes nothing, on both tiers."""
+        sketch = SisL0Estimator(10_000, params=self._params(), seed=6)
+        rng = np.random.default_rng(9)
+        sketch.process_batch(
+            rng.integers(0, 10_000, 500, dtype=np.int64),
+            rng.integers(-3, 4, 500, dtype=np.int64),
+        )
+        before = sketch._dense.copy()
+        bad = np.array(bad_items, dtype=np.int64)
+        with pytest.raises(ValueError, match=message):
+            sketch.process_batch(bad, np.ones(bad.size, dtype=np.int64))
+        assert np.array_equal(sketch._dense, before)
+        assert not kernels.sis_update(
+            sketch._dense, bad, np.ones(bad.size, dtype=np.int64),
+            sketch._cols64, sketch.params.modulus, sketch.chunk_width,
+            sketch.universe_size,
+        )
+        assert np.array_equal(sketch._dense, before)
+
+    def test_negative_and_huge_deltas_reduce_like_python_mod(self):
+        big = 1 << 52
+        deltas = np.array(
+            [-1, -8, big, -big, big + 12_345, -(1 << 62), (1 << 63) - 1,
+             -(1 << 63), 3 * self._params().modulus, 0],
+            dtype=np.int64,
+        )
+        items = np.arange(deltas.size, dtype=np.int64) * 997
+        fused = SisL0Estimator(10_000, params=self._params(), seed=6)
+        fused.process_batch(items, deltas)
+        loop = SisL0Estimator(10_000, params=self._params(), seed=6)
+        for update in updates_from_arrays(items, deltas):
+            loop.process(update)
+        exact = SisL0Estimator(
+            10_000, params=self._params(), seed=6, force_exact=True
+        )
+        exact.process_batch(items, deltas)
+        assert fused.sketches == loop.sketches == exact.sketches
 
 
 class TestScatterAdd:
@@ -304,26 +439,39 @@ class TestCountingSortPartitioner:
                 # Stream order within a shard: deltas strictly increasing.
                 assert np.all(np.diff(part[1][mask]) > 0) or mask.sum() <= 1
 
-    def test_all_one_shard_skew(self):
-        partitioner = UniversePartitioner(8, seed=0)
-        items = np.full(5_000, 777, dtype=np.int64)
-        deltas = np.arange(5_000, dtype=np.int64)
+    @pytest.mark.parametrize("num_shards", [2, 8])
+    def test_all_one_shard_skew(self, num_shards):
+        partitioner = UniversePartitioner(num_shards, seed=0)
+        items = np.full(5_001, 777, dtype=np.int64)
+        deltas = np.arange(5_001, dtype=np.int64)
         parts = partitioner.split(items, deltas)
         populated = [p for p in parts if p is not None]
         assert len(populated) == 1
         assert np.array_equal(populated[0][0], items)
         assert np.array_equal(populated[0][1], deltas)
 
-    def test_empty_and_singleton(self):
-        partitioner = UniversePartitioner(4, seed=2)
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    def test_empty_and_singleton(self, num_shards):
+        partitioner = UniversePartitioner(num_shards, seed=2)
         parts = partitioner.split(
             np.array([], dtype=np.int64), np.array([], dtype=np.int64)
         )
-        assert parts == [None, None, None, None]
+        assert parts == [None] * num_shards
         parts = partitioner.split(
             np.array([5], dtype=np.int64), np.array([1], dtype=np.int64)
         )
         assert sum(p is not None for p in parts) == 1
+        rng = np.random.default_rng(num_shards)
+        for size in (3, 7, 1_001):
+            items = rng.integers(0, 1 << 40, size, dtype=np.int64)
+            deltas = np.arange(size, dtype=np.int64)
+            got = partitioner.split(items, deltas)
+            want = self._argsort_reference(partitioner, items, deltas)
+            for g, w in zip(got, want):
+                assert (g is None) == (w is None)
+                if g is not None:
+                    assert np.array_equal(g[0], w[0])
+                    assert np.array_equal(g[1], w[1])
 
 
 def _unaligned(array):
@@ -388,15 +536,17 @@ class TestUnalignedOperands:
         assert aligned.sketches == unaligned.sketches
         assert aligned.query() == unaligned.query()
         # The entry point itself refuses an unaligned operand.
-        chunks = items // unaligned.chunk_width
-        assert not kernels.sis_dense_scatter(
+        before = unaligned._dense.copy()
+        assert not kernels.sis_update(
             unaligned._dense,
-            _unaligned(chunks),
-            items - chunks * unaligned.chunk_width,
-            deltas % params.modulus,
+            _unaligned(items),
+            deltas,
             unaligned._cols64,
             params.modulus,
+            unaligned.chunk_width,
+            unaligned.universe_size,
         )
+        assert np.array_equal(unaligned._dense, before)
 
     def test_partitioner_matches_aligned_copies(self, dispatches):
         items, deltas = self._stream(1 << 30)

@@ -20,6 +20,7 @@ import hashlib
 import os
 import socket
 import struct
+import threading
 import time
 
 import numpy as np
@@ -590,8 +591,6 @@ class TestServerExactness:
         four sub-streams in, the final state must equal one serial engine
         fed the concatenation.
         """
-        import threading
-
         items, deltas = stream(2, 40_000)
         reference = serial_reference(count_min_factory, items, deltas)
         server = SketchServer(
@@ -671,6 +670,28 @@ class TestServerExactness:
                 assert info["sketch"].endswith("CountMinSketch")
                 assert info["fingerprint"] == srv.fingerprint
                 assert info["num_shards"] == 3
+
+    def test_stop_with_an_idle_client_connected(self):
+        """From Python 3.12.1 ``wait_closed()`` waits for every open
+        connection, so ``stop()`` reaps the handlers that own them first;
+        otherwise the server thread outlives ``run_in_thread``'s join."""
+        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        hosted = server.run_in_thread()
+        before = set(threading.enumerate())
+        srv = hosted.__enter__()
+        loop_threads = [
+            thread
+            for thread in threading.enumerate()
+            if thread not in before and thread.name == "sketch-server"
+        ]
+        assert len(loop_threads) == 1
+        with SketchClient.connect("127.0.0.1", srv.port) as client:
+            client.ping()
+            started = time.monotonic()
+            hosted.__exit__(None, None, None)
+            elapsed = time.monotonic() - started
+        assert elapsed < 5.0
+        assert not loop_threads[0].is_alive()
 
 
 # -- application errors leave the connection usable --------------------------
@@ -877,6 +898,37 @@ class TestCoordinator:
 
         with f1.run_in_thread(), f2.run_in_thread():
             self.run(recovery())
+
+    def test_two_by_two_fleet_loads_every_shard(self):
+        """Servers cut their part of the universe independently of the
+        coordinator's cut, so each of a 2x2 fleet's servers feeds both
+        of its shards -- and the fleet still matches the serial engine."""
+        items, deltas = stream(21)
+        reference = serial_reference(count_min_factory, items, deltas)
+        servers = [
+            SketchServer(count_min_factory, num_shards=2, chunk_size=CHUNK)
+            for _ in range(2)
+        ]
+
+        async def scenario():
+            coordinator = SketchCoordinator(
+                count_min_factory,
+                [("127.0.0.1", server.port) for server in servers],
+            )
+            await coordinator.connect()
+            await coordinator.feed_chunks(chunked(items, deltas))
+            stats = await coordinator.stats()
+            merged = await coordinator.merged()
+            await coordinator.close()
+            return stats, merged
+
+        with servers[0].run_in_thread(), servers[1].run_in_thread():
+            stats, merged = self.run(scenario())
+        for server_stats in stats:
+            loads = server_stats["shard_loads"]
+            assert len(loads) == 2
+            assert min(loads) > 0.4 * sum(loads), loads
+        assert merged.snapshot() == reference.snapshot()
 
     def test_mis_seeded_server_rejected_at_connect(self):
         good = SketchServer(count_min_factory, chunk_size=CHUNK)

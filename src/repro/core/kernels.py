@@ -903,6 +903,22 @@ class BatchStats(NamedTuple):
         """The largest ``|delta|``: ``n`` times it bounds the batch's mass."""
         return max(abs(self.deltas_min), abs(self.deltas_max))
 
+    def delta_mass(self) -> int:
+        """The batch's exact ``sum(|delta|)``, what the per-update path
+        absorbs one update at a time, so state that records it does not
+        depend on how a stream was cut into batches.
+
+        Constant deltas take ``|delta| * n`` with no pass; mixed ones one
+        int64 reduction while ``max|delta| * n`` fits, exact Python ints
+        past that.
+        """
+        n = self.items.size
+        if self.deltas_min == self.deltas_max:
+            return abs(self.deltas_min) * n
+        if self.max_abs_delta * n < 1 << 63:
+            return int(np.abs(self.deltas).sum())
+        return sum(abs(delta) for delta in self.deltas.tolist())
+
     @property
     def unit_deltas(self) -> bool:
         """Whether every delta is 1 (the kernels then skip the deltas)."""

@@ -70,7 +70,7 @@ class CountMinSketch(MergeableSketch, StreamAlgorithm):
         self.table = np.zeros((depth, width), dtype=np.int64)
         self.total = 0
         self._vectorizable = self.prime < INT64_HASH_BOUND
-        self._absorbed_mass = 0  # running |delta| upper bound, see _note_mass
+        self._absorbed_mass = 0  # running sum of |delta|, see _note_mass
 
     def _cell(self, row: int, item: int) -> int:
         a, b = self.row_params[row]
@@ -79,9 +79,11 @@ class CountMinSketch(MergeableSketch, StreamAlgorithm):
     def _note_mass(self, amount: int) -> None:
         """Account absorbed |delta| mass; promote to exact arithmetic.
 
-        No cell magnitude can exceed the total absorbed mass, so while it
-        stays below ``INT64_SAFE_MASS`` the int64 table cannot wrap; past
-        that the table becomes an object array of exact Python ints (same
+        The mass is the exact sum of |delta|, however the stream was
+        batched: it rides in the snapshot, whose bytes must not depend on
+        the batching.  No cell magnitude can exceed it, so while it stays
+        below ``INT64_SAFE_MASS`` the int64 table cannot wrap; past that
+        the table becomes an object array of exact Python ints (same
         values, slower -- only huge-coefficient streams ever get here).
         """
         self._absorbed_mass += amount
@@ -109,7 +111,7 @@ class CountMinSketch(MergeableSketch, StreamAlgorithm):
         if items.size == 0:
             return
         stats = kernels.batch_stats(items, deltas)
-        self._note_mass(stats.max_abs_delta * items.size)
+        self._note_mass(stats.delta_mass())
         if self.table.dtype == object:
             scatter = deltas.astype(object)
             self.total += sum(deltas.tolist())

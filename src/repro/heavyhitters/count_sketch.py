@@ -121,7 +121,7 @@ class CountSketch(MergeableSketch, StreamAlgorithm):
         if items.size == 0:
             return
         stats = kernels.batch_stats(items, deltas)
-        self._note_mass(stats.max_abs_delta * items.size)
+        self._note_mass(stats.delta_mass())
         exact = self.table.dtype == object
         if not exact and kernels.count_sketch_scatter(
             self.table, stats, self._bucket_a, self._bucket_b,

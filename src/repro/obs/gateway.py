@@ -149,6 +149,7 @@ class ObservabilityGateway:
             "HTTP requests served by the observability gateway",
         )
         self._server: Optional[asyncio.base_events.Server] = None
+        self._handlers: set[asyncio.Task] = set()
         self._closed = False
 
     # -- lifecycle ----------------------------------------------------------
@@ -164,12 +165,20 @@ class ObservabilityGateway:
         return self
 
     async def stop(self) -> None:
-        """Stop accepting and close the listening socket."""
+        """Stop accepting, end every open connection, close the socket."""
         if self._closed:
             return
         self._closed = True
         if self._server is not None:
             self._server.close()
+        # Reap the handlers before wait_closed(): from Python 3.12.1 that
+        # waits until every connection is gone, and a handler holds an
+        # idle client's connection for its whole read timeout.
+        handlers = list(self._handlers)
+        for task in handlers:
+            task.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
 
     @contextlib.contextmanager
@@ -243,7 +252,11 @@ class ObservabilityGateway:
         return 404, _JSON_TYPE, body.encode("utf-8")
 
     async def _handle(self, reader, writer) -> None:
+        task = asyncio.current_task()
+        self._handlers.add(task)
         try:
+            if self._closed:
+                return  # accepted while stop() ran
             request_line = await asyncio.wait_for(
                 reader.readline(), timeout=10.0
             )
@@ -296,6 +309,7 @@ class ObservabilityGateway:
         except asyncio.CancelledError:
             pass
         finally:
+            self._handlers.discard(task)
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()

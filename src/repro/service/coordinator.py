@@ -24,7 +24,7 @@ the caller replays the stream tail from the returned position.
 Failover
 --------
 The coordinator keeps a per-server snapshot cache (seeded at
-``connect``, refreshed by every successful :meth:`merged` fan-in, every
+``connect``, refreshed by every :meth:`merged` read that rebuilds, every
 ``journal_every``-chunk rotation, and the :meth:`readmit` /
 :meth:`migrate_server` hand-offs) plus a per-server *journal* of update
 slices acknowledged since the last cache refresh.  Cache plus journal is
@@ -36,10 +36,36 @@ with it: a random per-instance epoch plus a count of applied feeds and
 snapshot loads.  Every refresh sends that version as ``snapshot``'s
 ``unless``, and a server still at it replies with the version alone --
 no merge, encode or transfer.  The merged view :meth:`merged` hands out
-is keyed on the active servers' versions, so a read after no change
-anywhere reuses it outright.  Because the *server* issues the version,
-anything that changes a server's state invalidates the view: writes by
-other clients, a restart (new epoch), :meth:`recover`, a migration.
+is keyed on the versions it reflects, and a read ends in one of three
+ways, recorded in ``last_read["view"]``:
+
+* ``"reused"`` -- no active server changed since the view was made, so
+  it is handed out again;
+* ``"folded"`` -- the coordinator's own feeds are the only change.
+  Each server is asked for its state unless it is at its *predicted*
+  version: the cached version plus one mutation per journaled slice (a
+  server bumps its count once per applied feed).  When every server
+  answers with its version alone, each holds exactly cache plus
+  journal, so a copy of the view fed the journaled slices it does not
+  hold yet is the fleet's state: nothing is encoded, shipped, restored
+  or merged.  The fold is exact because a view only ever holds each
+  server's cache plus a prefix of its journal, and because every
+  mergeable family's state, snapshot bytes included, depends on the
+  updates alone and not on how they were batched or sharded (the
+  batch- and shard-equivalence tests pin the bytes);
+* ``"rebuilt"`` -- anything else: a write by another client, a restart
+  (new epoch), :meth:`recover`, a migration or readmission, a slice a
+  server rejected, a journal rotation, or more updates to fold than the
+  server's cached state has cells (its snapshot's length over 8), where
+  repeating the servers' work per update costs more than pulling their
+  cells.  Changed servers ship their bytes, and the view is rebuilt
+  from the cache.
+
+Because the *server* issues the version, nothing that changes a
+server's state behind the coordinator's back can pass for a match.  A
+fold leaves the cache, its versions and the journal alone: readmission,
+migration and degraded reads rely on cache plus journal being each
+server's exact acknowledged state.
 
 When a server is down, :meth:`merged` *degrades* instead of failing:
 the dead server contributes its cached snapshot, the read is annotated
@@ -93,10 +119,14 @@ from repro.obs import (
 )
 from repro.parallel.partition import UniversePartitioner
 from repro.service.client import AsyncSketchClient
-from repro.service.protocol import ProtocolError
+from repro.service.protocol import ProtocolError, ServerBusy
 from repro.service.retry import RetryPolicy, count_retry
 
 __all__ = ["SketchCoordinator"]
+
+#: Feed failures worth resending: the slice may not have reached the
+#: engine.  Anything else is the engine's answer to the slice itself.
+_TRANSIENT = (OSError, ProtocolError, ServerBusy)
 
 _obs_registry = _get_obs_registry()
 _obs_degraded = _obs_registry.counter(
@@ -191,18 +221,21 @@ class SketchCoordinator:
         self._versions: list[Optional[tuple]] = [None] * len(self.addresses)
         self._snapshot_positions: list[int] = [0] * len(self.addresses)
         #: The merged view :meth:`merged` hands out, keyed on the
-        #: ``(index, version)`` pairs of the snapshots it was built from,
+        #: ``(index, version)`` pairs of the server states it reflects,
         #: and the restore twin every rebuild reuses.
         self._view: Optional[StreamAlgorithm] = None
         self._view_key: Optional[tuple] = None
         self._twin: Optional[StreamAlgorithm] = None
         #: Annotation of the most recent :meth:`merged` fan-in:
-        #: ``{"degraded", "stale", "stale_positions", "position"}``.
+        #: ``{"degraded", "stale", "stale_positions", "position",
+        #: "view"}``; ``view`` is ``"reused"``, ``"folded"`` or
+        #: ``"rebuilt"``.
         self.last_read: dict = {
             "degraded": False,
             "stale": [],
             "stale_positions": {},
             "position": 0,
+            "view": None,
         }
         #: Per-server health from the last :meth:`health` sweep.
         self.server_health: list[dict] = []
@@ -319,12 +352,16 @@ class SketchCoordinator:
 
         Slices are sequenced under the coordinator's per-server client
         identity and retried under the connect policy: transient
-        failures (reset connections, ``busy`` sheds) back off and resend
-        the same sequence numbers, and every retry re-resolves the
-        routing table -- so a slice whose owner died mid-batch replays
-        against the server its partitions migrated to.  Backoff sleeps
-        happen outside the feed lock, so a stuck slice never blocks the
-        fan-in or a migration that would unstick it.
+        failures (connection errors, protocol errors, ``busy`` sheds)
+        back off and resend the same sequence numbers, and every retry
+        re-resolves the routing table -- so a slice whose owner died
+        mid-batch replays against the server its partitions migrated to.
+        Backoff sleeps happen outside the feed lock, so a stuck slice
+        never blocks the fan-in or a migration that would unstick it.
+        Any other failure -- a server whose engine rejected its slice --
+        raises once this attempt's acknowledged slices are journaled,
+        without a resend: the server answers a resend of a rejected
+        slice with the same error, never with an ack.
         """
         clients = self._require_clients()
         items = np.ascontiguousarray(items, dtype=np.int64)
@@ -381,8 +418,11 @@ class SketchCoordinator:
                     ),
                     return_exceptions=True,
                 )
+                rejected: Optional[BaseException] = None
                 for (owner, entry), result in zip(sends, results):
                     if isinstance(result, BaseException):
+                        if not isinstance(result, _TRANSIENT):
+                            rejected = rejected or result
                         last_error = result
                         continue
                     for partition in entry[1]:
@@ -390,6 +430,8 @@ class SketchCoordinator:
                     self._journals[owner].append((entry[2], entry[3]))
                     self.routed_updates[owner] += int(entry[2].size)
                     reservations.pop(owner, None)
+                if rejected is not None:
+                    raise rejected
             if not pending:
                 break
             if schedule is None:
@@ -434,7 +476,7 @@ class SketchCoordinator:
                 return_exceptions=True,
             )
 
-    async def _pull(self, index: int) -> None:
+    async def _pull(self, index: int, predicted: Optional[tuple] = None) -> bool:
         """Refresh server ``index``'s cache entry from its live state.
 
         Sends the cached version as ``unless``: a server whose state has
@@ -442,13 +484,61 @@ class SketchCoordinator:
         bytes stand.  Either way the cache now equals the server's
         state, so the journal of slices since the last refresh is
         dropped.  A failed request leaves the entry untouched.
+
+        With ``predicted`` -- the cached version plus one mutation per
+        journaled slice -- ``unless`` is that instead, and a server at
+        it answers with its version alone: it holds exactly cache plus
+        journal, so entry and journal stand and this returns ``True``.
+        Any other answer refreshes the entry as above.
         """
-        reply = await self.clients[index].snapshot(unless=self._versions[index])
+        unless = self._versions[index] if predicted is None else predicted
+        reply = await self.clients[index].snapshot(unless=unless)
+        if predicted is not None and reply["snapshot"] is None:
+            return True
         if reply["snapshot"] is not None:
             self._snapshots[index] = reply["snapshot"]
         self._versions[index] = reply["version"]
         self._snapshot_positions[index] = self.position
         self._journals[index].clear()
+        return False
+
+    def _predicted(self, index: int) -> tuple:
+        """The version server ``index`` holds if it applied exactly the
+        journaled slices since its cache entry: a server bumps its
+        mutation count once per applied feed."""
+        epoch, mutations = self._versions[index]
+        return (epoch, mutations + len(self._journals[index]))
+
+    def _fold_plan(self, active: list[int]) -> Optional[dict[int, int]]:
+        """Per active server, how many of its journaled slices the view
+        already holds -- or ``None`` when this read cannot fold.
+
+        It cannot when there is no view, when the view is not every
+        active server's cache plus a prefix of its journal, or when some
+        server's slices still to fold hold more updates than its cached
+        state has cells (the snapshot's length over 8 stands in for the
+        cell count): folding repeats the servers' work per update, a
+        pull costs per cell.
+        """
+        if self._view is None:
+            return None
+        held = dict(self._view_key)
+        if list(held) != active:
+            return None
+        plan = {}
+        for index in active:
+            cached, version = self._versions[index], held[index]
+            if cached is None or version[0] != cached[0]:
+                return None
+            start = version[1] - cached[1]
+            journal = self._journals[index]
+            if not 0 <= start <= len(journal):
+                return None
+            pending = sum(len(items) for items, _ in journal[start:])
+            if pending > len(self._snapshots[index]) // 8:
+                return None
+            plan[index] = start
+        return plan
 
     # -- fan-in: the wire merge --------------------------------------------
 
@@ -456,14 +546,24 @@ class SketchCoordinator:
         """One sketch equal to a single engine fed the whole stream.
 
         Asks every active server concurrently for its merged snapshot
-        *unless* its state version still equals the cached one, so an
-        unchanged server ships no bytes.  When every active server's
-        version matches the ones the current view was built from, that
-        view is returned as is: no restore, merge or copy.  Otherwise a
-        fresh view is built from the cached bytes -- a deep copy of the
-        local template, ``restore`` for the first payload, merges
-        through one reused restore twin for the rest, exactly the
-        :meth:`ShardedAlgorithm.merged` fan-in with TCP in the middle.
+        *unless* its state version is the expected one, so an unchanged
+        server ships no bytes, and ends in one of three ways (see
+        "Failover" in the module docstring; ``last_read["view"]``
+        records which):
+
+        * ``"reused"`` -- the current view already reflects every
+          server's version: no restore, merge or copy;
+        * ``"folded"`` -- the view is each server's cache plus a prefix
+          of its journal, the updates left to fold are no more than each
+          server's cached state has cells, and every server answers at
+          its predicted version: a copy of the view is fed the
+          journaled slices it lacks;
+        * ``"rebuilt"`` -- otherwise: a fresh view from the cached
+          bytes, which changed servers refreshed -- a deep copy of the
+          local template, ``restore`` for the first payload, merges
+          through one reused restore twin for the rest, exactly the
+          :meth:`ShardedAlgorithm.merged` fan-in with TCP in the middle.
+
         Servers whose partitions migrated away are skipped entirely
         (their state lives on, and is counted by, the destination
         server).
@@ -490,25 +590,34 @@ class SketchCoordinator:
                 for index in range(len(clients))
                 if index not in self._migrated
             ]
-            results = await asyncio.gather(
-                *(self._pull(index) for index in active),
-                return_exceptions=True,
-            )
-            stale: list[int] = []
-            for index, result in zip(active, results):
-                if isinstance(result, BaseException):
-                    if (
-                        not allow_degraded
-                        or self._snapshots[index] is None
+            results: dict[int, object] = {}
+            plan = self._fold_plan(active)
+            if plan is not None:
+                predicted = {index: self._predicted(index) for index in active}
+                results = await self._pull_all(active, predicted)
+            if plan is not None and all(result is True for result in results.values()):
+                outcome = self._fold(plan, predicted)
+            else:
+                # Pull every server not asked yet, and every one that
+                # matched but holds its journal on top of its cached bytes.
+                refresh = [
+                    index
+                    for index in active
+                    if index not in results
+                    or (results[index] is True and self._journals[index])
+                ]
+                results.update(await self._pull_all(refresh))
+                for index in active:
+                    if isinstance(results[index], BaseException) and (
+                        not allow_degraded or self._snapshots[index] is None
                     ):
-                        raise result
-                    stale.append(index)
-            key = tuple((index, self._versions[index]) for index in active)
-            if key != self._view_key:
-                self._view = self._build_view(
-                    [self._snapshots[index] for index in active]
-                )
-                self._view_key = key
+                        raise results[index]
+                outcome = self._rebuild(active)
+            stale = [
+                index
+                for index in active
+                if isinstance(results.get(index), BaseException)
+            ]
         self.last_read = {
             "degraded": bool(stale),
             "stale": stale,
@@ -516,12 +625,61 @@ class SketchCoordinator:
                 index: self._snapshot_positions[index] for index in stale
             },
             "position": self.position,
+            "view": outcome,
         }
         if stale:
             self.degraded_reads += 1
             if _obs_registry.enabled:
                 _obs_degraded.add(1, servers=str(len(stale)))
         return self._view
+
+    async def _pull_all(
+        self, indices: list[int], predicted: Optional[dict] = None
+    ) -> dict[int, object]:
+        """:meth:`_pull` every server in ``indices`` concurrently; maps
+        each index to its result or its exception."""
+        predicted = predicted or {}
+        results = await asyncio.gather(
+            *(self._pull(index, predicted.get(index)) for index in indices),
+            return_exceptions=True,
+        )
+        return dict(zip(indices, results))
+
+    def _fold(self, plan: dict[int, int], predicted: dict[int, tuple]) -> str:
+        """Advance the view by the journaled slices it does not hold yet.
+
+        Every active server answered at its predicted version, so each
+        holds exactly its cache plus its journal, and the view plus the
+        slices it lacks is the fleet's state.  The slices go through
+        ``process_batch`` into a copy (a handed-out view never changes),
+        and ``updates_processed`` advances as ``feed_batch`` would
+        advance it; the update metrics are not recorded again, the
+        servers counted these updates when they applied them.
+        """
+        slices = [
+            piece
+            for index, start in plan.items()
+            for piece in self._journals[index][start:]
+        ]
+        if not slices:
+            return "reused"
+        view = copy.deepcopy(self._view)
+        for items, deltas in slices:
+            view.process_batch(items, deltas)
+            view.updates_processed += len(items)
+        self._view = view
+        self._view_key = tuple(predicted.items())
+        return "folded"
+
+    def _rebuild(self, active: list[int]) -> str:
+        """Reuse the view if it was built from exactly the cached
+        versions, or build a new one from the cached bytes."""
+        key = tuple((index, self._versions[index]) for index in active)
+        if key == self._view_key:
+            return "reused"
+        self._view = self._build_view([self._snapshots[index] for index in active])
+        self._view_key = key
+        return "rebuilt"
 
     def _build_view(self, snapshots: list[bytes]) -> StreamAlgorithm:
         """A new sketch holding the merge of ``snapshots``.

@@ -123,6 +123,11 @@ _SERVER_SEQ = itertools.count()
 #: two cuts independent.
 _SERVER_PARTITION_SEED = 1
 
+#: Failed sequenced feeds remembered per client.  A client resends only
+#: its unacknowledged window (``DEFAULT_WINDOW`` frames by default), so
+#: the newest few cover every resend.
+_FAILED_FEEDS_KEPT = 64
+
 
 class ConnectionStats(RegistryStatsBase):
     """Per-connection counters (reported by the ``stats`` op).
@@ -343,6 +348,11 @@ class SketchServer:
         #: (documented caveat -- resuming clients replay from their
         #: server-acknowledged positions anyway).
         self._feed_seqs: dict = {}
+        #: Per-client ``seq -> error`` of sequenced feeds whose apply
+        #: raised.  A resend of one raises that error again: acking it
+        #: would claim updates the engine rejected, and applying it again
+        #: could double whatever part of the batch went in.
+        self._failed_feeds: dict[str, dict[int, Exception]] = {}
         #: State version ``(epoch, mutations)``: a random per-instance
         #: epoch, so a restarted server never repeats an earlier
         #: instance's version, and a count the engine thread bumps on
@@ -534,6 +544,9 @@ class SketchServer:
             last = self._feed_seqs.get(client_id)
             if last is not None:
                 if seq <= last:
+                    failed = self._failed_feeds.get(client_id, {}).get(seq)
+                    if failed is not None:
+                        raise failed.with_traceback(None)
                     return self.position, True  # duplicate: ack, don't apply
                 if seq > last + 1:
                     raise SequenceGap(
@@ -545,7 +558,15 @@ class SketchServer:
         # Bumped before applying: a batch that fails halfway may still
         # have changed the state.
         self._mutations += 1
-        self.engine.algorithm.process_batch(items, deltas)
+        try:
+            self.engine.algorithm.process_batch(items, deltas)
+        except Exception as exc:
+            if client_id is not None:
+                failed = self._failed_feeds.setdefault(client_id, {})
+                failed[seq] = exc
+                if len(failed) > _FAILED_FEEDS_KEPT:
+                    del failed[next(iter(failed))]
+            raise
         self.position += len(items)
         if self._writer is not None and self._writer.maybe(self.position):
             self.stats.bump(checkpoints=1)

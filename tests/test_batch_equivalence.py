@@ -11,6 +11,7 @@ import random
 
 import numpy as np
 import pytest
+from test_shard_equivalence import SKETCHES, skewed_updates
 
 from repro.core.engine import StreamEngine
 from repro.core.stream import Update, updates_from_arrays, updates_to_arrays
@@ -137,6 +138,24 @@ class TestMomentsDistinctEquivalence:
         assert loop_alg.sketches == batch_alg.sketches
         assert loop_alg.query() == batch_alg.query()
         assert_same_view(loop_alg, batch_alg)
+
+
+class TestSnapshotBytesInvariance:
+    """The snapshot, not only the state view, is independent of batching:
+    a fleet's snapshot must equal a serial engine's byte for byte."""
+
+    @pytest.mark.parametrize("chunk_size", [64, 1000, 4000])
+    @pytest.mark.parametrize("name", sorted(SKETCHES))
+    def test_snapshot_bytes_equal_the_loop(self, name, chunk_size):
+        make, config = SKETCHES[name]
+        updates = skewed_updates(
+            config["universe"],
+            4000,
+            seed=53,
+            insertions_only=config["insertions_only"],
+        )
+        loop_alg, batch_alg = drive_pair(make, updates, chunk_size=chunk_size)
+        assert loop_alg.snapshot() == batch_alg.snapshot()
 
 
 class TestChunkSizeInvariance:

@@ -27,6 +27,7 @@ double-applies even one update changes the bytes.
 """
 
 import asyncio
+import contextlib
 import multiprocessing
 import os
 import threading
@@ -38,6 +39,7 @@ from client_transports import connect
 
 from repro import obs
 from repro.core.engine import StreamEngine
+from repro.distinct.sis_l0 import SisL0Estimator
 from repro.heavyhitters.count_min import CountMinSketch
 from repro.obs import WORKER_RESTARTS_METRIC
 from repro.service import (
@@ -81,6 +83,13 @@ def _force_obs_on():
 
 def count_min_factory():
     return CountMinSketch(universe_size=UNIVERSE, depth=4, width=512, seed=7)
+
+
+SIS_UNIVERSE = 512
+
+
+def sis_factory():
+    return SisL0Estimator(SIS_UNIVERSE, eps=0.5, c=0.25, seed=37)
 
 
 def stream(seed, length):
@@ -286,6 +295,29 @@ class TestExactlyOnceFeeds:
                             seq="one",
                         )
                     )
+
+    def test_resend_of_a_rejected_feed_gets_its_error_again(self):
+        """A sequenced feed whose apply raised is never acked: not as
+        sent, and not as a duplicate when resent; nor is it re-applied."""
+        good = np.arange(40, dtype=np.int64)
+        ones = np.ones(40, dtype=np.int64)
+        bad = np.array([1, 2, SIS_UNIVERSE + 5, 3], dtype=np.int64)
+        server = SketchServer(sis_factory)
+        with server.run_in_thread():
+            with connect(
+                self.transport, "127.0.0.1", server.port, client_id="c1"
+            ) as client:
+                assert client.feed(good, ones, seq=1)["position"] == 40
+                for _ in range(2):
+                    with pytest.raises(ServiceError, match="outside universe") as info:
+                        client.feed(bad, np.ones(4, dtype=np.int64), seq=2)
+                    assert info.value.kind == "ValueError"
+                assert client.feed(good, ones, seq=3)["position"] == 80
+                snapshot = client.snapshot()
+        reference = sis_factory()
+        for _ in range(2):
+            reference.feed_batch(good, ones)
+        assert snapshot == reference.snapshot()
 
 
 class TestExactlyOnceFeedsAsync(TestExactlyOnceFeeds):
@@ -701,6 +733,51 @@ class TestCoordinatorFailover:
                 ctx1.__exit__(None, None, None)
 
         asyncio.run(scenario())
+
+    def test_a_rejected_slice_raises_at_once_and_is_never_acked(self):
+        """An engine error is the server's answer to the slice, not a
+        fault: ``feed`` raises it without resending, and no server's
+        journal claims the rejected slice."""
+        rng = np.random.default_rng(5)
+        items = rng.integers(0, SIS_UNIVERSE, size=100, dtype=np.int64)
+        deltas = np.ones(100, dtype=np.int64)
+        bad_items = np.array([3, 77, SIS_UNIVERSE + 9, 200], dtype=np.int64)
+        bad_deltas = np.ones(4, dtype=np.int64)
+
+        async def scenario(ports):
+            coordinator = SketchCoordinator(
+                sis_factory, [("127.0.0.1", port) for port in ports]
+            )
+            await coordinator.connect(
+                retry=RetryPolicy(max_attempts=3, base_delay=0.01)
+            )
+            assert await coordinator.feed(items, deltas) == 100
+            with pytest.raises(ServiceError, match="outside universe") as info:
+                await coordinator.feed(bad_items, bad_deltas)
+            assert info.value.kind == "ValueError"
+            assert coordinator.position == 100
+            positions = [stats["position"] for stats in await coordinator.stats()]
+            assert positions == coordinator.routed_updates
+            merged = await coordinator.merged(allow_degraded=False)
+            accepted = [
+                part
+                for part in coordinator.partitioner.split(bad_items, bad_deltas)
+                if part is not None and SIS_UNIVERSE + 9 not in part[0]
+            ]
+            await coordinator.close()
+            return merged, accepted
+
+        with contextlib.ExitStack() as stack:
+            ports = [
+                stack.enter_context(SketchServer(sis_factory).run_in_thread()).port
+                for _ in range(2)
+            ]
+            merged, accepted = asyncio.run(scenario(ports))
+        reference = sis_factory()
+        engine = StreamEngine()
+        for part_items, part_deltas in [(items, deltas), *accepted]:
+            engine.drive_arrays([reference], part_items, part_deltas)
+        assert merged.snapshot() == reference.snapshot()
 
     def test_readmit_rejects_a_differently_constructed_server(self):
         from repro.distributed.codec import FingerprintMismatch

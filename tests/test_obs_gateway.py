@@ -14,7 +14,9 @@ Three tiers:
 
 import http.client
 import json
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -224,6 +226,23 @@ class TestStandaloneGateway:
 
             with pytest.raises(RuntimeError):
                 asyncio.run(gw.start())
+
+    def test_stop_with_an_idle_client_connected(self):
+        """From Python 3.12.1 ``wait_closed()`` waits for every open
+        connection, so ``stop()`` reaps the handler holding an idle
+        client's connection (for its 10 s read timeout) first."""
+        hosted = ObservabilityGateway().run_in_thread()
+        before = set(threading.enumerate())
+        gw = hosted.__enter__()
+        (loop_thread,) = set(threading.enumerate()) - before
+        with socket.create_connection(("127.0.0.1", gw.port)) as idle:
+            idle.sendall(b"GET /metrics")  # no newline: the read waits
+            time.sleep(0.1)
+            started = time.monotonic()
+            hosted.__exit__(None, None, None)
+            elapsed = time.monotonic() - started
+        assert elapsed < 2.0
+        assert not loop_thread.is_alive()
 
 
 class TestServerAttachedGateway:

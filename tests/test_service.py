@@ -99,10 +99,11 @@ def chunked(items, deltas, chunk=CHUNK):
 
 
 class HostedFleet:
-    """In-process CountMin servers, each stoppable and restartable
-    (empty) on its own port."""
+    """In-process servers (CountMin by default), each stoppable and
+    restartable (empty) on its own port."""
 
-    def __init__(self, count):
+    def __init__(self, count, factory=count_min_factory):
+        self.factory = factory
         self.ports = [0] * count
         self._contexts = [None] * count
         for index in range(count):
@@ -110,7 +111,7 @@ class HostedFleet:
 
     def start(self, index):
         server = SketchServer(
-            count_min_factory, chunk_size=CHUNK, port=self.ports[index]
+            self.factory, chunk_size=CHUNK, port=self.ports[index]
         )
         context = server.run_in_thread()
         context.__enter__()
@@ -282,7 +283,7 @@ PINNED_FRAMES = {
     "error": (73, "68955d63092abe4f690e5513f8db340e67a11ddaadf2a8dfe4036c46eb6f92a9"),
     "estimate_i8": (575, "f58cfd4fbdd2e6ed299c321b94af37d280e4295bc5347f93ff6f6cd062f6cfbd"),
     "estimate_f8": (339, "c276c41f416b41964cdfd9b0996a33b5305c5e3f2b44da92584f1ecac78e9683"),
-    "snapshot": (16650, "3eea053e5e792ce23d224b64f946a8be80407c1294eab83b63aaecd3bc5de7f2"),
+    "snapshot": (16650, "100af69824805d00304b11fba6c80670cd31ef759545e9de62d07ff612759c52"),
     "kitchen": (287, "25b446c008f3539e9d09c5372cd732f7a096a3626032857a8b7c4b32f3043678"),
 }
 

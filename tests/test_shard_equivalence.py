@@ -42,6 +42,20 @@ def turnstile_updates(universe, length, seed, insertions_only=False):
     return updates
 
 
+def skewed_updates(universe, length, seed, insertions_only=False):
+    """Mostly unit deltas with a large one every few hundred updates: a
+    stream whose per-batch ``max|delta| * n`` differs from its exact
+    ``sum(|delta|)`` in almost every batch."""
+    rng = random.Random(seed)
+    updates = []
+    for _ in range(length):
+        delta = 50 if rng.random() < 0.005 else 1
+        if not insertions_only and rng.random() < 0.4:
+            delta = -delta
+        updates.append(Update(rng.randrange(universe), delta))
+    return updates
+
+
 def drive_pair(make, updates, num_shards, chunk_size=64):
     """A single-engine instance and a k-shard twin fed the same stream."""
     single = make()
@@ -110,6 +124,17 @@ class TestShardedEquivalence:
         )
         single, engine = drive_pair(make, updates, num_shards)
         assert_merged_identical(single, engine)
+
+    @pytest.mark.parametrize("name", sorted(SKETCHES))
+    @pytest.mark.parametrize("num_shards", [2, 3])
+    def test_merged_snapshot_bytes_identical(self, name, num_shards):
+        """Snapshot bytes too, on a skewed stream."""
+        make, config = SKETCHES[name]
+        updates = skewed_updates(
+            config["universe"], 4000, seed=19, insertions_only=config["insertions_only"]
+        )
+        single, engine = drive_pair(make, updates, num_shards)
+        assert engine.merged().snapshot() == single.snapshot()
 
     def test_estimates_route_through_merged_view(self):
         make, _ = SKETCHES["count-min"]

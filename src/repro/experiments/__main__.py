@@ -7,10 +7,12 @@ import inspect
 import sys
 
 from repro import obs
-from repro.experiments import all_experiments, get_experiment
+from repro.experiments import all_experiments
 
 
 def main(argv: list[str] | None = None) -> int:
+    experiments = all_experiments()
+    ids = list(experiments)
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's theorem-by-theorem experiments.",
@@ -19,7 +21,7 @@ def main(argv: list[str] | None = None) -> int:
         "experiment",
         nargs="?",
         default="all",
-        help="experiment id (e01..e14) or 'all' (default)",
+        help=f"experiment id ({ids[0]}..{ids[-1]}) or 'all' (default)",
     )
     parser.add_argument(
         "--full",
@@ -48,9 +50,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--shards must be >= 1, got {args.shards}")
 
     if args.experiment == "all":
-        targets = list(all_experiments().items())
+        targets = list(experiments.items())
+    elif args.experiment in experiments:
+        targets = [(args.experiment, experiments[args.experiment])]
     else:
-        targets = [(args.experiment, get_experiment(args.experiment))]
+        parser.error(
+            f"unknown experiment {args.experiment!r}; known: all, {', '.join(ids)}"
+        )
 
     for experiment_id, run in targets:
         kwargs = {"quick": not args.full}

@@ -23,21 +23,24 @@ the caller replays the stream tail from the returned position.
 
 Failover
 --------
-The coordinator keeps a per-server snapshot cache (seeded at
-``connect``, refreshed by every :meth:`merged` read that rebuilds, every
+The coordinator keeps a per-server cache entry (seeded at ``connect``,
+refreshed by every :meth:`merged` read that rebuilds, every
 ``journal_every``-chunk rotation, and the :meth:`readmit` /
 :meth:`migrate_server` hand-offs) plus a per-server *journal* of update
-slices acknowledged since the last cache refresh.  Cache plus journal is
-the server's exact acknowledged state -- the invariant both recovery
-paths lean on.
+slices acknowledged since the entry.  Entry plus journal is the
+server's exact acknowledged state -- the invariant both recovery paths
+lean on.  An entry holds that state in one of two forms: the
+merged-state bytes the server last shipped, or a live *replica* sketch
+a rotation folded the journal into (below).
 
 Each cache entry is tagged with the state version the server issued
 with it: a random per-instance epoch plus a count of applied feeds and
 snapshot loads.  Every refresh sends that version as ``snapshot``'s
 ``unless``, and a server still at it replies with the version alone --
-no merge, encode or transfer.  The merged view :meth:`merged` hands out
-is keyed on the versions it reflects, and a read ends in one of three
-ways, recorded in ``last_read["view"]``:
+no merge, encode or transfer, and no wait for the server's engine
+thread.  The merged view :meth:`merged` hands out is keyed on the
+versions it reflects, and a read ends in one of three ways, recorded in
+``last_read["view"]``:
 
 * ``"reused"`` -- no active server changed since the view was made, so
   it is handed out again;
@@ -45,30 +48,43 @@ ways, recorded in ``last_read["view"]``:
   Each server is asked for its state unless it is at its *predicted*
   version: the cached version plus one mutation per journaled slice (a
   server bumps its count once per applied feed).  When every server
-  answers with its version alone, each holds exactly cache plus
+  answers with its version alone, each holds exactly entry plus
   journal, so a copy of the view fed the journaled slices it does not
   hold yet is the fleet's state: nothing is encoded, shipped, restored
   or merged.  The fold is exact because a view only ever holds each
-  server's cache plus a prefix of its journal, and because every
+  server's entry plus a prefix of its journal, and because every
   mergeable family's state, snapshot bytes included, depends on the
   updates alone and not on how they were batched or sharded (the
   batch- and shard-equivalence tests pin the bytes);
 * ``"rebuilt"`` -- anything else: a write by another client, a restart
   (new epoch), :meth:`recover`, a migration or readmission, a slice a
   server rejected, a journal rotation, or more updates to fold than the
-  server's cached state has cells (its snapshot's length over 8), where
-  repeating the servers' work per update costs more than pulling their
-  cells.  Changed servers ship their bytes, and the view is rebuilt
-  from the cache.
+  server's state has cells (its snapshot's length over 8, recorded at
+  each pull), where repeating the servers' work per update costs more
+  than pulling their cells.  Changed servers ship their bytes, and the
+  view is rebuilt from the cache: a replica is deep-copied or merged
+  directly, bytes are restored.
+
+A journal rotation applies the same rule to the cache itself.  For each
+server whose journal passes the size rule it asks for the state unless
+the server is at its predicted version; a server at it holds exactly
+entry plus journal, so the coordinator feeds the journal into the
+entry's replica -- restored from the bytes on first use -- as one
+``process_batch`` and drops the bytes: no server encodes a snapshot,
+and nothing is shipped or restored after the first time.  Any other
+answer, or a journal past the rule, pulls the server's bytes, and a
+pull drops the replica without restoring anything.  A replica is
+encoded only when bytes are needed: to push into a readmitted server or
+a migration's destination.
 
 Because the *server* issues the version, nothing that changes a
 server's state behind the coordinator's back can pass for a match.  A
-fold leaves the cache, its versions and the journal alone: readmission,
-migration and degraded reads rely on cache plus journal being each
-server's exact acknowledged state.
+read's fold leaves the cache, its versions and the journal alone:
+readmission, migration and degraded reads rely on entry plus journal
+being each server's exact acknowledged state.
 
 When a server is down, :meth:`merged` *degrades* instead of failing:
-the dead server contributes its cached snapshot, the read is annotated
+the dead server contributes its cache entry, the read is annotated
 in ``coordinator.last_read``, and
 ``repro_coordinator_degraded_reads_total`` counts it -- an estimate
 served during an outage is old news for the dead shard's items, never
@@ -82,7 +98,7 @@ Two recovery paths close the loop:
   restored from the cache and replayed the journal, then the cache is
   refreshed from its live state;
 * :meth:`migrate_server` -- a *permanently lost* server's state moves
-  to a survivor: its cached snapshot is folded into the destination via
+  to a survivor: its cache entry is folded into the destination via
   a fingerprint-verified ``load_snapshot(merge=True)``, its journal is
   replayed as sequenced feeds, and the routing table atomically remaps
   its partitions.  In-flight :meth:`feed` retries re-resolve routing on
@@ -167,9 +183,12 @@ class SketchCoordinator:
         independent of this one and every shard of every server gets
         load.
     journal_every:
-        Feed chunks between journal rotations (cache refresh + journal
-        clear).  Smaller keeps less replay state in memory; larger
-        snapshots the fleet less often.
+        Feed chunks between journal rotations, which move each server's
+        journal into its cache entry and clear it: folded into a live
+        replica when the server is at its predicted version and the
+        journal passes the fold's size rule, pulled from the server
+        otherwise (see "Failover").  Smaller keeps less replay state in
+        memory; larger pulls or folds less often.
     """
 
     def __init__(
@@ -213,11 +232,13 @@ class SketchCoordinator:
         #: One request in flight per connection: feeds, fan-ins, and
         #: routing swaps all serialize here (waits happen off-lock).
         self._feed_lock = asyncio.Lock()
-        #: Per-server snapshot cache backing degraded reads and the
-        #: merged view: last known good merged-state bytes, the server
-        #: state version they carry, and the coordinator position they
-        #: were observed at.
-        self._snapshots: list[Optional[bytes]] = [None] * len(self.addresses)
+        #: Per-server cache backing degraded reads and the merged view:
+        #: the server's state as the bytes it last shipped or as a live
+        #: replica sketch (see "Failover"), the server state version it
+        #: is at, the coordinator position it was observed at, and the
+        #: cell count of the last pulled bytes (length over 8).
+        self._cache: list = [None] * len(self.addresses)
+        self._cells: list[int] = [0] * len(self.addresses)
         self._versions: list[Optional[tuple]] = [None] * len(self.addresses)
         self._snapshot_positions: list[int] = [0] * len(self.addresses)
         #: The merged view :meth:`merged` hands out, keyed on the
@@ -455,13 +476,13 @@ class SketchCoordinator:
         return self.position
 
     async def _rotate_journals(self) -> None:
-        """Refresh the snapshot cache and drop the replayed-past journals.
+        """Move every journal into its server's cache entry (:meth:`_rotate`).
 
         Best-effort per server: a server that cannot answer keeps its
-        journal (cache + journal stays its exact acked state, which is
+        journal (entry + journal stays its exact acked state, which is
         precisely what a later migration or readmission replays).
         """
-        clients = self._require_clients()
+        self._require_clients()
         async with self._feed_lock:
             self._chunks_since_rotate = 0
             active = [
@@ -469,34 +490,65 @@ class SketchCoordinator:
                 for index, journal in enumerate(self._journals)
                 if journal and index not in self._migrated
             ]
-            if not active:
-                return
             await asyncio.gather(
-                *(self._pull(index) for index in active),
+                *(self._rotate(index) for index in active),
                 return_exceptions=True,
             )
+
+    async def _rotate(self, index: int) -> None:
+        """Fold server ``index``'s journal into its cache entry, or pull.
+
+        A journal that passes the size rule (:meth:`_fits`) is checked
+        against the server's predicted version.  A server at it holds
+        exactly entry plus journal, so the journal goes into the entry's
+        replica -- restored from the entry's bytes on first use --
+        through :meth:`_absorb`; the entry takes the predicted version
+        and the current position, and its bytes are dropped.  Any other
+        answer, or a journal past the rule, refreshes the entry as
+        :meth:`_pull` does.
+        """
+        journal = self._journals[index]
+        predicted = self._predicted(index) if self._fits(index, journal) else None
+        if not await self._pull(index, predicted):
+            return
+        entry = self._cache[index]
+        if isinstance(entry, bytes):
+            replica = copy.deepcopy(self.template)
+            replica.restore(entry)
+        else:
+            replica = entry
+        self._absorb(replica, journal)
+        self._cache[index] = replica
+        self._versions[index] = predicted
+        self._snapshot_positions[index] = self.position
+        journal.clear()
 
     async def _pull(self, index: int, predicted: Optional[tuple] = None) -> bool:
         """Refresh server ``index``'s cache entry from its live state.
 
         Sends the cached version as ``unless``: a server whose state has
-        not changed since answers with its version alone, and the cached
-        bytes stand.  Either way the cache now equals the server's
-        state, so the journal of slices since the last refresh is
-        dropped.  A failed request leaves the entry untouched.
+        not changed since answers with its version alone, and the entry
+        stands in whichever form it holds.  Otherwise the server's bytes
+        replace the entry -- dropping any replica, restoring nothing --
+        and their cell count is recorded.  Either way the entry now
+        equals the server's state, so the journal of slices since the
+        last refresh is dropped.  A failed request leaves the entry
+        untouched.
 
         With ``predicted`` -- the cached version plus one mutation per
         journaled slice -- ``unless`` is that instead, and a server at
-        it answers with its version alone: it holds exactly cache plus
+        it answers with its version alone: it holds exactly entry plus
         journal, so entry and journal stand and this returns ``True``.
         Any other answer refreshes the entry as above.
         """
         unless = self._versions[index] if predicted is None else predicted
         reply = await self.clients[index].snapshot(unless=unless)
-        if predicted is not None and reply["snapshot"] is None:
+        data = reply["snapshot"]
+        if predicted is not None and data is None:
             return True
-        if reply["snapshot"] is not None:
-            self._snapshots[index] = reply["snapshot"]
+        if data is not None:
+            self._cache[index] = data
+            self._cells[index] = len(data) // 8
         self._versions[index] = reply["version"]
         self._snapshot_positions[index] = self.position
         self._journals[index].clear()
@@ -509,16 +561,21 @@ class SketchCoordinator:
         epoch, mutations = self._versions[index]
         return (epoch, mutations + len(self._journals[index]))
 
+    def _fits(self, index: int, slices) -> bool:
+        """The fold's size rule: ``slices`` hold no more updates than
+        server ``index``'s state has cells (its last pulled snapshot's
+        length over 8 stands in for the cell count).  Folding repeats
+        the server's work per update; a pull costs per cell."""
+        return sum(len(items) for items, _ in slices) <= self._cells[index]
+
     def _fold_plan(self, active: list[int]) -> Optional[dict[int, int]]:
         """Per active server, how many of its journaled slices the view
         already holds -- or ``None`` when this read cannot fold.
 
         It cannot when there is no view, when the view is not every
-        active server's cache plus a prefix of its journal, or when some
-        server's slices still to fold hold more updates than its cached
-        state has cells (the snapshot's length over 8 stands in for the
-        cell count): folding repeats the servers' work per update, a
-        pull costs per cell.
+        active server's entry plus a prefix of its journal, or when some
+        server's slices still to fold fail the size rule
+        (:meth:`_fits`).
         """
         if self._view is None:
             return None
@@ -534,8 +591,7 @@ class SketchCoordinator:
             journal = self._journals[index]
             if not 0 <= start <= len(journal):
                 return None
-            pending = sum(len(items) for items, _ in journal[start:])
-            if pending > len(self._snapshots[index]) // 8:
+            if not self._fits(index, journal[start:]):
                 return None
             plan[index] = start
         return plan
@@ -553,15 +609,14 @@ class SketchCoordinator:
 
         * ``"reused"`` -- the current view already reflects every
           server's version: no restore, merge or copy;
-        * ``"folded"`` -- the view is each server's cache plus a prefix
-          of its journal, the updates left to fold are no more than each
-          server's cached state has cells, and every server answers at
-          its predicted version: a copy of the view is fed the
+        * ``"folded"`` -- the view is each server's cache entry plus a
+          prefix of its journal, the updates left to fold are no more
+          than each server's state has cells, and every server answers
+          at its predicted version: a copy of the view is fed the
           journaled slices it lacks;
-        * ``"rebuilt"`` -- otherwise: a fresh view from the cached
-          bytes, which changed servers refreshed -- a deep copy of the
-          local template, ``restore`` for the first payload, merges
-          through one reused restore twin for the rest, exactly the
+        * ``"rebuilt"`` -- otherwise: a fresh view from the cache
+          entries, which changed servers refreshed with their bytes
+          (:meth:`_build_view`) -- exactly the
           :meth:`ShardedAlgorithm.merged` fan-in with TCP in the middle.
 
         Servers whose partitions migrated away are skipped entirely
@@ -575,7 +630,7 @@ class SketchCoordinator:
         not feed or merge into it.
 
         With ``allow_degraded`` (the default), a server that cannot
-        answer contributes its *cached* snapshot instead of failing the
+        answer contributes its *cache entry* instead of failing the
         whole read; ``coordinator.last_read`` records which servers were
         stale and at what cached position, and the degraded-reads
         counter ticks (the ``degraded-reads`` default alert rule watches
@@ -599,7 +654,7 @@ class SketchCoordinator:
                 outcome = self._fold(plan, predicted)
             else:
                 # Pull every server not asked yet, and every one that
-                # matched but holds its journal on top of its cached bytes.
+                # matched but holds its journal on top of its cache entry.
                 refresh = [
                     index
                     for index in active
@@ -609,7 +664,7 @@ class SketchCoordinator:
                 results.update(await self._pull_all(refresh))
                 for index in active:
                     if isinstance(results[index], BaseException) and (
-                        not allow_degraded or self._snapshots[index] is None
+                        not allow_degraded or self._cache[index] is None
                     ):
                         raise results[index]
                 outcome = self._rebuild(active)
@@ -649,12 +704,9 @@ class SketchCoordinator:
         """Advance the view by the journaled slices it does not hold yet.
 
         Every active server answered at its predicted version, so each
-        holds exactly its cache plus its journal, and the view plus the
-        slices it lacks is the fleet's state.  The slices go through
-        ``process_batch`` into a copy (a handed-out view never changes),
-        and ``updates_processed`` advances as ``feed_batch`` would
-        advance it; the update metrics are not recorded again, the
-        servers counted these updates when they applied them.
+        holds exactly its entry plus its journal, and the view plus the
+        slices it lacks is the fleet's state.  The slices go into a copy
+        (a handed-out view never changes) through :meth:`_absorb`.
         """
         slices = [
             piece
@@ -664,39 +716,67 @@ class SketchCoordinator:
         if not slices:
             return "reused"
         view = copy.deepcopy(self._view)
-        for items, deltas in slices:
-            view.process_batch(items, deltas)
-            view.updates_processed += len(items)
+        self._absorb(view, slices)
         self._view = view
         self._view_key = tuple(predicted.items())
         return "folded"
 
+    @staticmethod
+    def _absorb(sketch: StreamAlgorithm, slices: list) -> None:
+        """Feed acknowledged ``slices`` into ``sketch`` as one
+        ``process_batch``, advancing ``updates_processed`` as
+        ``feed_batch`` would.  The update metrics are not recorded
+        again: the servers counted these updates when they applied
+        them.  One batch is exact because each item's updates keep
+        their order and every mergeable family's state depends on the
+        updates alone, not on how they were batched."""
+        items = np.concatenate([items for items, _ in slices])
+        sketch.process_batch(items, np.concatenate([deltas for _, deltas in slices]))
+        sketch.updates_processed += len(items)
+
     def _rebuild(self, active: list[int]) -> str:
         """Reuse the view if it was built from exactly the cached
-        versions, or build a new one from the cached bytes."""
+        versions, or build a new one from the cache entries."""
         key = tuple((index, self._versions[index]) for index in active)
         if key == self._view_key:
             return "reused"
-        self._view = self._build_view([self._snapshots[index] for index in active])
+        self._view = self._build_view([self._cache[index] for index in active])
         self._view_key = key
         return "rebuilt"
 
-    def _build_view(self, snapshots: list[bytes]) -> StreamAlgorithm:
-        """A new sketch holding the merge of ``snapshots``.
+    def _build_view(self, entries: list) -> StreamAlgorithm:
+        """A new sketch holding the merge of the cache ``entries``.
 
-        The restore twin persists across rebuilds: ``restore`` replaces
-        its state wholesale, so reusing it is byte-identical to a fresh
-        copy, and it is never handed out.
+        A replica is deep-copied (the first) or merged directly; bytes
+        are restored, into a copy of the template (the first) or into
+        the restore twin, which is then merged.  The twin persists
+        across rebuilds: ``restore`` replaces its state wholesale, so
+        reusing it is byte-identical to a fresh copy, and it is never
+        handed out.  No merge keeps a reference to its argument's state,
+        so a later rotation's fold into a replica leaves the view alone.
         """
-        view = copy.deepcopy(self.template)
-        view.restore(snapshots[0])
-        if len(snapshots) > 1:
-            if self._twin is None:
-                self._twin = copy.deepcopy(self.template)
-            for snapshot in snapshots[1:]:
-                self._twin.restore(snapshot)
-                view.merge(self._twin)
+        first, *rest = entries
+        if isinstance(first, bytes):
+            view = copy.deepcopy(self.template)
+            view.restore(first)
+        else:
+            view = copy.deepcopy(first)
+        for entry in rest:
+            if isinstance(entry, bytes):
+                if self._twin is None:
+                    self._twin = copy.deepcopy(self.template)
+                self._twin.restore(entry)
+                entry = self._twin
+            view.merge(entry)
         return view
+
+    def _cached_bytes(self, index: int) -> Optional[bytes]:
+        """Server ``index``'s cache entry as snapshot bytes: a replica
+        is encoded here, only when a hand-off needs the bytes."""
+        entry = self._cache[index]
+        if entry is None or isinstance(entry, bytes):
+            return entry
+        return entry.snapshot()
 
     async def estimate(self, items) -> np.ndarray:
         """Batched point estimates answered from the wire-merged state."""
@@ -753,7 +833,7 @@ class SketchCoordinator:
         coordinator), re-verifies the construction fingerprint (a
         restarted-with-the-wrong-seed server must not rejoin), and --
         when the server came back *empty* (position 0) while the cache
-        holds state for it -- pushes the cached snapshot through the
+        holds state for it -- pushes the cache entry's bytes through the
         same ``load_snapshot`` path :meth:`recover` uses and replays the
         journal of slices acknowledged since that snapshot, so the shard
         resumes from its exact acknowledged state.  A server that
@@ -809,9 +889,9 @@ class SketchCoordinator:
                     "standby": True,
                 }
             restored = False
-            if not pong.get("position") and self._snapshots[index] is not None:
+            if not pong.get("position") and self._cache[index] is not None:
                 await client.load_snapshot(
-                    self._snapshots[index],
+                    self._cached_bytes(index),
                     position=self._snapshot_positions[index],
                 )
                 for chunk_items, chunk_deltas in self._journals[index]:
@@ -850,7 +930,7 @@ class SketchCoordinator:
         """Move a permanently lost server's shards to a survivor.
 
         Transfers the coordinator's exact acknowledged record of server
-        ``index`` -- cached snapshot (folded into the destination via
+        ``index`` -- its cache entry's bytes (folded into the destination via
         fingerprint-verified ``load_snapshot(merge=True)``) plus journal
         (replayed as sequenced feeds) -- then atomically remaps every
         partition the dead server owned onto ``destination``.  Runs
@@ -893,7 +973,7 @@ class SketchCoordinator:
             _obs_migrations_active.add(1)
             try:
                 dest = clients[destination]
-                snapshot = self._snapshots[index]
+                snapshot = self._cached_bytes(index)
                 moved = 0
                 if snapshot is not None:
                     await dest.load_snapshot(snapshot, merge=True)
@@ -908,7 +988,7 @@ class SketchCoordinator:
                 ]
                 self._migrated.add(index)
                 self._journals[index] = []
-                self._snapshots[index] = None
+                self._cache[index] = None
                 self._versions[index] = None
                 self._snapshot_positions[index] = 0
                 self.routed_updates[destination] += self.routed_updates[index]

@@ -75,7 +75,9 @@ Ops
                      is ``(epoch, mutations)``: a random per-server-
                      instance epoch and a count of applied feeds and
                      ``load_snapshot`` calls, so equal versions from one
-                     server mean equal snapshot bytes
+                     server mean equal snapshot bytes.  The server
+                     answers a check at its current version from its
+                     event loop, without queueing behind the engine
 ``load_snapshot``    restore a snapshot into the fleet (recovery)
 ``checkpoint``       force a checkpoint write now
 ``stats`` / ``ping`` liveness + operational monitoring counters

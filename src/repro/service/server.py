@@ -25,6 +25,18 @@ reading chunk ``t+1`` off other sockets -- the same produce/scatter
 overlap :func:`repro.parallel.ingest` pipelines, here fed by the
 network.
 
+One answer is given off the engine thread: a ``snapshot`` request
+whose ``unless`` equals the current state version ``(epoch,
+mutations)`` gets the version alone straight from the event loop.  It
+stays linearizable because the engine thread bumps the mutation count
+*before* it changes any state (a feed's apply, a ``load_snapshot``), and
+a feed is acked only after its apply returns.  So a version a client
+holds from a reply, or predicts from its own acked feeds, is never one
+whose apply is still running: while an apply runs the count is already
+past it, the check mismatches, and it queues behind the apply on the
+engine thread as every other request does.  A matching check takes no
+engine slot, so ``queue_deadline`` never sheds it.
+
 **Backpressure.**  At most ``queue_depth`` engine operations may be
 queued on the executor at once (an :class:`asyncio.Semaphore`); beyond
 that, connection handlers stop taking requests, each connection's
@@ -254,7 +266,9 @@ class SketchServer:
         waiting forever -- the request never touches the engine, so
         resending it is safe (and sequenced feeds stay exactly-once).
         ``None`` (the default) keeps the original unbounded wait, where
-        TCP flow control alone pushes back.
+        TCP flow control alone pushes back.  A ``snapshot`` check at
+        the current version is answered on the event loop and claims no
+        slot, so it is never shed.
     supervise / snapshot_every:
         Passed to :class:`ShardedStreamEngine`: ``supervise=True`` (the
         default here -- a network service should outlive its workers)
@@ -356,9 +370,10 @@ class SketchServer:
         #: State version ``(epoch, mutations)``: a random per-instance
         #: epoch, so a restarted server never repeats an earlier
         #: instance's version, and a count the engine thread bumps on
-        #: every applied feed and every ``load_snapshot``.  Equal
-        #: versions from one server mean equal snapshot bytes, which is
-        #: what lets ``snapshot(unless=...)`` skip an unchanged state.
+        #: every applied feed and every ``load_snapshot``, before it
+        #: changes the state.  Equal versions from one server mean equal
+        #: snapshot bytes, which is what lets ``snapshot(unless=...)``
+        #: skip an unchanged state, and answer it on the event loop.
         self._epoch = secrets.token_hex(8)
         self._mutations = 0
         self._writer: Optional[CheckpointWriter] = None
@@ -616,14 +631,13 @@ class SketchServer:
             self._writer.last_position = self.position
         return self.position
 
-    def _snapshot(self, unless) -> tuple[tuple[str, int], Optional[bytes]]:
-        """The state version and the merged snapshot -- or ``None`` in
-        the snapshot's place when ``unless`` is the current version, so
-        an unchanged state is neither merged, encoded nor shipped."""
-        version = (self._epoch, self._mutations)
-        if unless == version:
-            return version, None
-        return version, self.engine.merged().snapshot()
+    def _version(self) -> tuple[str, int]:
+        return self._epoch, self._mutations
+
+    def _snapshot(self) -> tuple[tuple[str, int], bytes]:
+        """The state version and the merged snapshot, read together on
+        the engine thread."""
+        return self._version(), self.engine.merged().snapshot()
 
     def _stats_payload(self) -> dict:
         """The monitoring snapshot: liveness first, then counters."""
@@ -846,11 +860,16 @@ class SketchServer:
         if op == "snapshot":
             connection.bump(queries=1)
             self.stats.bump(queries=1)
-            version, data = await self._engine_call(
-                self._snapshot, message.get("unless")
-            )
             if "unless" not in message:
-                return data
+                return (await self._engine_call(self._snapshot))[1]
+            # A state still at ``unless`` is neither merged, encoded nor
+            # shipped, and the check is answered here, on the loop (see
+            # "Serialization point").  The version only grows, so a check
+            # that mismatches here would mismatch on the engine thread.
+            version = self._version()
+            if message["unless"] == version:
+                return {"version": version, "snapshot": None}
+            version, data = await self._engine_call(self._snapshot)
             return {"version": version, "snapshot": data}
         if op == "load_snapshot":
             data = message.get("snapshot")

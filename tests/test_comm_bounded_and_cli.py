@@ -54,9 +54,18 @@ class TestExperimentsCLI:
         assert "e06" in output
         assert "bound_ok" in output
 
-    def test_unknown_experiment_raises(self):
-        with pytest.raises(KeyError):
+    def test_unknown_experiment_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["e99"])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert "unknown experiment 'e99'" in error
+        assert "known: all, e01, e02" in error and "e15" in error
+
+    def test_help_names_every_experiment(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "(e01..e15)" in capsys.readouterr().out
 
     def test_full_flag_parses(self, capsys):
         assert main(["e15", "--full"]) == 0

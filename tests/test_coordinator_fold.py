@@ -8,14 +8,17 @@ journaled slices into a copy of its view instead of pulling, restoring
 and merging every server.  Anything else -- a write by another client,
 a restart, a recovery, a migration, a readmission, a rejected slice, or
 more updates to fold than the state has cells -- rebuilds the view from
-pulled bytes.
+pulled bytes.  A journal rotation applies the same rule to the cache:
+a server at its predicted version has its journal folded into a live
+replica in its cache entry, and ships nothing.
 
 The property test drives every mergeable family through random
 interleavings of feeds, reads, direct writes by another client and
-server restarts, and holds every read to two references: a serial
-engine over the acknowledged stream, and a view rebuilt from the
-servers' own snapshots.  The other tests pin which reads fold and which
-rebuild.
+server restarts, with rotations every 1, 2, 3 or 8 feeds, and holds
+every read to two references: a serial engine over the acknowledged
+stream, and a view rebuilt from the servers' own snapshots.  The other
+tests pin which reads and rotations fold, which pull, and that every
+hand-off from a folded cache entry stays exact.
 """
 
 import asyncio
@@ -25,10 +28,11 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
-from test_service import HostedFleet, count_min_factory
+from test_service import HostedFleet, count_min_factory, record_snapshot_replies
 from test_shard_equivalence import SKETCHES, skewed_updates
 
 from repro.core.engine import StreamEngine
+from repro.distributed.checkpoint import load_checkpoint
 from repro.distinct.sis_l0 import SisL0Estimator
 from repro.service import (
     RetryPolicy,
@@ -67,10 +71,24 @@ async def rebuilt_snapshot(factory, coordinator):
     return view.snapshot()
 
 
-async def connected(factory, fleet):
-    coordinator = SketchCoordinator(factory, fleet.addresses())
+def cache_state(coordinator):
+    """Each server's cache entry as bytes (a replica encoded), its
+    version and its journal."""
+    return (
+        [coordinator._cached_bytes(index) for index in range(len(coordinator.clients))],
+        list(coordinator._versions),
+        [list(journal) for journal in coordinator._journals],
+    )
+
+
+async def connected(factory, fleet, **options):
+    coordinator = SketchCoordinator(factory, fleet.addresses(), **options)
     await coordinator.connect(retry=RETRY)
     return coordinator
+
+
+def is_replica(entry):
+    return entry is not None and not isinstance(entry, bytes)
 
 
 # -- the property: every read is exact, folded or not -------------------------
@@ -95,8 +113,12 @@ OPS = st.lists(
 
 @pytest.mark.parametrize("name", sorted(SKETCHES))
 @settings(max_examples=25, deadline=None)
-@given(ops=OPS, seed=st.integers(0, 2**16))
-def test_every_read_equals_the_serial_engine_and_a_rebuild(name, ops, seed):
+@given(
+    ops=OPS, seed=st.integers(0, 2**16), journal_every=st.sampled_from([1, 2, 3, 8])
+)
+def test_every_read_equals_the_serial_engine_and_a_rebuild(
+    name, ops, seed, journal_every
+):
     make, config = SKETCHES[name]
     rng = random.Random(seed)
 
@@ -111,7 +133,10 @@ def test_every_read_equals_the_serial_engine_and_a_rebuild(name, ops, seed):
         )
 
     async def scenario(fleet):
-        coordinator = await connected(make, fleet)
+        coordinator = await connected(make, fleet, journal_every=journal_every)
+        # A coordinator feed asks for snapshots only when it rotates: a
+        # version-only reply is a folded rotation, bytes a pulled one.
+        replies = record_snapshot_replies(coordinator)
         acked = []
         # Servers another client wrote to since the coordinator last read:
         # an empty restart would lose those writes, which only a read has
@@ -129,8 +154,12 @@ def test_every_read_equals_the_serial_engine_and_a_rebuild(name, ops, seed):
         for op in [("read",), *ops, ("read",)]:
             if op[0] == "feed":
                 items, deltas = batch(op[1])
+                mark = len(replies)
                 await coordinator.feed(items, deltas)
                 acked.append((items, deltas))
+                for reply in replies[mark:]:
+                    pulled = reply["snapshot"] is not None
+                    event(f"rotation {'pulled' if pulled else 'folded'}")
             elif op[0] == "other":
                 items, deltas = batch(op[2])
                 with SketchClient.connect(*fleet.addresses()[op[1]]) as other:
@@ -140,6 +169,8 @@ def test_every_read_equals_the_serial_engine_and_a_rebuild(name, ops, seed):
             elif op[0] == "restart":
                 if op[1] in unread:
                     await read()
+                if is_replica(coordinator._cache[op[1]]):
+                    event("restart after a folded rotation")
                 fleet.stop(op[1])
                 fleet.start(op[1])
                 await coordinator.readmit(op[1])
@@ -178,20 +209,12 @@ class TestFold:
             views = [first]
             for end, batch in enumerate(batches[1:], start=2):
                 await coordinator.feed(*batch)
-                cache = (
-                    list(coordinator._snapshots),
-                    list(coordinator._versions),
-                    [list(journal) for journal in coordinator._journals],
-                )
+                cache = cache_state(coordinator)
                 view = await coordinator.merged()
                 assert coordinator.last_read["view"] == "folded"
                 # The cache, its versions and the journal stand; only the
                 # view advanced, and the one handed out before is intact.
-                assert cache == (
-                    list(coordinator._snapshots),
-                    list(coordinator._versions),
-                    [list(journal) for journal in coordinator._journals],
-                )
+                assert cache == cache_state(coordinator)
                 assert view is not views[-1]
                 assert view.snapshot() == serial_snapshot(
                     count_min_factory, batches[:end]
@@ -393,4 +416,180 @@ class TestRebuildInstead:
             await coordinator.close()
 
         with HostedFleet(2, factory) as fleet:
+            asyncio.run(scenario(fleet))
+
+
+# -- which rotations fold -----------------------------------------------------
+
+
+class TestRotation:
+    """A journal rotation folds the journal into a live replica when the
+    server is at its predicted version and the journal passes the size
+    rule; otherwise it pulls the server's bytes.  Every hand-off from a
+    replica entry stays byte-identical to the serial engine."""
+
+    EVERY = 4
+
+    async def rotate(self, coordinator, batches, acked):
+        """Feed ``batches`` (the last one rotates) and return the snapshot
+        replies the rotation received."""
+        assert coordinator._chunks_since_rotate + len(batches) == self.EVERY
+        replies = record_snapshot_replies(coordinator)
+        for batch in batches:
+            await coordinator.feed(*batch)
+            acked.append(batch)
+        assert coordinator._chunks_since_rotate == 0
+        return replies
+
+    def test_own_small_feeds_fold_and_no_server_encodes(self):
+        batches = small_batches(8, 3 * self.EVERY)
+
+        async def scenario(fleet):
+            coordinator = await connected(
+                count_min_factory, fleet, journal_every=self.EVERY
+            )
+            replies = record_snapshot_replies(coordinator)
+            await coordinator.merged()
+            acked, outcomes, handed_out = [], [], []
+            for batch in batches:
+                await coordinator.feed(*batch)
+                acked.append(batch)
+                if coordinator._chunks_since_rotate == 0:
+                    assert all(is_replica(entry) for entry in coordinator._cache)
+                    assert not any(coordinator._journals)
+                view = await coordinator.merged()
+                outcomes.append(coordinator.last_read["view"])
+                handed_out.append((view, view.snapshot()))
+                assert handed_out[-1][1] == serial_snapshot(count_min_factory, acked)
+            # The read after each rotation rebuilds from the replicas, and
+            # folding into a replica never touches a view handed out.
+            assert outcomes == (["folded"] * (self.EVERY - 1) + ["rebuilt"]) * 3
+            assert all(view.snapshot() == data for view, data in handed_out)
+            # Neither the rotations nor the reads made a server encode.
+            assert replies
+            assert all(reply["snapshot"] is None for reply in replies)
+            await coordinator.close()
+
+        with HostedFleet(2) as fleet:
+            asyncio.run(scenario(fleet))
+
+    def after_a_folded_rotation(self, then, servers=2):
+        """Rotate once with a fold on every server, then run ``then``;
+        its result must equal the serial engine over the acked stream."""
+        batches = small_batches(9, self.EVERY + 1)
+
+        async def scenario(fleet):
+            coordinator = await connected(
+                count_min_factory, fleet, journal_every=self.EVERY
+            )
+            acked = []
+            replies = await self.rotate(coordinator, batches[: self.EVERY], acked)
+            assert len(replies) == servers
+            assert all(reply["snapshot"] is None for reply in replies)
+            assert all(is_replica(entry) for entry in coordinator._cache)
+            snapshot = await then(coordinator, fleet, acked, batches[self.EVERY])
+            assert snapshot == serial_snapshot(count_min_factory, acked)
+            await coordinator.close()
+
+        with HostedFleet(servers) as fleet:
+            asyncio.run(scenario(fleet))
+
+    def test_readmission_of_an_empty_restart(self):
+        async def then(coordinator, fleet, acked, batch):
+            # Server 1's replica entry, encoded, restores it.
+            fleet.stop(1)
+            fleet.start(1)
+            assert (await coordinator.readmit(1))["restored"] is True
+            assert isinstance(coordinator._cache[1], bytes)
+            await coordinator.feed(*batch)
+            acked.append(batch)
+            view = await coordinator.merged(allow_degraded=False)
+            assert view.snapshot() == await rebuilt_snapshot(
+                count_min_factory, coordinator
+            )
+            return view.snapshot()
+
+        self.after_a_folded_rotation(then)
+
+    def test_migrate_server(self):
+        async def then(coordinator, fleet, acked, batch):
+            fleet.stop(1)
+            result = await coordinator.migrate_server(1)
+            assert result["migrated"] is True
+            assert result["snapshot_bytes"] > 0
+            await coordinator.feed(*batch)
+            acked.append(batch)
+            return (await coordinator.merged(allow_degraded=False)).snapshot()
+
+        self.after_a_folded_rotation(then, servers=3)
+
+    def test_a_degraded_read(self):
+        async def then(coordinator, fleet, acked, batch):
+            fleet.stop(1)
+            view = await coordinator.merged()
+            assert coordinator.last_read["degraded"] is True
+            assert coordinator.last_read["stale"] == [1]
+            return view.snapshot()
+
+        self.after_a_folded_rotation(then)
+
+    def test_checkpoint(self, tmp_path):
+        path = tmp_path / "fleet.ckpt"
+
+        async def then(coordinator, fleet, acked, batch):
+            await coordinator.checkpoint(path)
+            return load_checkpoint(path).snapshot
+
+        self.after_a_folded_rotation(then)
+
+    def test_a_write_by_another_client_makes_it_pull(self):
+        batches = small_batches(10, self.EVERY)
+        extra = small_batches(11, 1)[0]
+
+        async def scenario(fleet):
+            coordinator = await connected(
+                count_min_factory, fleet, journal_every=self.EVERY
+            )
+            acked = []
+            for batch in batches[:-1]:
+                await coordinator.feed(*batch)
+                acked.append(batch)
+            with SketchClient.connect(*fleet.addresses()[1]) as other:
+                other.feed(*extra)
+            acked.append(extra)
+            replies = await self.rotate(coordinator, batches[-1:], acked)
+            # Server 0 folds; server 1 is past its predicted version and
+            # ships its bytes.
+            assert sorted(reply["snapshot"] is None for reply in replies) == [
+                False,
+                True,
+            ]
+            assert is_replica(coordinator._cache[0])
+            assert isinstance(coordinator._cache[1], bytes)
+            view = await coordinator.merged(allow_degraded=False)
+            assert view.snapshot() == serial_snapshot(count_min_factory, acked)
+            await coordinator.close()
+
+        with HostedFleet(2) as fleet:
+            asyncio.run(scenario(fleet))
+
+    def test_a_journal_past_the_size_rule_makes_it_pull(self):
+        # CountMin 4 x 512 snapshots to ~16 KiB: ~2,000 cells per server,
+        # and each server's share of the journal is ~4,000 updates.
+        batches = small_batches(12, self.EVERY, size=2_000)
+
+        async def scenario(fleet):
+            coordinator = await connected(
+                count_min_factory, fleet, journal_every=self.EVERY
+            )
+            acked = []
+            replies = await self.rotate(coordinator, batches, acked)
+            assert len(replies) == 2
+            assert all(reply["snapshot"] is not None for reply in replies)
+            assert all(isinstance(entry, bytes) for entry in coordinator._cache)
+            view = await coordinator.merged(allow_degraded=False)
+            assert view.snapshot() == serial_snapshot(count_min_factory, acked)
+            await coordinator.close()
+
+        with HostedFleet(2) as fleet:
             asyncio.run(scenario(fleet))

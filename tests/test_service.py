@@ -16,6 +16,7 @@ tests stay loop-free.
 """
 
 import asyncio
+import contextlib
 import hashlib
 import os
 import socket
@@ -37,6 +38,7 @@ from repro.service import (
     AsyncSketchClient,
     ProtocolError,
     RetryPolicy,
+    ServerBusy,
     ServiceError,
     SketchClient,
     SketchCoordinator,
@@ -1165,6 +1167,112 @@ class TestCoordinator:
                 assert merged["snapshot"] == twice.snapshot()
                 # A plain request still gets plain bytes.
                 assert client.snapshot() == twice.snapshot()
+
+
+
+@contextlib.contextmanager
+def held(target, name):
+    """Hold every call of ``target.name`` (on the server's engine thread)
+    until the block exits; yields an event set once a call is held."""
+    entered, release = threading.Event(), threading.Event()
+    original = getattr(target, name)
+
+    def hold(*args):
+        entered.set()
+        release.wait(timeout=10)
+        return original(*args)
+
+    setattr(target, name, hold)
+    try:
+        yield entered
+    finally:
+        release.set()
+
+
+class TestVersionCheckOnTheLoop:
+    """A ``snapshot`` check at the server's current version is answered
+    on the event loop; any other check queues on the engine thread."""
+
+    def test_a_matching_check_answers_while_the_engine_is_held(self):
+        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        # Without a loop-side answer the check would wait for the held
+        # estimate and time out.
+        policy = RetryPolicy(max_attempts=1, op_timeout=5.0)
+        with server.run_in_thread():
+            with SketchClient.connect(
+                "127.0.0.1", server.port, retry=policy
+            ) as checker, SketchClient.connect("127.0.0.1", server.port) as other:
+                version = checker.snapshot(unless=None)["version"]
+                with held(server.engine, "estimate_batch") as entered:
+                    reader = threading.Thread(target=other.estimate, args=(PROBE,))
+                    reader.start()
+                    assert entered.wait(timeout=5)
+                    assert checker.snapshot(unless=version) == {
+                        "version": version,
+                        "snapshot": None,
+                    }
+                    assert reader.is_alive()
+                reader.join(timeout=10)
+
+    def test_a_matching_check_is_never_shed(self):
+        items, deltas = stream(28, CHUNK)
+        server = SketchServer(
+            count_min_factory, chunk_size=CHUNK, queue_depth=1, queue_deadline=0.05
+        )
+        with server.run_in_thread():
+            with SketchClient.connect(
+                "127.0.0.1", server.port
+            ) as checker, SketchClient.connect("127.0.0.1", server.port) as other:
+                old = checker.snapshot(unless=None)["version"]
+                checker.feed(items, deltas)
+                current = checker.snapshot(unless=old)["version"]
+                with held(server.engine, "estimate_batch") as entered:
+                    reader = threading.Thread(target=other.estimate, args=(PROBE,))
+                    reader.start()
+                    assert entered.wait(timeout=5)
+                    # The held estimate owns the only engine slot: a check
+                    # at the current version is answered, one at an older
+                    # version needs the engine and is shed.
+                    assert checker.snapshot(unless=current)["snapshot"] is None
+                    with pytest.raises(ServerBusy, match="retry"):
+                        checker.snapshot(unless=old)
+                reader.join(timeout=10)
+                assert checker.stats()["busy"] == 1
+
+    def test_a_check_never_passes_a_feed_being_applied(self):
+        """The ordering the loop-side answer relies on: a feed bumps the
+        version before its apply, so while the apply is held a check for
+        the version before it waits on the engine thread, then gets the
+        post-feed bytes."""
+        first, second = stream(29, CHUNK), stream(30, CHUNK)
+        reference = serial_reference(
+            count_min_factory,
+            np.concatenate([first[0], second[0]]),
+            np.concatenate([first[1], second[1]]),
+        )
+        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        with server.run_in_thread():
+            with SketchClient.connect(
+                "127.0.0.1", server.port
+            ) as checker, SketchClient.connect("127.0.0.1", server.port) as writer:
+                writer.feed(*first)
+                before = checker.snapshot(unless=None)["version"]
+                replies = []
+                with held(server.engine.algorithm, "process_batch") as entered:
+                    feeding = threading.Thread(target=writer.feed, args=second)
+                    feeding.start()
+                    assert entered.wait(timeout=5)
+                    checking = threading.Thread(
+                        target=lambda: replies.append(checker.snapshot(unless=before))
+                    )
+                    checking.start()
+                    checking.join(timeout=0.3)
+                    assert not replies
+                feeding.join(timeout=10)
+                checking.join(timeout=10)
+        (reply,) = replies
+        assert reply["version"] != before
+        assert reply["snapshot"] == reference.snapshot()
 
 
 # -- the metrics op and fleet exposition --------------------------------------

@@ -20,9 +20,11 @@ standard checkpoint file of the fleet's merged state, and recovers it
 into a brand-new fleet -- all bit-exact.
 
 Run:  PYTHONPATH=src python examples/sketch_service.py
+It exits non-zero when any "identical to serial engine" check fails.
 """
 
 import asyncio
+import sys
 import tempfile
 import threading
 import time
@@ -49,11 +51,18 @@ def factory():
     return CountMinSketch(UNIVERSE, width=64, depth=4, seed=1)
 
 
-def main() -> None:
+def main() -> bool:
+    """Run both parts; whether every check held."""
     items, deltas = uniform_arrays(UNIVERSE, STREAM, seed=42)
     probe = np.arange(1024, dtype=np.int64)
     reference = factory()
     StreamEngine(chunk_size=CHUNK).drive_arrays([reference], items, deltas)
+    checks: list[bool] = []
+
+    def check(estimates) -> bool:
+        identical = bool(np.array_equal(estimates, reference.estimate_batch(probe)))
+        checks.append(identical)
+        return identical
 
     # -- part one: one server, four concurrent clients -------------------
     print("== one collector, four concurrent clients ==")
@@ -78,10 +87,7 @@ def main() -> None:
         seconds = time.perf_counter() - start
 
         with SketchClient.connect("127.0.0.1", srv.port) as client:
-            estimates = client.estimate(probe)
-            exact = bool(
-                np.array_equal(estimates, reference.estimate_batch(probe))
-            )
+            exact = check(client.estimate(probe))
             stats = client.stats()
         print(
             f"  4 clients fed {STREAM:,} updates in {seconds:.2f}s "
@@ -106,10 +112,9 @@ def main() -> None:
                 (items[i : i + CHUNK], deltas[i : i + CHUNK])
                 for i in range(0, STREAM, CHUNK)
             )
-            estimates = await coordinator.estimate(probe)
             print(
                 "  fleet estimates identical to serial engine:",
-                bool(np.array_equal(estimates, reference.estimate_batch(probe))),
+                check(await coordinator.estimate(probe)),
             )
             positions = [s["position"] for s in await coordinator.stats()]
             print(f"  per-server loads: {positions} (sum {sum(positions):,})")
@@ -129,17 +134,18 @@ def main() -> None:
             )
             await coordinator.connect()
             position = await coordinator.recover(path)
-            estimates = await coordinator.estimate(probe)
             print(
                 f"  recovered fresh fleet at position {position:,}; "
                 "estimates identical:",
-                bool(np.array_equal(estimates, reference.estimate_batch(probe))),
+                check(await coordinator.estimate(probe)),
             )
             await coordinator.close()
 
         with f1.run_in_thread(), f2.run_in_thread():
             asyncio.run(recover())
 
+    return len(checks) == 3 and all(checks)
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(0 if main() else 1)

@@ -38,7 +38,8 @@ The surface, by layer::
                 CheckpointWriter, verify_checkpoint_resume
     service     SketchServer, SketchClient, AsyncSketchClient,
                 SketchCoordinator, ServiceError, ProtocolError,
-                PROTOCOL_VERSION, hedge_delay_from_metrics
+                ProtocolVersionMismatch, PROTOCOL_VERSION,
+                hedge_delay_from_metrics
     healing     FleetProber, MembershipStateMachine,
                 ShardMigrationPlanner, default_membership_rules
     faults      RetryPolicy, ServerBusy, SequenceGap, FaultPlan,
@@ -118,6 +119,7 @@ from repro.service import (
     FleetProber,
     MembershipStateMachine,
     ProtocolError,
+    ProtocolVersionMismatch,
     RetryPolicy,
     SequenceGap,
     ServerBusy,
@@ -157,6 +159,7 @@ __all__ = [
     "ObservabilityGateway",
     "PROTOCOL_VERSION",
     "ProtocolError",
+    "ProtocolVersionMismatch",
     "RateRule",
     "RetryPolicy",
     "SequenceGap",

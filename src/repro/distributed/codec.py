@@ -13,6 +13,13 @@ object-dtype ndarrays -- with one deterministic byte representation per
 value, so equal states produce equal bytes and decoding reproduces the
 original objects (including ndarray dtype and shape) exactly.
 
+An int64 array travels at the narrowest little-endian width in
+{1, 2, 4, 8} bytes that holds its values, and decodes back to int64.
+The width is a function of the values alone, so the representation stays
+canonical: in the paper's model an update is ``(i, delta)`` with both
+bounded by poly(n), so update batches and counter tables rarely need
+all eight bytes.
+
 The snapshot envelope
 ---------------------
 ::
@@ -57,7 +64,10 @@ __all__ = [
 ]
 
 MAGIC = b"RSKW"
-VERSION = 1
+VERSION = 2
+#: Envelope versions :func:`restore_sketch` reads.  Version 1 payloads
+#: wrote every int64 array at width 8, which version 2 decodes as is.
+_READABLE_VERSIONS = (1, 2)
 _DIGEST_BYTES = 32  # sha256
 
 
@@ -74,14 +84,47 @@ class FingerprintMismatch(SnapshotError):
 #
 # Tagged, length-prefixed encoding.  Tags:
 #   N None   T/F bool   i int   f float   s str   b bytes
-#   t tuple  l list     d dict  a int64 ndarray   O object ndarray (ints)
+#   t tuple  l list     d dict  O object ndarray (ints)
+#   a int64 ndarray, 8 bytes per element
+#   n int64 ndarray, narrow: a width byte (1, 2 or 4) before the shape
+#
+# An int64 array is written at the narrowest width whose signed range
+# holds its [min, max]: ``n`` for widths 1, 2 and 4, ``a`` for width 8 and
+# for an empty array.  Any other width byte is malformed.
 #
 # Copies: encoding writes every value once into one output bytearray (an
-# int64 array's buffer goes straight in, with no ``tobytes``).  Decoding
-# walks a memoryview of the input, so no field is sliced into an
-# intermediate copy: a ``b`` field costs one copy into its ``bytes`` and
-# an int64 array one copy into a fresh owned, writable, aligned array,
-# never a view into the input buffer.
+# int64 array's buffer goes straight in, with no ``tobytes``; a narrow
+# one is cast once and then copied in).  Decoding walks a memoryview of
+# the input, so no field is sliced into an intermediate copy: a ``b``
+# field costs one copy into its ``bytes`` and an int64 array, narrow or
+# not, one copy into a fresh owned, writable, aligned int64 array, never
+# a view into the input buffer.  A payload byte decodes to at most eight
+# bytes of array.
+
+_NONE, _TRUE, _FALSE = ord("N"), ord("T"), ord("F")
+_INT, _FLOAT, _STR, _BYTES = ord("i"), ord("f"), ord("s"), ord("b")
+_TUPLE, _LIST, _DICT = ord("t"), ord("l"), ord("d")
+_INT64_ARRAY, _NARROW_ARRAY, _OBJECT_ARRAY = ord("a"), ord("n"), ord("O")
+
+_INT64 = np.dtype("<i8")
+
+#: ``(dtype, lowest, highest)`` per narrow width, narrowest first; built
+#: once, because a dtype made from a string costs per call.
+_NARROW = tuple(
+    (np.dtype(f"<i{width}"), -(1 << (8 * width - 1)), (1 << (8 * width - 1)) - 1)
+    for width in (1, 2, 4)
+)
+_NARROW_DTYPES = {dtype.itemsize: dtype for dtype, _, _ in _NARROW}
+_minimum, _maximum = np.minimum.reduce, np.maximum.reduce
+
+#: The dict keys wire messages and replies carry on every request; their
+#: encodings are made once (below :func:`encode_value`) and looked up
+#: when a dict's entries are sorted.  Any other key is encoded afresh.
+_FIELD_NAMES = (
+    "op", "id", "ok", "result", "error", "message",
+    "items", "deltas", "client", "seq", "unless", "version", "snapshot",
+    "count", "position", "duplicate", "kind", "data", "length", "pong",
+)
 
 
 def _write_varint(out: bytearray, value: int) -> None:
@@ -116,43 +159,43 @@ def _read_varint(data: memoryview, offset: int) -> tuple[int, int]:
 def encode_into(out: bytearray, value: Any) -> None:
     """Append the encoding of ``value`` to ``out`` (see :func:`encode_value`)."""
     if value is None:
-        out.append(ord("N"))
+        out.append(_NONE)
     elif value is True:
-        out.append(ord("T"))
+        out.append(_TRUE)
     elif value is False:
-        out.append(ord("F"))
+        out.append(_FALSE)
     elif isinstance(value, (int, np.integer)):
         value = int(value)
-        out.append(ord("i"))
+        out.append(_INT)
         out.append(0 if value >= 0 else 1)
         magnitude = abs(value)
         raw = magnitude.to_bytes((magnitude.bit_length() + 7) // 8 or 1, "big")
         _write_varint(out, len(raw))
         out.extend(raw)
     elif isinstance(value, float):
-        out.append(ord("f"))
+        out.append(_FLOAT)
         out.extend(struct.pack(">d", value))
     elif isinstance(value, str):
         raw = value.encode("utf-8")
-        out.append(ord("s"))
+        out.append(_STR)
         _write_varint(out, len(raw))
         out.extend(raw)
     elif isinstance(value, (bytes, bytearray)):
-        out.append(ord("b"))
+        out.append(_BYTES)
         _write_varint(out, len(value))
         out.extend(value)
     elif isinstance(value, tuple):
-        out.append(ord("t"))
+        out.append(_TUPLE)
         _write_varint(out, len(value))
         for element in value:
             encode_into(out, element)
     elif isinstance(value, list):
-        out.append(ord("l"))
+        out.append(_LIST)
         _write_varint(out, len(value))
         for element in value:
             encode_into(out, element)
     elif isinstance(value, dict):
-        out.append(ord("d"))
+        out.append(_DICT)
         _write_varint(out, len(value))
         # Canonical entry order: sort by the keys' own encodings (a total,
         # injective order even for mixed key types).  Insertion order would
@@ -160,7 +203,7 @@ def encode_into(out: bytearray, value: Any) -> None:
         # identical counts dict via different update orders must snapshot
         # to identical bytes for "equal states, equal bytes" to hold.
         entries = sorted(
-            ((encode_value(key), entry) for key, entry in value.items()),
+            ((_key_encoding(key), entry) for key, entry in value.items()),
             key=lambda pair: pair[0],
         )
         for raw_key, entry in entries:
@@ -168,18 +211,10 @@ def encode_into(out: bytearray, value: Any) -> None:
             encode_into(out, entry)
     elif isinstance(value, np.ndarray):
         if value.dtype == np.int64:
-            out.append(ord("a"))
-            _write_varint(out, value.ndim)
-            for dim in value.shape:
-                _write_varint(out, dim)
-            # Fixed little-endian int64 bytes: platform-independent.  The
-            # buffer is copied once, straight into ``out``.
-            out.extend(np.ascontiguousarray(value, dtype="<i8"))
+            _encode_int64_array(out, value)
         elif value.dtype == object:
-            out.append(ord("O"))
-            _write_varint(out, value.ndim)
-            for dim in value.shape:
-                _write_varint(out, dim)
+            out.append(_OBJECT_ARRAY)
+            _write_shape(out, value)
             for element in value.ravel().tolist():
                 encode_into(out, element)
         else:
@@ -190,6 +225,40 @@ def encode_into(out: bytearray, value: Any) -> None:
         raise SnapshotError(
             f"unsupported value type for snapshots: {type(value).__name__}"
         )
+
+
+def _key_encoding(key: Any) -> bytes:
+    if type(key) is str:
+        raw = _KEY_ENCODINGS.get(key)
+        if raw is not None:
+            return raw
+    return encode_value(key)
+
+
+def _write_shape(out: bytearray, value: np.ndarray) -> None:
+    _write_varint(out, value.ndim)
+    for dim in value.shape:
+        _write_varint(out, dim)
+
+
+def _encode_int64_array(out: bytearray, value: np.ndarray) -> None:
+    """Little-endian bytes at the narrowest width that holds the values."""
+    if value.size:
+        # The reductions themselves: ``ndarray.min`` wraps them in a
+        # Python-level call that costs more than a small array's scan.
+        low, high = _minimum(value, None), _maximum(value, None)
+        for dtype, lowest, highest in _NARROW:
+            if lowest <= low and high <= highest:
+                out.append(_NARROW_ARRAY)
+                out.append(dtype.itemsize)
+                _write_shape(out, value)
+                out.extend(value.astype(dtype, order="C"))
+                return
+    out.append(_INT64_ARRAY)
+    _write_shape(out, value)
+    # Fixed little-endian bytes: platform-independent.  The buffer is
+    # copied once, straight into ``out``.
+    out.extend(np.ascontiguousarray(value, dtype=_INT64))
 
 
 def _read_shape(data: memoryview, offset: int) -> tuple[list[int], int, int]:
@@ -204,18 +273,40 @@ def _read_shape(data: memoryview, offset: int) -> tuple[list[int], int, int]:
     return shape, count, offset
 
 
+def _shaped(array: np.ndarray, shape: list[int]) -> np.ndarray:
+    try:
+        return array.reshape(shape)
+    except ValueError:  # more dimensions, or a larger one, than numpy takes
+        raise SnapshotError(f"malformed payload (ndarray shape {shape})") from None
+
+
+def _read_int64_array(
+    data: memoryview, offset: int, dtype: np.dtype
+) -> tuple[np.ndarray, int]:
+    shape, count, offset = _read_shape(data, offset)
+    end = offset + dtype.itemsize * count
+    if end > len(data):
+        raise SnapshotError(f"truncated payload (int64 ndarray at width {dtype.itemsize})")
+    # The one copy: a fresh native-int64 array that owns its memory.
+    array = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
+    return _shaped(array, shape).astype(np.int64), end
+
+
 def _decode_from(data: memoryview, offset: int) -> tuple[Any, int]:
     if offset >= len(data):
         raise SnapshotError("truncated payload (missing tag)")
     tag = data[offset]
     offset += 1
-    if tag == ord("N"):
-        return None, offset
-    if tag == ord("T"):
-        return True, offset
-    if tag == ord("F"):
-        return False, offset
-    if tag == ord("i"):
+    # Tags in rough order of frequency on the wire.
+    if tag == _STR:
+        length, offset = _read_varint(data, offset)
+        if offset + length > len(data):
+            raise SnapshotError("truncated payload (str)")
+        try:
+            return str(data[offset : offset + length], "utf-8"), offset + length
+        except UnicodeDecodeError:
+            raise SnapshotError("malformed payload (str is not UTF-8)") from None
+    if tag == _INT:
         if offset >= len(data):
             raise SnapshotError("truncated payload (int sign)")
         negative = data[offset] == 1
@@ -225,31 +316,7 @@ def _decode_from(data: memoryview, offset: int) -> tuple[Any, int]:
             raise SnapshotError("truncated payload (int magnitude)")
         magnitude = int.from_bytes(data[offset : offset + length], "big")
         return (-magnitude if negative else magnitude), offset + length
-    if tag == ord("f"):
-        if offset + 8 > len(data):
-            raise SnapshotError("truncated payload (float)")
-        return struct.unpack_from(">d", data, offset)[0], offset + 8
-    if tag == ord("s"):
-        length, offset = _read_varint(data, offset)
-        if offset + length > len(data):
-            raise SnapshotError("truncated payload (str)")
-        try:
-            return str(data[offset : offset + length], "utf-8"), offset + length
-        except UnicodeDecodeError:
-            raise SnapshotError("malformed payload (str is not UTF-8)") from None
-    if tag == ord("b"):
-        length, offset = _read_varint(data, offset)
-        if offset + length > len(data):
-            raise SnapshotError("truncated payload (bytes)")
-        return bytes(data[offset : offset + length]), offset + length
-    if tag in (ord("t"), ord("l")):
-        count, offset = _read_varint(data, offset)
-        elements = []
-        for _ in range(count):
-            element, offset = _decode_from(data, offset)
-            elements.append(element)
-        return (tuple(elements) if tag == ord("t") else elements), offset
-    if tag == ord("d"):
+    if tag == _DICT:
         count, offset = _read_varint(data, offset)
         result: dict[Any, Any] = {}
         for _ in range(count):
@@ -260,15 +327,40 @@ def _decode_from(data: memoryview, offset: int) -> tuple[Any, int]:
             except TypeError:
                 raise SnapshotError("malformed payload (unhashable dict key)") from None
         return result, offset
-    if tag == ord("a"):
-        shape, count, offset = _read_shape(data, offset)
-        end = offset + 8 * count
-        if end > len(data):
-            raise SnapshotError("truncated payload (int64 ndarray)")
-        # The one copy: a fresh native-int64 array that owns its memory.
-        array = np.frombuffer(data, dtype="<i8", count=count, offset=offset)
-        return array.reshape(shape).astype(np.int64), end
-    if tag == ord("O"):
+    if tag == _NARROW_ARRAY:
+        if offset >= len(data):
+            raise SnapshotError("truncated payload (ndarray width)")
+        dtype = _NARROW_DTYPES.get(data[offset])
+        if dtype is None:
+            raise SnapshotError(
+                f"malformed payload (ndarray width {data[offset]}, not 1, 2 or 4)"
+            )
+        return _read_int64_array(data, offset + 1, dtype)
+    if tag == _INT64_ARRAY:
+        return _read_int64_array(data, offset, _INT64)
+    if tag == _NONE:
+        return None, offset
+    if tag == _TRUE:
+        return True, offset
+    if tag == _FALSE:
+        return False, offset
+    if tag == _BYTES:
+        length, offset = _read_varint(data, offset)
+        if offset + length > len(data):
+            raise SnapshotError("truncated payload (bytes)")
+        return bytes(data[offset : offset + length]), offset + length
+    if tag == _TUPLE or tag == _LIST:
+        count, offset = _read_varint(data, offset)
+        elements = []
+        for _ in range(count):
+            element, offset = _decode_from(data, offset)
+            elements.append(element)
+        return (tuple(elements) if tag == _TUPLE else elements), offset
+    if tag == _FLOAT:
+        if offset + 8 > len(data):
+            raise SnapshotError("truncated payload (float)")
+        return struct.unpack_from(">d", data, offset)[0], offset + 8
+    if tag == _OBJECT_ARRAY:
         shape, count, offset = _read_shape(data, offset)
         if count > len(data) - offset:  # every element takes a byte at least
             raise SnapshotError("truncated payload (object ndarray)")
@@ -276,7 +368,7 @@ def _decode_from(data: memoryview, offset: int) -> tuple[Any, int]:
         for index in range(count):
             element, offset = _decode_from(data, offset)
             array[index] = element
-        return array.reshape(shape), offset
+        return _shaped(array, shape), offset
     raise SnapshotError(f"unknown value tag {tag:#x}")
 
 
@@ -285,6 +377,9 @@ def encode_value(value: Any) -> bytes:
     out = bytearray()
     encode_into(out, value)
     return bytes(out)
+
+
+_KEY_ENCODINGS = {name: encode_value(name) for name in _FIELD_NAMES}
 
 
 def decode_value(data) -> Any:
@@ -365,9 +460,10 @@ def _parse_envelope(data: bytes) -> tuple[str, bytes, memoryview]:
     offset = len(MAGIC)
     version = data[offset]
     offset += 1
-    if version != VERSION:
+    if version not in _READABLE_VERSIONS:
         raise SnapshotError(
-            f"unsupported snapshot version {version} (expected {VERSION})"
+            f"unsupported snapshot version {version} (reads "
+            f"{', '.join(map(str, _READABLE_VERSIONS))})"
         )
     name_length, offset = _read_varint(data, offset)
     if offset + name_length > len(data):

@@ -8,7 +8,7 @@ puts a service boundary in front of it:
 
 * :mod:`repro.service.protocol` -- one length-prefixed request/response
   message schema shared by client, server, and coordinator, encoded
-  with the snapshot codec (raw int64 array payloads, fingerprint-
+  with the snapshot codec (raw integer array payloads, fingerprint-
   verified snapshot transport);
 * :mod:`repro.service.server` -- :class:`SketchServer`, the asyncio TCP
   collector that decodes update batches straight into a
@@ -48,6 +48,7 @@ from repro.service.protocol import (
     DEFAULT_MAX_FRAME,
     PROTOCOL_VERSION,
     ProtocolError,
+    ProtocolVersionMismatch,
     SequenceGap,
     ServerBusy,
     ServiceError,
@@ -64,6 +65,7 @@ __all__ = [
     "MembershipStateMachine",
     "PROTOCOL_VERSION",
     "ProtocolError",
+    "ProtocolVersionMismatch",
     "RetryPolicy",
     "RetrySchedule",
     "SequenceGap",

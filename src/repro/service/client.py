@@ -97,6 +97,7 @@ from repro.obs import (
 )
 from repro.service.protocol import (
     DEFAULT_MAX_FRAME,
+    PROTOCOL_VERSION,
     FrameProtocol,
     make_request,
     raise_for_reply,
@@ -104,6 +105,7 @@ from repro.service.protocol import (
     send_message,
     unpack_array,
     ProtocolError,
+    ProtocolVersionMismatch,
     SequenceGap,
     ServerBusy,
     ServiceError,
@@ -264,8 +266,11 @@ class _ClientCore:
         ``retry=`` takes a full :class:`RetryPolicy` (backoff, deadline,
         per-op timeout); bare ``retries=N`` gets the default
         capped-exponential shape.  The handshake pins the server's sketch
-        class and construction fingerprint in ``client.server_info``.
-        ``client_id=`` reuses an existing sequenced-feed identity.
+        class and construction fingerprint in ``client.server_info``, and
+        a server of another ``PROTOCOL_VERSION`` raises
+        :class:`~repro.service.protocol.ProtocolVersionMismatch` (so does
+        a reconnect to one).  ``client_id=`` reuses an existing
+        sequenced-feed identity.
         """
         policy = retry if retry is not None else RetryPolicy(max_attempts=retries + 1)
         client = cls(
@@ -289,6 +294,10 @@ class _ClientCore:
                 yield (self._sleep, delay)
         if self._hello:
             self.server_info = yield from self._call("hello")
+            version = self.server_info.get("protocol_version")
+            if version != PROTOCOL_VERSION:
+                yield (self._close,)
+                raise ProtocolVersionMismatch(version)
         return self
 
     def _reconnecting(self):
@@ -516,8 +525,8 @@ class _ClientCore:
                     yield from recover(exc)
                 yield from pump(window - 1)
             yield from pump(0)
-        except _TRANSPORT_ERRORS:
-            raise
+        except (*_TRANSPORT_ERRORS, ProtocolVersionMismatch):
+            raise  # no connection left to read acks from
         except Exception:
             # A source, validation or application error: read the acks
             # of the frames still in flight so the stream stays in step.

@@ -59,11 +59,12 @@ versions it reflects, and a read ends in one of three ways, recorded in
 * ``"rebuilt"`` -- anything else: a write by another client, a restart
   (new epoch), :meth:`recover`, a migration or readmission, a slice a
   server rejected, a journal rotation, or more updates to fold than the
-  server's state has cells (its snapshot's length over 8, recorded at
-  each pull), where repeating the servers' work per update costs more
-  than pulling their cells.  Changed servers ship their bytes, and the
-  view is rebuilt from the cache: a replica is deep-copied or merged
-  directly, bytes are restored.
+  server's last snapshot has 8-byte words (recorded at each pull),
+  where repeating the servers' work per update costs more than a pull,
+  whose hash, transfer and copy scale with the snapshot's bytes.
+  Changed servers ship their bytes, and the view is rebuilt from the
+  cache: a replica is deep-copied or merged directly, bytes are
+  restored.
 
 A journal rotation applies the same rule to the cache itself.  For each
 server whose journal passes the size rule it asks for the state unless
@@ -236,7 +237,8 @@ class SketchCoordinator:
         #: the server's state as the bytes it last shipped or as a live
         #: replica sketch (see "Failover"), the server state version it
         #: is at, the coordinator position it was observed at, and the
-        #: cell count of the last pulled bytes (length over 8).
+        #: size of the last pulled bytes in 8-byte words (the fold's
+        #: size rule, :meth:`_fits`).
         self._cache: list = [None] * len(self.addresses)
         self._cells: list[int] = [0] * len(self.addresses)
         self._versions: list[Optional[tuple]] = [None] * len(self.addresses)
@@ -530,10 +532,10 @@ class SketchCoordinator:
         not changed since answers with its version alone, and the entry
         stands in whichever form it holds.  Otherwise the server's bytes
         replace the entry -- dropping any replica, restoring nothing --
-        and their cell count is recorded.  Either way the entry now
-        equals the server's state, so the journal of slices since the
-        last refresh is dropped.  A failed request leaves the entry
-        untouched.
+        and their size in 8-byte words is recorded.  Either way the
+        entry now equals the server's state, so the journal of slices
+        since the last refresh is dropped.  A failed request leaves the
+        entry untouched.
 
         With ``predicted`` -- the cached version plus one mutation per
         journaled slice -- ``unless`` is that instead, and a server at
@@ -563,9 +565,10 @@ class SketchCoordinator:
 
     def _fits(self, index: int, slices) -> bool:
         """The fold's size rule: ``slices`` hold no more updates than
-        server ``index``'s state has cells (its last pulled snapshot's
-        length over 8 stands in for the cell count).  Folding repeats
-        the server's work per update; a pull costs per cell."""
+        server ``index``'s last pulled snapshot has 8-byte words.
+        Folding repeats the server's work per update; a pull's hash,
+        transfer and copy cost per byte.  (Snapshots store int64 arrays
+        at their narrowest width, so the words count bytes, not cells.)"""
         return sum(len(items) for items, _ in slices) <= self._cells[index]
 
     def _fold_plan(self, active: list[int]) -> Optional[dict[int, int]]:
@@ -611,9 +614,9 @@ class SketchCoordinator:
           server's version: no restore, merge or copy;
         * ``"folded"`` -- the view is each server's cache entry plus a
           prefix of its journal, the updates left to fold are no more
-          than each server's state has cells, and every server answers
-          at its predicted version: a copy of the view is fed the
-          journaled slices it lacks;
+          than each server's snapshot has 8-byte words, and every
+          server answers at its predicted version: a copy of the view
+          is fed the journaled slices it lacks;
         * ``"rebuilt"`` -- otherwise: a fresh view from the cache
           entries, which changed servers refreshed with their bytes
           (:meth:`_build_view`) -- exactly the

@@ -7,7 +7,7 @@ format carrying one *message* per frame -- a plain dict with an ``"op"``
 key -- encoded with the deterministic value codec the snapshot wire
 format already trusts (:func:`repro.distributed.codec.encode_value`).
 Reusing that codec means update batches travel as raw little-endian
-int64 array bytes (no per-element Python marshalling on the hot path),
+integer array bytes (no per-element Python marshalling on the hot path),
 big ints survive exactly, and a sketch snapshot is just a ``bytes``
 field inside a message -- the construction-fingerprint checks of
 :mod:`repro.distributed.codec` keep guarding every snapshot that moves
@@ -17,6 +17,17 @@ Frame layout::
 
     MAGIC "RSV1" | u32 payload length (big-endian) | payload =
         encode_value(message dict)
+
+Every int64 array in a payload travels at the narrowest width in
+{1, 2, 4, 8} bytes that holds its values and arrives as int64 again: a
+feed of items below 2^31 with deltas in +-127 costs 5 bytes an update,
+not 16.  The width follows from the values, so equal messages still give
+equal frames.  That array encoding is what :data:`PROTOCOL_VERSION` 2
+changed; a peer of version 1 could not read it.  The ``hello`` reply
+carries the server's ``protocol_version`` and carries no arrays, so the
+handshake reads the same in both versions, and a client refuses a server
+of another version there (:class:`ProtocolVersionMismatch`) before it
+sends a single array.
 
 A frame that fails any structural check -- bad magic, a length above the
 negotiated cap, truncated payload, a payload that does not decode to a
@@ -33,11 +44,14 @@ the server processes each connection's requests in FIFO order.
 Copies and the read path
 ------------------------
 :func:`pack_message` reserves the header, encodes the message behind it
-into the same buffer and fills the header in: each int64 array is copied
-once, from its own memory into the frame.  :func:`unpack_message`
-decodes from a view of the received payload: each int64 array is copied
-once, out of the frame into a fresh owned array, and each ``bytes``
-field once into its ``bytes``.  Every path calls these two functions.
+into the same buffer and fills the header in: each int64 array is
+scanned for its range, and copied into the frame straight from its own
+memory at width 8, or cast to its narrow width and that copied in.
+:func:`unpack_message` decodes from a view of the received payload: each
+int64 array is copied once, out of the frame into a fresh owned int64
+array (widened on the way), and each ``bytes`` field once into its
+``bytes``.  Every path calls these two functions.  A payload decodes to
+at most eight times its own size, so a frame's cap bounds its messages.
 
 The blocking client receives a frame with :func:`recv_message`: the
 header, then the payload with ``recv_into`` into one buffer.  The
@@ -54,8 +68,9 @@ pages the socket writes into are committed.
 
 Ops
 ---
-``hello``            server identity, API version, sketch class +
-                     construction fingerprint, fleet shape
+``hello``            server identity, protocol and library versions,
+                     sketch class + construction fingerprint, fleet
+                     shape
 ``feed``             one ``(items, deltas)`` int64 update batch;
                      optional ``client`` (opaque id) + ``seq``
                      (contiguous per-client counter) make it
@@ -110,6 +125,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "DEFAULT_MAX_FRAME",
     "ProtocolError",
+    "ProtocolVersionMismatch",
     "SequenceGap",
     "ServerBusy",
     "ServiceError",
@@ -128,7 +144,7 @@ __all__ = [
 ]
 
 MAGIC = b"RSV1"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Frames above this are rejected before any allocation happens.  Large
 #: enough for multi-megabyte update batches and merged SIS snapshots,
@@ -165,6 +181,23 @@ REQUEST_OPS = frozenset(
 
 class ProtocolError(ValueError):
     """A frame is structurally invalid; the connection cannot continue."""
+
+
+class ProtocolVersionMismatch(RuntimeError):
+    """The server speaks another :data:`PROTOCOL_VERSION`.
+
+    A client's ``hello`` handshake raises it after closing the
+    connection.  It is neither an :class:`OSError` nor a
+    :class:`ProtocolError`, so no reconnect or resend loop retries into
+    a peer that would misread the first array sent to it.
+    """
+
+    def __init__(self, server_version: Any) -> None:
+        super().__init__(
+            f"server speaks protocol version {server_version!r}, this "
+            f"client speaks {PROTOCOL_VERSION}"
+        )
+        self.server_version = server_version
 
 
 class ServiceError(RuntimeError):
@@ -543,9 +576,10 @@ def raise_for_reply(message: dict, request_id: int) -> Any:
 def pack_array(array: np.ndarray) -> dict:
     """An estimate-result array as codec-friendly exact bytes.
 
-    int64 arrays ride the codec's native ndarray tag; float64 arrays
-    (CountSketch/AMS estimates) travel as raw little-endian IEEE bytes --
-    bit-identical either way.
+    int64 arrays ride the codec's int64 ndarray encoding (narrowed on
+    the wire, int64 again on arrival); float64 arrays (CountSketch/AMS
+    estimates) travel as raw little-endian IEEE bytes -- bit-identical
+    either way.
     """
     array = np.asarray(array)
     if array.dtype == np.int64:
@@ -569,9 +603,17 @@ def unpack_array(packed: Any) -> np.ndarray:
             raise ProtocolError("packed i8 array carries no int64 data")
         return data
     if packed["kind"] == "f8":
-        return np.frombuffer(packed["data"], dtype="<f8").astype(
-            np.float64, copy=True
-        )[: packed.get("length")]
+        data = packed["data"]
+        if (
+            not isinstance(data, bytes)
+            or len(data) % 8
+            or packed.get("length") != len(data) // 8
+        ):
+            raise ProtocolError(
+                "packed f8 array needs bytes of 8 per element, as many "
+                "elements as its 'length'"
+            )
+        return np.frombuffer(data, dtype="<f8").astype(np.float64)
     raise ProtocolError(f"unknown packed-array kind {packed['kind']!r}")
 
 

@@ -68,3 +68,11 @@ def is_closed(client) -> bool:
     if isinstance(client, SketchClient):
         return client._sock.fileno() < 0
     return client._frames.transport.is_closing()
+
+
+def drop_connection(client) -> None:
+    """Close a client's connection under it, as a network fault would."""
+    if isinstance(client, SketchClient):
+        client._sock.close()
+    else:
+        client._frames.transport.abort()

@@ -7,18 +7,27 @@ int64 dense vs object-dtype exact, CountMin int64 vs promoted object
 tables) -- and ``merge_snapshot`` fan-in must equal in-process ``merge``.
 Malformed bytes must fail loudly: fingerprint mismatches (wrong seed,
 wrong parameters, wrong class), truncation, and corruption each raise
-typed errors before any state moves.
+typed errors before any state moves.  Int64 arrays travel at their
+narrowest width and come back as owned int64 arrays, and snapshots and
+checkpoints the version 1 codec wrote still restore to the same state.
 """
 
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from test_shard_equivalence import SKETCHES
 
+from repro.core.engine import StreamEngine
 from repro.core.stream import Update
 from repro.distinct.exact_l0 import ExactL0
 from repro.distinct.kmv import KMVEstimator
 from repro.distinct.sis_l0 import SisL0Estimator
+from repro.distributed.checkpoint import resume_from
 from repro.distributed.codec import (
     FingerprintMismatch,
     SnapshotError,
@@ -176,12 +185,82 @@ class TestValueCodec:
             b"d\x01l\x00N",  # an unhashable (list) dict key
             b"O\x01\x80\x80\x80\x80\x10",  # 2**32 object elements, no bytes
             b"l\x01" * 100_000 + b"N",  # nested past the recursion limit
+            b"n\x03\x01\x02" + bytes(6),  # a narrow array of width 3
+            b"n\x08\x01\x01" + bytes(8),  # width 8 is tag ``a``, not ``n``
+            b"n",  # no width byte
+            b"n\x02\x01\x04" + bytes(7),  # 4 elements of 2 bytes in 7 bytes
+            b"n\x01\x01\xff\xff\xff\xff\x0f",  # 2**32 - 1 elements, no bytes
+            b"a\x02\x00\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x02",
+            b"O\x02\x00\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x02",
+            b"n\x01\x41" + b"\x01" * 65 + b"\x00",  # more dimensions than numpy has
         ],
-        ids=["utf8", "unhashable-key", "object-count", "nesting"],
+        ids=[
+            "utf8",
+            "unhashable-key",
+            "object-count",
+            "nesting",
+            "bad-width",
+            "width-8",
+            "no-width",
+            "truncated-narrow",
+            "narrow-count",
+            "int64-shape",
+            "object-shape",
+            "ndim",
+        ],
     )
     def test_malformed_values_raise_snapshot_error(self, data):
         with pytest.raises(SnapshotError):
             decode_value(data)
+
+
+#: Each width's signed range edges, the values a narrowing rule can get
+#: wrong by one.
+WIDTH_EDGES = [
+    value
+    for bits in (7, 15, 31)
+    for value in (-(2**bits) - 1, -(2**bits), 2**bits - 1, 2**bits)
+] + [-(2**63), 2**63 - 1, -1, 0, 1]
+
+
+def width_written(encoded: bytes) -> int:
+    """The element width of an encoded int64 array (tag ``n`` or ``a``)."""
+    return encoded[1] if encoded[:1] == b"n" else 8
+
+
+def narrowest_width(array: np.ndarray) -> int:
+    if array.size:
+        low, high = int(array.min()), int(array.max())
+        for width in (1, 2, 4):
+            if -(2 ** (8 * width - 1)) <= low and high < 2 ** (8 * width - 1):
+                return width
+    return 8
+
+
+class TestNarrowArrays:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        array=hnp.arrays(
+            np.int64,
+            hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+            elements=st.one_of(
+                st.sampled_from(WIDTH_EDGES),
+                st.integers(-(2**63), 2**63 - 1),
+                st.integers(-300, 300),
+            ),
+        ),
+        transpose=st.booleans(),
+    )
+    def test_narrowest_width_round_trip(self, array, transpose):
+        if transpose:
+            array = array.T  # not C-contiguous when 2-D or more
+        encoded = encode_value(array)
+        out = decode_value(encoded)
+        assert isinstance(out, np.ndarray) and out.dtype == np.int64
+        assert out.shape == array.shape and np.array_equal(out, array)
+        assert out.flags.owndata and out.flags.aligned and out.flags.writeable
+        assert width_written(encoded) == narrowest_width(array)
+        assert encode_value(out) == encoded
 
 
 class TestSnapshotRoundTrip:
@@ -360,3 +439,78 @@ class TestRejection:
         with pytest.raises(FingerprintMismatch):
             target.restore(source.snapshot())
         assert dict(target.state_view().fields) == before
+
+
+# -- bytes the version 1 codec wrote -------------------------------------------
+
+#: Snapshots of every ``SKETCHES`` family and one checkpoint, written by
+#: the version 1 codec (every int64 array at 8 bytes a cell) from
+#: :func:`fixture_stream` through ``StreamEngine(chunk_size=128)``; the
+#: checkpoint holds count-min after the first 256 updates.
+V1_FIXTURES = Path(__file__).parent / "fixtures" / "codec_v1"
+
+#: Each family's construction fingerprint under the version 1 codec.
+#: Merge keys hold ints and tuples, never arrays, so the narrow array
+#: encoding must not move them.
+V1_FINGERPRINTS = {
+    "ams": "5757551357bf38a274baa679d9472cd4dcaac067b51d38a6a5dee527b73ce45b",
+    "count-min": "fe31f555f98cf8b3fee7127047750489f89677011fe8ddf50fdc0e5e2189448f",
+    "count-sketch": "a329a6b53f868ef277fca2d91558827ac1e98ea9bd3eb52fcfb673b00bd33800",
+    "exact-fp": "05f5d99c2cf7548331e2b3f3cb7525d48970a5e048900542737af26c0f961fbe",
+    "exact-l0": "581ab3df7e217091acc2322b6e1381cb2d352a206aabf203b126a9302c3005fa",
+    "kmv": "f1883005c57ad7a7d7f6c76adf94c1d5c1f40a3ee460038401dcdf60de269302",
+    "sis-l0": "95250236eadee7710f8a16f2ecb5e20fe3045b458d2e4cdd1a0e03acce958cea",
+    "sis-l0-exact": "5e050e0b6005333bf9098602441651d635f921967cae3580b77119185753bdd8",
+}
+
+
+def fixture_stream(universe, insertions_only, length=600):
+    """A fixed closed-form stream (no generator whose output could drift)."""
+    index = np.arange(length, dtype=np.int64)
+    items = (index * 7919 + 13) % universe
+    magnitude = index % 7 + 1
+    deltas = magnitude if insertions_only else np.where(index % 3, magnitude, -magnitude)
+    return items, deltas
+
+
+def fed(name, stop=None):
+    make, config = SKETCHES[name]
+    items, deltas = fixture_stream(config["universe"], config["insertions_only"])
+    sketch = make()
+    StreamEngine(chunk_size=128).drive_arrays([sketch], items[:stop], deltas[:stop])
+    return sketch
+
+
+class TestVersion1Bytes:
+    @pytest.mark.parametrize("name", sorted(SKETCHES))
+    def test_construction_fingerprint_unchanged(self, name):
+        make, _ = SKETCHES[name]
+        assert construction_fingerprint(make()).hex() == V1_FINGERPRINTS[name]
+
+    @pytest.mark.parametrize("name", sorted(SKETCHES))
+    def test_v1_snapshot_restores_and_re_encodes_as_v2(self, name):
+        make, _ = SKETCHES[name]
+        v1 = (V1_FIXTURES / f"{name}.snapshot").read_bytes()
+        v2 = fed(name).snapshot()
+        assert (v1[4], v2[4]) == (1, 2)  # the envelope version byte
+        from_v1 = make().restore(v1)
+        assert_state_identical(make().restore(v2), from_v1)
+        assert from_v1.snapshot() == v2
+
+    @pytest.mark.parametrize("version", [0, 3, 255])
+    def test_other_envelope_versions_rejected(self, version):
+        data = bytearray(fed("count-min").snapshot())
+        data[4] = version
+        with pytest.raises(SnapshotError, match="version"):
+            SKETCHES["count-min"][0]().restore(bytes(data))
+
+    def test_v1_checkpoint_resumes_byte_identical(self):
+        make, config = SKETCHES["count-min"]
+        items, deltas = fixture_stream(config["universe"], config["insertions_only"])
+        resumed = make()
+        position = resume_from(V1_FIXTURES / "count-min.ckpt", resumed)
+        assert position == 256
+        StreamEngine(chunk_size=128).drive_arrays(
+            [resumed], items[position:], deltas[position:]
+        )
+        assert resumed.snapshot() == fed("count-min").snapshot()

@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 import pytest
-from client_transports import connect
+from client_transports import connect, drop_connection, is_closed
 
 from repro import obs
 from repro.core.engine import StreamEngine
@@ -37,6 +37,7 @@ from repro.heavyhitters.count_sketch import CountSketch
 from repro.service import (
     AsyncSketchClient,
     ProtocolError,
+    ProtocolVersionMismatch,
     RetryPolicy,
     ServerBusy,
     ServiceError,
@@ -44,6 +45,7 @@ from repro.service import (
     SketchCoordinator,
     SketchServer,
 )
+from repro.service import server as server_module
 from repro.service.protocol import (
     MAGIC,
     PAUSE_BYTES,
@@ -213,6 +215,21 @@ class TestMessageCodec:
         result = raise_for_reply(unpack_message(pack_message(message)[8:]), 1)
         assert array.tobytes() == unpack_array(result).tobytes()
 
+    @pytest.mark.parametrize(
+        "packed",
+        [
+            {"kind": "f8", "data": "not bytes!", "length": 1},
+            {"kind": "f8", "data": bytes(12), "length": 1},
+            {"kind": "f8", "data": bytes(16), "length": 5},
+            {"kind": "f8", "data": bytes(16), "length": 1},
+            {"kind": "f8", "data": bytes(16)},
+        ],
+        ids=["not-bytes", "ragged", "long-length", "short-length", "no-length"],
+    )
+    def test_malformed_f8_array_is_protocol_error(self, packed):
+        with pytest.raises(ProtocolError, match="f8"):
+            unpack_array(packed)
+
     def test_error_reply_maps_to_local_exception_types(self):
         for exc, expected in [
             (FingerprintMismatch("nope"), FingerprintMismatch),
@@ -239,6 +256,10 @@ class TestMessageCodec:
         clean = sanitize_value(value)
         assert type(clean["f2"]) is float and type(clean["count"]) is int
         assert type(clean["seq"][0]) is int
+
+
+def int64s(*values):
+    return np.array(values, dtype=np.int64)
 
 
 def pinned_messages():
@@ -274,19 +295,40 @@ def pinned_messages():
             empty=np.zeros(0, dtype=np.int64),
             objs=np.array([2**80, -1, 0], dtype=object),
         ),
+        # One int64 array at each width, each range reaching both ends
+        # of its width; then an all-negative 2-D range and the extremes.
+        "width_1": make_request("estimate", 15, items=int64s(-128, 0, 127)),
+        "width_2": make_request("estimate", 16, items=int64s(-129, 0, 32767)),
+        "width_4": make_request(
+            "estimate", 17, items=int64s(-(2**31), 32768, 2**31 - 1)
+        ),
+        "width_8": make_request("estimate", 18, items=int64s(-(2**31) - 1, 0, 2**31)),
+        "negative": make_request(
+            "estimate", 19, items=np.arange(-40_000, -39_000).reshape(10, 100)
+        ),
+        "extremes": make_request(
+            "estimate", 20, items=int64s(-(2**63), 2**63 - 1, -1, 0)
+        ),
     }
 
 
 #: ``(length, sha256)`` of each pinned message's frame.  The wire format
-#: is fixed: peers of different versions must produce the same bytes.
+#: of each ``PROTOCOL_VERSION`` is fixed: every peer speaking it must
+#: produce the same bytes.
 PINNED_FRAMES = {
-    "feed": (65638, "3409affe5cf2b4009d3a0ebacc4ebe494e30890e39886e1717543713cb930ef9"),
+    "feed": (12392, "3f11fd0c0e7597df25e07645bf25e5bc814af9cc4f51fe7db55c15051f2ba430"),
     "reply": (73, "83e300f3ea11eebc9b254cea4f9086b1f68745e5ad311797adffd4b8a43ec19b"),
     "error": (73, "68955d63092abe4f690e5513f8db340e67a11ddaadf2a8dfe4036c46eb6f92a9"),
-    "estimate_i8": (575, "f58cfd4fbdd2e6ed299c321b94af37d280e4295bc5347f93ff6f6cd062f6cfbd"),
+    "estimate_i8": (128, "30e6c9e37ec9d4d630fed7d155f2f7cd714b9045997fd77eff2fe87ac2f4794c"),
     "estimate_f8": (339, "c276c41f416b41964cdfd9b0996a33b5305c5e3f2b44da92584f1ecac78e9683"),
-    "snapshot": (16650, "100af69824805d00304b11fba6c80670cd31ef759545e9de62d07ff612759c52"),
-    "kitchen": (287, "25b446c008f3539e9d09c5372cd732f7a096a3626032857a8b7c4b32f3043678"),
+    "snapshot": (2314, "c14f489e9bcab9b2731b41d65f81373cdb5a1f23ff0164259cc318cde650ddf5"),
+    "kitchen": (204, "1ff7a072bf476493265600ce68d9c1f9f4470c25ccb7111606f3200229759fd5"),
+    "width_1": (46, "f4789f6f120b540b328b7ca3be3108535fcef3028241aef28704f113ba2d25da"),
+    "width_2": (49, "1af97c33d90be059409f95378ec93a52a55402230db4e06e14e0fbec9c35d8b3"),
+    "width_4": (55, "b03b46376ea5cab9a5ba97b3c6fe1acfe33608391708c882f55c15b5edabaa84"),
+    "width_8": (66, "24eb9f4cd33503dcc6385a65190a5aada1e5492a5fb752163e4ccafdb0cd9159"),
+    "negative": (4044, "7e7407b463272fb39803684f3cbe62770a30cbd0b048e6e9a3a2b56af1b04419"),
+    "extremes": (74, "802ef95c70aaeb96f762fceab85bdc8e39d82d7c9cc35d723b660a90ecbbfe1f"),
 }
 
 
@@ -393,7 +435,7 @@ class TestFrameReader:
 
     def test_large_frame_split_anywhere_near_its_edges(self):
         # A feed too large to stage, between two staged frames.
-        frames_out = frame_stream(0, 6_000, 0)
+        frames_out = frame_stream(0, 24_000, 0)
         large = len(frames_out[0]) + len(frames_out[1])
         assert len(frames_out[1]) > STAGING_BYTES
         blob = b"".join(frames_out)
@@ -421,7 +463,7 @@ class TestFrameReader:
             assert result == frames_out
 
     def test_many_small_frames_per_read_and_the_pause_bound(self):
-        frames_out = frame_stream(*([40] * 400))
+        frames_out = frame_stream(*([40] * 1_600))
         blob = b"".join(frames_out)
         assert len(blob) > PAUSE_BYTES + STAGING_BYTES
 
@@ -777,6 +819,56 @@ class TestFeedPipelineErrors:
 
 
 class TestFeedPipelineErrorsAsync(TestFeedPipelineErrors):
+    transport = "async"
+
+
+# -- protocol version handshake ----------------------------------------------
+
+
+def wait_for(predicate, seconds=5.0):
+    deadline = time.monotonic() + seconds
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return predicate()
+
+
+class TestProtocolVersionHandshake:
+    """A server of another ``PROTOCOL_VERSION`` is refused at ``hello``,
+    never retried into; :class:`TestProtocolVersionHandshakeAsync` reruns
+    it on the async client."""
+
+    transport = "sync"
+
+    def test_connect_refuses_another_version_without_retrying(self, monkeypatch):
+        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        with server.run_in_thread() as srv:
+            monkeypatch.setattr(server_module, "PROTOCOL_VERSION", 1)
+            with pytest.raises(ProtocolVersionMismatch) as info:
+                connect(self.transport, "127.0.0.1", srv.port, retries=3)
+            assert info.value.server_version == 1
+            assert not isinstance(info.value, (OSError, ProtocolError))
+            # One connection, closed by the client.
+            assert wait_for(lambda: srv.stats.connections_open == 0)
+            assert srv.stats.connections_total == 1
+
+    def test_feed_replay_never_resends_into_another_version(self, monkeypatch):
+        items, deltas = stream(13, 2 * CHUNK)
+        retry = RetryPolicy(max_attempts=5, base_delay=0.01)
+        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        with server.run_in_thread() as srv:
+            with connect(self.transport, "127.0.0.1", srv.port) as client:
+                # The server "restarts" speaking version 1: the replay
+                # loop's reconnect meets it and stops there.
+                monkeypatch.setattr(server_module, "PROTOCOL_VERSION", 1)
+                drop_connection(client)
+                with pytest.raises(ProtocolVersionMismatch):
+                    client.feed_chunks(chunked(items, deltas), retry=retry)
+                assert is_closed(client)
+            assert srv.position == 0
+            assert srv.stats.connections_total == 2
+
+
+class TestProtocolVersionHandshakeAsync(TestProtocolVersionHandshake):
     transport = "async"
 
 

@@ -1,7 +1,7 @@
 """Distributed deployment layer: wire-format snapshots, process-parallel
-shard workers, and checkpoint/recovery.
+shard workers, replay logs, and checkpoint/recovery.
 
-Three pieces, stacked on the merge protocol
+Four pieces, stacked on the merge protocol
 (:class:`repro.core.MergeableSketch` /
 :class:`repro.core.SerializableSketch`):
 
@@ -14,6 +14,11 @@ Three pieces, stacked on the merge protocol
   (shared-memory chunk transport out, snapshot transport back), giving
   ``ShardedStreamEngine(backend="process")`` real parallelism for
   Python-bound sketches;
+* :mod:`repro.distributed.replay` -- :class:`ReplayLog`, a baseline
+  state plus the batches applied since (the coordinator's per-server
+  cache, the pool's supervised respawn), and :func:`merge_states`, the
+  one fan-in behind the coordinator's view and
+  ``ShardedAlgorithm.merged``;
 * :mod:`repro.distributed.checkpoint` -- periodic engine snapshots to
   disk plus ``resume_from``, so a killed ingestion run replays only the
   tail of the stream.
@@ -37,6 +42,7 @@ from repro.distributed.codec import (
     restore_sketch,
     snapshot_sketch,
 )
+from repro.distributed.replay import ReplayLog, merge_states
 from repro.distributed.workers import ProcessShardPool
 
 __all__ = [
@@ -44,11 +50,13 @@ __all__ = [
     "CheckpointWriter",
     "FingerprintMismatch",
     "ProcessShardPool",
+    "ReplayLog",
     "SnapshotError",
     "construction_fingerprint",
     "decode_value",
     "encode_value",
     "load_checkpoint",
+    "merge_states",
     "restore_sketch",
     "resume_from",
     "save_checkpoint",

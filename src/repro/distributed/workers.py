@@ -40,7 +40,8 @@ the pool raises -- callers keep the thread backend there.
 **Supervision.**  With ``supervise=True`` the pool heals worker *deaths*
 (SIGKILL, OOM, a crashed interpreter -- anything that closes the pipe or
 flips ``is_alive()``) instead of failing the run.  Recovery is built on
-the same state protocol as fan-in: each shard keeps a **baseline** (the
+the same state protocol as fan-in: each shard keeps a
+:class:`~repro.distributed.replay.ReplayLog` -- a **baseline** (the
 replica's wire-format snapshot, refreshed every ``snapshot_every``
 chunks and for free on every ``snapshots()`` fan-in) plus a **journal**
 of the feeds dispatched since that baseline.  A death detected at any
@@ -74,6 +75,7 @@ import numpy as np
 
 from repro.core.algorithm import SerializableSketch, StreamAlgorithm
 from repro.core.stream import Update
+from repro.distributed.replay import ReplayLog
 from repro.obs import (
     PHASE_SECONDS_HELP,
     PHASE_SECONDS_METRIC,
@@ -278,8 +280,9 @@ class ProcessShardPool:
         self._recovering = [False] * self.num_shards
         #: The untouched replicas: respawn templates and fan-in scaffolding.
         self._templates = list(shards)
-        self._baselines: list[Optional[bytes]] = [None] * self.num_shards
-        self._journals: list[list[tuple]] = [[] for _ in range(self.num_shards)]
+        #: Per-shard baseline plus journal (supervised pools only); an
+        #: entry is ``("arrays", items, deltas)`` or ``("pairs", pairs)``.
+        self._logs: list[ReplayLog] = []
         self._capacities = [buffer_capacity] * self.num_shards
         self._blocks: list[list[shared_memory.SharedMemory]] = []
         self._connections = []
@@ -297,8 +300,8 @@ class ProcessShardPool:
             if self.supervise:
                 # Workers inherit their replicas at fork, so the template
                 # snapshot *is* each worker's initial state.
-                self._baselines = [
-                    template.snapshot() for template in self._templates
+                self._logs = [
+                    ReplayLog(template.snapshot()) for template in self._templates
                 ]
         except BaseException:
             self.close()
@@ -384,12 +387,7 @@ class ProcessShardPool:
         """
         if isinstance(exc, OSError):
             exc = WorkerDied(f"shard worker {shard} died ({exc})")
-        if (
-            not self.supervise
-            or self._closed
-            or self._recovering[shard]
-            or self._baselines[shard] is None
-        ):
+        if not self.supervise or self._closed or self._recovering[shard]:
             raise exc
         self._recover(shard, exc)
 
@@ -422,9 +420,10 @@ class ProcessShardPool:
             connection, process = self._start_process(shard)
             self._connections[shard] = connection
             self._processes[shard] = process
-            connection.send(("restore", self._baselines[shard]))
+            log = self._logs[shard]
+            connection.send(("restore", log.baseline))
             self._expect(shard, "ok")
-            for entry in self._journals[shard]:
+            for entry in log.entries:
                 if entry[0] == "arrays":
                     self._feed_block_sync(shard, entry[1], entry[2])
                 else:
@@ -440,7 +439,7 @@ class ProcessShardPool:
                     started,
                     duration,
                     shard=shard,
-                    replayed=len(self._journals[shard]),
+                    replayed=len(log.entries),
                 )
         finally:
             self._recovering[shard] = False
@@ -466,24 +465,17 @@ class ProcessShardPool:
         self._next_buf[shard] = buf ^ 1
 
     def _journal_feed(self, shard: int, entry: tuple) -> None:
-        """Record one dispatched feed; refresh the baseline when due.
-
-        The refresh happens *before* the entry is journaled: a baseline
-        snapshot only covers feeds already acknowledged, so the entry
-        about to be dispatched must stay in the (fresh) journal.
-        """
-        if len(self._journals[shard]) >= self.snapshot_every:
-            self._refresh_baseline(shard)
-        self._journals[shard].append(entry)
-
-    def _refresh_baseline(self, shard: int) -> None:
-        """Re-snapshot one shard and clear its journal (cadence point)."""
-        failure = self._drain_shard(shard)
-        if failure is not None:
-            raise failure
-        reply = self._sync_request(shard, ("snapshot",), "snap")
-        self._baselines[shard] = reply[1]
-        self._journals[shard].clear()
+        """Record one dispatched feed, first rebasing the shard's log on a
+        fresh snapshot once ``snapshot_every`` feeds are journaled.  A
+        snapshot covers only feeds already acknowledged, so the entry
+        about to be dispatched goes into the fresh journal."""
+        log = self._logs[shard]
+        if len(log.entries) >= self.snapshot_every:
+            failure = self._drain_shard(shard)
+            if failure is not None:
+                raise failure
+            log.rebase(self._sync_request(shard, ("snapshot",), "snap")[1])
+        log.entries.append(entry)
 
     def _sync_request(self, shard: int, message: tuple, verb: str):
         """One synchronous round-trip, respawning once on a dead worker."""
@@ -637,6 +629,9 @@ class ProcessShardPool:
                     # Journal before any transport: a death at any later
                     # point replays this part along with the rest, so the
                     # recovery paths below can simply skip the dispatch.
+                    # A one-shard split hands over the caller's arrays.
+                    if self.num_shards == 1:
+                        items, deltas = items.copy(), deltas.copy()
                     self._journal_feed(shard, ("arrays", items, deltas))
                 if self._outstanding[shard] >= _BUFFERS_PER_SHARD:
                     wait_started = time.perf_counter() if observing else 0.0
@@ -714,15 +709,12 @@ class ProcessShardPool:
             raise failure
         if self.supervise:
             self._journal_feed(shard, ("pairs", list(pairs)))
-            try:
-                self._connections[shard].send(("feed_obj", pairs))
-                self._expect(shard, "ok")
-            except (WorkerDied, OSError) as exc:
-                # The replay already delivered the journaled pairs.
-                self._recover_or_raise(shard, exc)
-            return
-        self._connections[shard].send(("feed_obj", pairs))
-        self._expect(shard, "ok")
+        try:
+            self._connections[shard].send(("feed_obj", pairs))
+            self._expect(shard, "ok")
+        except (WorkerDied, OSError) as exc:
+            # A supervised replay already delivered the journaled pairs.
+            self._recover_or_raise(shard, exc)
 
     # -- fan-in ------------------------------------------------------------
 
@@ -764,10 +756,8 @@ class ProcessShardPool:
         """
         self.flush()
         data = [reply[1] for reply in self._broadcast(("snapshot",), "snap")]
-        if self.supervise:
-            for shard, snap in enumerate(data):
-                self._baselines[shard] = snap
-                self._journals[shard].clear()
+        for log, snap in zip(self._logs, data):
+            log.rebase(snap)
         return data
 
     def restore(self, shard: int, data: bytes) -> None:
@@ -775,13 +765,9 @@ class ProcessShardPool:
         failure = self._drain_shard(shard)
         if failure is not None:
             raise failure
+        self._sync_request(shard, ("restore", data), "ok")
         if self.supervise:
-            self._sync_request(shard, ("restore", data), "ok")
-            self._baselines[shard] = data
-            self._journals[shard].clear()
-            return
-        self._connections[shard].send(("restore", data))
-        self._expect(shard, "ok")
+            self._logs[shard].rebase(data)
 
     def shard_loads(self) -> list[int]:
         """Updates processed by each worker's replica."""

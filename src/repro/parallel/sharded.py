@@ -57,6 +57,7 @@ from repro.core.engine import DEFAULT_CHUNK_SIZE, StreamEngine
 from repro.core.game import GameResult, GroundTruth, Validator
 from repro.core.adversary import WhiteBoxAdversary
 from repro.core.stream import Update
+from repro.distributed.replay import merge_states
 from repro.obs import get_registry as _get_obs_registry
 from repro.obs.monitors import SHARD_UPDATES_METRIC
 from repro.parallel.partition import UniversePartitioner
@@ -239,32 +240,18 @@ class ShardedAlgorithm(StreamAlgorithm):
         """A full sketch equal to one instance fed the whole stream.
 
         Clones shard 0 (whose construction randomness every replica
-        shares) and absorbs the remaining shards.  The process backend
-        fans worker state in as wire-format snapshots -- ``restore`` for
-        the first, fingerprint-verified ``merge_snapshot`` for the rest
-        -- which is bit-identical to the in-process merge.  The result is
-        cached until the next update; game loops that query every round
-        pay one merge per round, exactly the coarseness the white-box
-        model demands.
+        shares) and absorbs the remaining shards through
+        :func:`~repro.distributed.replay.merge_states`.  The process
+        backend fans worker state in as wire-format snapshots, restored
+        into construction twins, which is bit-identical to the
+        in-process merge.  The result is cached until the next update;
+        game loops that query every round pay one merge per round,
+        exactly the coarseness the white-box model demands.
         """
         pool = self._live_pool()
         if self._merged_cache is None:
-            clone = copy.deepcopy(self.shards[0])
-            if pool is not None:
-                snapshots = pool.snapshots()
-                clone.restore(snapshots[0])
-                if len(snapshots) > 1:
-                    # One construction twin, restored per snapshot: cheaper
-                    # than merge_snapshot's per-call deepcopy of the
-                    # accumulated clone state, and byte-identical (restore
-                    # replaces the twin's state wholesale each time).
-                    twin = copy.deepcopy(self.shards[0])
-                    for snapshot in snapshots[1:]:
-                        twin.restore(snapshot)
-                        clone.merge(twin)
-            else:
-                clone.merge_batch(self.shards[1:])
-            self._merged_cache = clone
+            states = self.shards if pool is None else pool.snapshots()
+            self._merged_cache = merge_states(self.shards[0], states)
         return self._merged_cache
 
     def load_snapshot(self, data: bytes) -> None:

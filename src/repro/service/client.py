@@ -428,7 +428,8 @@ class _ClientCore:
         Invariants that make the sequenced form exactly-once:
 
         * every chunk gets the next contiguous ``seq`` *before* its
-          first send and keeps it across resends;
+          first send and keeps it, with its own copy of the arrays (the
+          source may reuse them), across resends;
         * the server rejects out-of-order seqs (:class:`SequenceGap`)
           and sheds only *before* the engine (:class:`ServerBusy`), so
           the unacknowledged set is always a contiguous suffix;
@@ -515,8 +516,10 @@ class _ClientCore:
         try:
             while (chunk := (yield (self._next_chunk, chunks))) is not _END:
                 items, deltas = _as_feed_arrays(*chunk)
-                seq = self.next_seq() if policy is not None else None
-                frame = _Frame(seq, items, deltas)
+                if policy is None:
+                    frame = _Frame(None, items, deltas)
+                else:
+                    frame = _Frame(self.next_seq(), items.copy(), deltas.copy())
                 total += len(items)
                 pending.append(frame)
                 try:

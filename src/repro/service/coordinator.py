@@ -23,15 +23,14 @@ the caller replays the stream tail from the returned position.
 
 Failover
 --------
-The coordinator keeps a per-server cache entry (seeded at ``connect``,
-refreshed by every :meth:`merged` read that rebuilds, every
-``journal_every``-chunk rotation, and the :meth:`readmit` /
-:meth:`migrate_server` hand-offs) plus a per-server *journal* of update
-slices acknowledged since the entry.  Entry plus journal is the
-server's exact acknowledged state -- the invariant both recovery paths
-lean on.  An entry holds that state in one of two forms: the
-merged-state bytes the server last shipped, or a live *replica* sketch
-a rotation folded the journal into (below).
+The coordinator keeps one :class:`~repro.distributed.replay.ReplayLog`
+per server: a cache entry (seeded at ``connect``, refreshed by every
+:meth:`merged` read that rebuilds, every ``journal_every``-chunk
+rotation, and the :meth:`readmit` / :meth:`migrate_server` hand-offs)
+plus a *journal* of the update slices acknowledged since.  Entry plus
+journal equals the server's acknowledged state -- the invariant every
+path below leans on.  The entry is the bytes the server last shipped,
+or a live *replica* a rotation folded the journal into.
 
 Each cache entry is tagged with the state version the server issued
 with it: a random per-instance epoch plus a count of applied feeds and
@@ -51,11 +50,8 @@ versions it reflects, and a read ends in one of three ways, recorded in
   answers with its version alone, each holds exactly entry plus
   journal, so a copy of the view fed the journaled slices it does not
   hold yet is the fleet's state: nothing is encoded, shipped, restored
-  or merged.  The fold is exact because a view only ever holds each
-  server's entry plus a prefix of its journal, and because every
-  mergeable family's state, snapshot bytes included, depends on the
-  updates alone and not on how they were batched or sharded (the
-  batch- and shard-equivalence tests pin the bytes);
+  or merged.  A view only ever holds each server's entry plus a prefix
+  of its journal, so the fold is exact;
 * ``"rebuilt"`` -- anything else: a write by another client, a restart
   (new epoch), :meth:`recover`, a migration or readmission, a slice a
   server rejected, a journal rotation, or more updates to fold than the
@@ -63,26 +59,22 @@ versions it reflects, and a read ends in one of three ways, recorded in
   where repeating the servers' work per update costs more than a pull,
   whose hash, transfer and copy scale with the snapshot's bytes.
   Changed servers ship their bytes, and the view is rebuilt from the
-  cache: a replica is deep-copied or merged directly, bytes are
-  restored.
+  cache entries (:func:`~repro.distributed.replay.merge_states`).
 
 A journal rotation applies the same rule to the cache itself.  For each
 server whose journal passes the size rule it asks for the state unless
 the server is at its predicted version; a server at it holds exactly
-entry plus journal, so the coordinator feeds the journal into the
-entry's replica -- restored from the bytes on first use -- as one
-``process_batch`` and drops the bytes: no server encodes a snapshot,
-and nothing is shipped or restored after the first time.  Any other
-answer, or a journal past the rule, pulls the server's bytes, and a
-pull drops the replica without restoring anything.  A replica is
-encoded only when bytes are needed: to push into a readmitted server or
-a migration's destination.
+entry plus journal, so the coordinator folds the journal into the
+entry (:meth:`ReplayLog.fold <repro.distributed.replay.ReplayLog.fold>`):
+no server encodes a snapshot, and nothing is shipped or restored after
+the first time.  Any other answer, or a journal past the rule, pulls
+the server's bytes, and a pull drops the replica without restoring
+anything.  A replica is encoded only to push into a readmitted server
+or a migration's destination.
 
 Because the *server* issues the version, nothing that changes a
 server's state behind the coordinator's back can pass for a match.  A
-read's fold leaves the cache, its versions and the journal alone:
-readmission, migration and degraded reads rely on entry plus journal
-being each server's exact acknowledged state.
+read's fold leaves the logs alone.
 
 When a server is down, :meth:`merged` *degrades* instead of failing:
 the dead server contributes its cache entry, the read is annotated
@@ -128,6 +120,7 @@ from repro.distributed.codec import (
     FingerprintMismatch,
     construction_fingerprint,
 )
+from repro.distributed.replay import ReplayLog, absorb, merge_states
 from repro.obs import (
     DEGRADED_READS_METRIC,
     MIGRATIONS_ACTIVE_METRIC,
@@ -219,11 +212,9 @@ class SketchCoordinator:
         #: Servers whose partitions have been migrated away (standby if
         #: they return; they own no routing until re-planned).
         self._migrated: set[int] = set()
-        #: Per-server replay journal: update slices acknowledged since
-        #: the last cache refresh.  Cache + journal = exact acked state.
-        self._journals: list[list[tuple[np.ndarray, np.ndarray]]] = [
-            [] for _ in self.addresses
-        ]
+        #: Per-server cache entry plus journal (see "Failover"): backs
+        #: degraded reads, the merged view and both recovery paths.
+        self._logs = [ReplayLog() for _ in self.addresses]
         self._chunks_since_rotate = 0
         self.journal_every = int(journal_every)
         #: Updates routed per server (the migration planner's load key).
@@ -233,22 +224,12 @@ class SketchCoordinator:
         #: One request in flight per connection: feeds, fan-ins, and
         #: routing swaps all serialize here (waits happen off-lock).
         self._feed_lock = asyncio.Lock()
-        #: Per-server cache backing degraded reads and the merged view:
-        #: the server's state as the bytes it last shipped or as a live
-        #: replica sketch (see "Failover"), the server state version it
-        #: is at, the coordinator position it was observed at, and the
-        #: size of the last pulled bytes in 8-byte words (the fold's
-        #: size rule, :meth:`_fits`).
-        self._cache: list = [None] * len(self.addresses)
-        self._cells: list[int] = [0] * len(self.addresses)
-        self._versions: list[Optional[tuple]] = [None] * len(self.addresses)
-        self._snapshot_positions: list[int] = [0] * len(self.addresses)
         #: The merged view :meth:`merged` hands out, keyed on the
         #: ``(index, version)`` pairs of the server states it reflects,
         #: and the restore twin every rebuild reuses.
         self._view: Optional[StreamAlgorithm] = None
         self._view_key: Optional[tuple] = None
-        self._twin: Optional[StreamAlgorithm] = None
+        self._twin = copy.deepcopy(self.template)
         #: Annotation of the most recent :meth:`merged` fan-in:
         #: ``{"degraded", "stale", "stale_positions", "position",
         #: "view"}``; ``view`` is ``"reused"``, ``"folded"`` or
@@ -392,6 +373,10 @@ class SketchCoordinator:
         if not items.size:
             return self.position
         parts = self.partitioner.split(items, deltas)
+        if len(parts) == 1:
+            # A one-part split returns the caller's arrays; the journal
+            # must own what it replays.
+            parts = [(items.copy(), deltas.copy())]
         pending: dict[int, tuple] = {
             index: part
             for index, part in enumerate(parts)
@@ -450,7 +435,7 @@ class SketchCoordinator:
                         continue
                     for partition in entry[1]:
                         pending.pop(partition, None)
-                    self._journals[owner].append((entry[2], entry[3]))
+                    self._logs[owner].entries.append((entry[2], entry[3]))
                     self.routed_updates[owner] += int(entry[2].size)
                     reservations.pop(owner, None)
                 if rejected is not None:
@@ -481,16 +466,15 @@ class SketchCoordinator:
         """Move every journal into its server's cache entry (:meth:`_rotate`).
 
         Best-effort per server: a server that cannot answer keeps its
-        journal (entry + journal stays its exact acked state, which is
-        precisely what a later migration or readmission replays).
+        journal, which a later migration or readmission replays.
         """
         self._require_clients()
         async with self._feed_lock:
             self._chunks_since_rotate = 0
             active = [
                 index
-                for index, journal in enumerate(self._journals)
-                if journal and index not in self._migrated
+                for index, log in enumerate(self._logs)
+                if log.entries and index not in self._migrated
             ]
             await asyncio.gather(
                 *(self._rotate(index) for index in active),
@@ -498,78 +482,32 @@ class SketchCoordinator:
             )
 
     async def _rotate(self, index: int) -> None:
-        """Fold server ``index``'s journal into its cache entry, or pull.
-
-        A journal that passes the size rule (:meth:`_fits`) is checked
-        against the server's predicted version.  A server at it holds
-        exactly entry plus journal, so the journal goes into the entry's
-        replica -- restored from the entry's bytes on first use --
-        through :meth:`_absorb`; the entry takes the predicted version
-        and the current position, and its bytes are dropped.  Any other
-        answer, or a journal past the rule, refreshes the entry as
-        :meth:`_pull` does.
-        """
-        journal = self._journals[index]
-        predicted = self._predicted(index) if self._fits(index, journal) else None
-        if not await self._pull(index, predicted):
-            return
-        entry = self._cache[index]
-        if isinstance(entry, bytes):
-            replica = copy.deepcopy(self.template)
-            replica.restore(entry)
-        else:
-            replica = entry
-        self._absorb(replica, journal)
-        self._cache[index] = replica
-        self._versions[index] = predicted
-        self._snapshot_positions[index] = self.position
-        journal.clear()
+        """Fold server ``index``'s journal into its cache entry if the
+        journal passes the size rule and the server is at its predicted
+        version; otherwise refresh the entry as :meth:`_pull` does."""
+        log = self._logs[index]
+        predicted = log.predicted() if log.fits() else None
+        if await self._pull(index, predicted):
+            log.fold(self.template, predicted, self.position)
 
     async def _pull(self, index: int, predicted: Optional[tuple] = None) -> bool:
         """Refresh server ``index``'s cache entry from its live state.
 
-        Sends the cached version as ``unless``: a server whose state has
-        not changed since answers with its version alone, and the entry
-        stands in whichever form it holds.  Otherwise the server's bytes
-        replace the entry -- dropping any replica, restoring nothing --
-        and their size in 8-byte words is recorded.  Either way the
-        entry now equals the server's state, so the journal of slices
-        since the last refresh is dropped.  A failed request leaves the
-        entry untouched.
-
-        With ``predicted`` -- the cached version plus one mutation per
-        journaled slice -- ``unless`` is that instead, and a server at
-        it answers with its version alone: it holds exactly entry plus
-        journal, so entry and journal stand and this returns ``True``.
-        Any other answer refreshes the entry as above.
+        Sends the cached version as ``unless``: a server still at it
+        answers with its version alone and the entry stands; otherwise
+        its bytes replace the entry.  Either way the log rebases on the
+        server's state.  A failed request leaves it untouched.  With
+        ``predicted`` as ``unless`` instead, a server at it holds entry
+        plus journal, so both stand and this returns ``True``.
         """
-        unless = self._versions[index] if predicted is None else predicted
+        log = self._logs[index]
+        unless = log.version if predicted is None else predicted
         reply = await self.clients[index].snapshot(unless=unless)
         data = reply["snapshot"]
         if predicted is not None and data is None:
             return True
-        if data is not None:
-            self._cache[index] = data
-            self._cells[index] = len(data) // 8
-        self._versions[index] = reply["version"]
-        self._snapshot_positions[index] = self.position
-        self._journals[index].clear()
+        log.rebase(data, reply["version"], self.position)
         return False
-
-    def _predicted(self, index: int) -> tuple:
-        """The version server ``index`` holds if it applied exactly the
-        journaled slices since its cache entry: a server bumps its
-        mutation count once per applied feed."""
-        epoch, mutations = self._versions[index]
-        return (epoch, mutations + len(self._journals[index]))
-
-    def _fits(self, index: int, slices) -> bool:
-        """The fold's size rule: ``slices`` hold no more updates than
-        server ``index``'s last pulled snapshot has 8-byte words.
-        Folding repeats the server's work per update; a pull's hash,
-        transfer and copy cost per byte.  (Snapshots store int64 arrays
-        at their narrowest width, so the words count bytes, not cells.)"""
-        return sum(len(items) for items, _ in slices) <= self._cells[index]
 
     def _fold_plan(self, active: list[int]) -> Optional[dict[int, int]]:
         """Per active server, how many of its journaled slices the view
@@ -577,8 +515,7 @@ class SketchCoordinator:
 
         It cannot when there is no view, when the view is not every
         active server's entry plus a prefix of its journal, or when some
-        server's slices still to fold fail the size rule
-        (:meth:`_fits`).
+        server's slices still to fold fail the size rule.
         """
         if self._view is None:
             return None
@@ -587,14 +524,11 @@ class SketchCoordinator:
             return None
         plan = {}
         for index in active:
-            cached, version = self._versions[index], held[index]
-            if cached is None or version[0] != cached[0]:
+            log, version = self._logs[index], held[index]
+            if log.version is None or version[0] != log.version[0]:
                 return None
-            start = version[1] - cached[1]
-            journal = self._journals[index]
-            if not 0 <= start <= len(journal):
-                return None
-            if not self._fits(index, journal[start:]):
+            start = version[1] - log.version[1]
+            if not 0 <= start <= len(log.entries) or not log.fits(start):
                 return None
             plan[index] = start
         return plan
@@ -618,9 +552,9 @@ class SketchCoordinator:
           server answers at its predicted version: a copy of the view
           is fed the journaled slices it lacks;
         * ``"rebuilt"`` -- otherwise: a fresh view from the cache
-          entries, which changed servers refreshed with their bytes
-          (:meth:`_build_view`) -- exactly the
-          :meth:`ShardedAlgorithm.merged` fan-in with TCP in the middle.
+          entries, which changed servers refreshed with their bytes --
+          the :func:`~repro.distributed.replay.merge_states` fan-in
+          :meth:`ShardedAlgorithm.merged` uses, with TCP in the middle.
 
         Servers whose partitions migrated away are skipped entirely
         (their state lives on, and is counted by, the destination
@@ -651,7 +585,9 @@ class SketchCoordinator:
             results: dict[int, object] = {}
             plan = self._fold_plan(active)
             if plan is not None:
-                predicted = {index: self._predicted(index) for index in active}
+                predicted = {
+                    index: self._logs[index].predicted() for index in active
+                }
                 results = await self._pull_all(active, predicted)
             if plan is not None and all(result is True for result in results.values()):
                 outcome = self._fold(plan, predicted)
@@ -662,12 +598,12 @@ class SketchCoordinator:
                     index
                     for index in active
                     if index not in results
-                    or (results[index] is True and self._journals[index])
+                    or (results[index] is True and self._logs[index].entries)
                 ]
                 results.update(await self._pull_all(refresh))
                 for index in active:
                     if isinstance(results[index], BaseException) and (
-                        not allow_degraded or self._cache[index] is None
+                        not allow_degraded or self._logs[index].baseline is None
                     ):
                         raise results[index]
                 outcome = self._rebuild(active)
@@ -680,7 +616,7 @@ class SketchCoordinator:
             "degraded": bool(stale),
             "stale": stale,
             "stale_positions": {
-                index: self._snapshot_positions[index] for index in stale
+                index: self._logs[index].position for index in stale
             },
             "position": self.position,
             "view": outcome,
@@ -706,80 +642,34 @@ class SketchCoordinator:
     def _fold(self, plan: dict[int, int], predicted: dict[int, tuple]) -> str:
         """Advance the view by the journaled slices it does not hold yet.
 
-        Every active server answered at its predicted version, so each
-        holds exactly its entry plus its journal, and the view plus the
-        slices it lacks is the fleet's state.  The slices go into a copy
-        (a handed-out view never changes) through :meth:`_absorb`.
+        Every active server answered at its predicted version, so the
+        view plus the slices it lacks is the fleet's state.  They go
+        into a copy: a handed-out view never changes.
         """
         slices = [
             piece
             for index, start in plan.items()
-            for piece in self._journals[index][start:]
+            for piece in self._logs[index].entries[start:]
         ]
         if not slices:
             return "reused"
         view = copy.deepcopy(self._view)
-        self._absorb(view, slices)
+        absorb(view, slices)
         self._view = view
         self._view_key = tuple(predicted.items())
         return "folded"
 
-    @staticmethod
-    def _absorb(sketch: StreamAlgorithm, slices: list) -> None:
-        """Feed acknowledged ``slices`` into ``sketch`` as one
-        ``process_batch``, advancing ``updates_processed`` as
-        ``feed_batch`` would.  The update metrics are not recorded
-        again: the servers counted these updates when they applied
-        them.  One batch is exact because each item's updates keep
-        their order and every mergeable family's state depends on the
-        updates alone, not on how they were batched."""
-        items = np.concatenate([items for items, _ in slices])
-        sketch.process_batch(items, np.concatenate([deltas for _, deltas in slices]))
-        sketch.updates_processed += len(items)
-
     def _rebuild(self, active: list[int]) -> str:
         """Reuse the view if it was built from exactly the cached
         versions, or build a new one from the cache entries."""
-        key = tuple((index, self._versions[index]) for index in active)
+        key = tuple((index, self._logs[index].version) for index in active)
         if key == self._view_key:
             return "reused"
-        self._view = self._build_view([self._cache[index] for index in active])
+        self._view = merge_states(
+            self.template, [self._logs[index].baseline for index in active], self._twin
+        )
         self._view_key = key
         return "rebuilt"
-
-    def _build_view(self, entries: list) -> StreamAlgorithm:
-        """A new sketch holding the merge of the cache ``entries``.
-
-        A replica is deep-copied (the first) or merged directly; bytes
-        are restored, into a copy of the template (the first) or into
-        the restore twin, which is then merged.  The twin persists
-        across rebuilds: ``restore`` replaces its state wholesale, so
-        reusing it is byte-identical to a fresh copy, and it is never
-        handed out.  No merge keeps a reference to its argument's state,
-        so a later rotation's fold into a replica leaves the view alone.
-        """
-        first, *rest = entries
-        if isinstance(first, bytes):
-            view = copy.deepcopy(self.template)
-            view.restore(first)
-        else:
-            view = copy.deepcopy(first)
-        for entry in rest:
-            if isinstance(entry, bytes):
-                if self._twin is None:
-                    self._twin = copy.deepcopy(self.template)
-                self._twin.restore(entry)
-                entry = self._twin
-            view.merge(entry)
-        return view
-
-    def _cached_bytes(self, index: int) -> Optional[bytes]:
-        """Server ``index``'s cache entry as snapshot bytes: a replica
-        is encoded here, only when a hand-off needs the bytes."""
-        entry = self._cache[index]
-        if entry is None or isinstance(entry, bytes):
-            return entry
-        return entry.snapshot()
 
     async def estimate(self, items) -> np.ndarray:
         """Batched point estimates answered from the wire-merged state."""
@@ -836,15 +726,13 @@ class SketchCoordinator:
         coordinator), re-verifies the construction fingerprint (a
         restarted-with-the-wrong-seed server must not rejoin), and --
         when the server came back *empty* (position 0) while the cache
-        holds state for it -- pushes the cache entry's bytes through the
-        same ``load_snapshot`` path :meth:`recover` uses and replays the
-        journal of slices acknowledged since that snapshot, so the shard
-        resumes from its exact acknowledged state.  A server that
-        restarted from its own checkpoint (position > 0) keeps its
-        richer state untouched.  On success the cache entry is refreshed
-        from the server's live state (a readmitted-then-relost server
-        must degrade to its *post*-readmission state, not its pre-outage
-        bytes).
+        holds state for it -- replays its log into it (:meth:`_push`,
+        through the ``load_snapshot`` path :meth:`recover` uses).  A
+        server that restarted from its own checkpoint (position > 0)
+        keeps its richer state untouched.  On success the cache entry is
+        refreshed from the server's live state (a readmitted-then-relost
+        server must degrade to its *post*-readmission state, not its
+        pre-outage bytes).
 
         A server whose partitions were migrated away rejoins as a
         *standby*: it must come back empty (its state already lives on
@@ -891,17 +779,10 @@ class SketchCoordinator:
                     "position": 0,
                     "standby": True,
                 }
-            restored = False
-            if not pong.get("position") and self._cache[index] is not None:
-                await client.load_snapshot(
-                    self._cached_bytes(index),
-                    position=self._snapshot_positions[index],
-                )
-                for chunk_items, chunk_deltas in self._journals[index]:
-                    await self._send_feed(
-                        client, client.next_seq(), chunk_items, chunk_deltas
-                    )
-                restored = True
+            log = self._logs[index]
+            restored = not pong.get("position") and log.baseline is not None
+            if restored:
+                await self._push(log, client, position=log.position)
             await self._pull(index)
             pong = await client.ping()
         return {
@@ -910,6 +791,19 @@ class SketchCoordinator:
             "position": pong.get("position"),
             "standby": False,
         }
+
+    async def _push(
+        self, log: ReplayLog, client: AsyncSketchClient, **load
+    ) -> tuple[Optional[bytes], int]:
+        """Replay ``log`` into ``client``'s server: the cache entry's
+        bytes through ``load_snapshot(**load)``, then the journal as
+        sequenced feeds.  Returns the bytes pushed and the updates fed."""
+        data = log.baseline_bytes()
+        if data is not None:
+            await client.load_snapshot(data, **load)
+        for items, deltas in log.entries:
+            await self._send_feed(client, client.next_seq(), items, deltas)
+        return data, sum(len(items) for items, _ in log.entries)
 
     def _pick_destination(self, index: int) -> int:
         """Least-loaded surviving server (the default migration target)."""
@@ -932,11 +826,9 @@ class SketchCoordinator:
     ) -> dict:
         """Move a permanently lost server's shards to a survivor.
 
-        Transfers the coordinator's exact acknowledged record of server
-        ``index`` -- its cache entry's bytes (folded into the destination via
-        fingerprint-verified ``load_snapshot(merge=True)``) plus journal
-        (replayed as sequenced feeds) -- then atomically remaps every
-        partition the dead server owned onto ``destination``.  Runs
+        Replays server ``index``'s log into ``destination`` (:meth:`_push`,
+        through fingerprint-verified ``load_snapshot(merge=True)``), then
+        atomically remaps every partition it owned there.  Runs
         under the feed lock, so the swap lands between chunk boundaries
         and in-flight :meth:`feed` retries re-resolve against the new
         owner.  Idempotent: an already-migrated index returns without
@@ -975,25 +867,15 @@ class SketchCoordinator:
                 )
             _obs_migrations_active.add(1)
             try:
-                dest = clients[destination]
-                snapshot = self._cached_bytes(index)
-                moved = 0
-                if snapshot is not None:
-                    await dest.load_snapshot(snapshot, merge=True)
-                for chunk_items, chunk_deltas in self._journals[index]:
-                    await self._send_feed(
-                        dest, dest.next_seq(), chunk_items, chunk_deltas
-                    )
-                    moved += int(chunk_items.size)
+                snapshot, moved = await self._push(
+                    self._logs[index], clients[destination], merge=True
+                )
                 self.routing = [
                     destination if owner == index else owner
                     for owner in self.routing
                 ]
                 self._migrated.add(index)
-                self._journals[index] = []
-                self._cache[index] = None
-                self._versions[index] = None
-                self._snapshot_positions[index] = 0
+                self._logs[index] = ReplayLog()
                 self.routed_updates[destination] += self.routed_updates[index]
                 self.routed_updates[index] = 0
                 try:

@@ -34,6 +34,7 @@ from test_shard_equivalence import SKETCHES, skewed_updates
 from repro.core.engine import StreamEngine
 from repro.distributed.checkpoint import load_checkpoint
 from repro.distinct.sis_l0 import SisL0Estimator
+from repro.heavyhitters.count_min import CountMinSketch
 from repro.service import (
     RetryPolicy,
     ServiceError,
@@ -75,9 +76,9 @@ def cache_state(coordinator):
     """Each server's cache entry as bytes (a replica encoded), its
     version and its journal."""
     return (
-        [coordinator._cached_bytes(index) for index in range(len(coordinator.clients))],
-        list(coordinator._versions),
-        [list(journal) for journal in coordinator._journals],
+        [log.baseline_bytes() for log in coordinator._logs],
+        [log.version for log in coordinator._logs],
+        [list(log.entries) for log in coordinator._logs],
     )
 
 
@@ -169,7 +170,7 @@ def test_every_read_equals_the_serial_engine_and_a_rebuild(
             elif op[0] == "restart":
                 if op[1] in unread:
                     await read()
-                if is_replica(coordinator._cache[op[1]]):
+                if is_replica(coordinator._logs[op[1]].baseline):
                     event("restart after a folded rotation")
                 fleet.stop(op[1])
                 fleet.start(op[1])
@@ -226,6 +227,30 @@ class TestFold:
             await coordinator.close()
 
         with HostedFleet(2) as fleet:
+            asyncio.run(scenario(fleet))
+
+    def test_a_one_server_journal_owns_its_slices(self):
+        # One server: the partitioner's split hands back the caller's
+        # arrays, and the caller refills one buffer between feeds.  An
+        # empty 4 x 16384 table snapshots to ~8,000 words, so 300 fold.
+        def factory():
+            return CountMinSketch(1 << 14, width=16384, depth=4, seed=7)
+
+        batches = small_batches(5, 3, size=100)
+
+        async def scenario(fleet):
+            coordinator = await connected(factory, fleet)
+            await coordinator.merged()
+            items, deltas = np.empty(100, dtype=np.int64), np.empty(100, dtype=np.int64)
+            for batch in batches:
+                items[:], deltas[:] = batch
+                await coordinator.feed(items, deltas)
+            view = await coordinator.merged()
+            assert coordinator.last_read["view"] == "folded"
+            assert view.snapshot() == serial_snapshot(factory, batches)
+            await coordinator.close()
+
+        with HostedFleet(1, factory) as fleet:
             asyncio.run(scenario(fleet))
 
     def test_more_updates_than_cells_pull_instead(self):
@@ -455,8 +480,8 @@ class TestRotation:
                 await coordinator.feed(*batch)
                 acked.append(batch)
                 if coordinator._chunks_since_rotate == 0:
-                    assert all(is_replica(entry) for entry in coordinator._cache)
-                    assert not any(coordinator._journals)
+                    assert all(is_replica(log.baseline) for log in coordinator._logs)
+                    assert not any(log.entries for log in coordinator._logs)
                 view = await coordinator.merged()
                 outcomes.append(coordinator.last_read["view"])
                 handed_out.append((view, view.snapshot()))
@@ -486,7 +511,7 @@ class TestRotation:
             replies = await self.rotate(coordinator, batches[: self.EVERY], acked)
             assert len(replies) == servers
             assert all(reply["snapshot"] is None for reply in replies)
-            assert all(is_replica(entry) for entry in coordinator._cache)
+            assert all(is_replica(log.baseline) for log in coordinator._logs)
             snapshot = await then(coordinator, fleet, acked, batches[self.EVERY])
             assert snapshot == serial_snapshot(count_min_factory, acked)
             await coordinator.close()
@@ -500,7 +525,7 @@ class TestRotation:
             fleet.stop(1)
             fleet.start(1)
             assert (await coordinator.readmit(1))["restored"] is True
-            assert isinstance(coordinator._cache[1], bytes)
+            assert isinstance(coordinator._logs[1].baseline, bytes)
             await coordinator.feed(*batch)
             acked.append(batch)
             view = await coordinator.merged(allow_degraded=False)
@@ -564,8 +589,8 @@ class TestRotation:
                 False,
                 True,
             ]
-            assert is_replica(coordinator._cache[0])
-            assert isinstance(coordinator._cache[1], bytes)
+            assert is_replica(coordinator._logs[0].baseline)
+            assert isinstance(coordinator._logs[1].baseline, bytes)
             view = await coordinator.merged(allow_degraded=False)
             assert view.snapshot() == serial_snapshot(count_min_factory, acked)
             await coordinator.close()
@@ -586,7 +611,7 @@ class TestRotation:
             replies = await self.rotate(coordinator, batches, acked)
             assert len(replies) == 2
             assert all(reply["snapshot"] is not None for reply in replies)
-            assert all(isinstance(entry, bytes) for entry in coordinator._cache)
+            assert all(isinstance(log.baseline, bytes) for log in coordinator._logs)
             view = await coordinator.merged(allow_degraded=False)
             assert view.snapshot() == serial_snapshot(count_min_factory, acked)
             await coordinator.close()

@@ -24,13 +24,14 @@ from repro.core.stream import Update
 from repro.distinct.exact_l0 import ExactL0
 from repro.distinct.kmv import KMVEstimator
 from repro.distinct.sis_l0 import SisL0Estimator
-from repro.distributed.workers import ProcessShardPool
+from repro.distributed.workers import ProcessShardPool, WorkerDied
 from repro.heavyhitters.count_min import CountMinSketch
 from repro.heavyhitters.count_sketch import CountSketch
 from repro.heavyhitters.misra_gries import MisraGriesAlgorithm
 from repro.moments.ams import AMSSketch
 from repro.moments.frequency import ExactFpMoment
-from repro.parallel import ShardedStreamEngine
+from repro.parallel import ShardedAlgorithm, ShardedStreamEngine
+from repro.testing.faults import kill_worker
 
 FAMILIES = {
     "count-min": (
@@ -284,3 +285,84 @@ class TestPoolMechanics:
                     np.array([-1, -1], dtype=np.int64),
                 )
                 engine.merged()
+
+
+def count_min_500():
+    return CountMinSketch(500, width=32, depth=4, seed=9)
+
+
+def on_shard(partitioner, shard, universe=500):
+    """An item the partitioner routes to ``shard``."""
+    return next(item for item in range(universe) if partitioner.assign(item) == shard)
+
+
+class TestWorkerDeath:
+    """Supervised pools rebuild a dead worker from its replay log;
+    unsupervised ones raise :class:`WorkerDied`, which names the remedy."""
+
+    def test_supervised_recovery_replays_both_kinds_of_entry(self):
+        # snapshot_every=3: shard 0's fourth journaled feed refreshes its
+        # baseline first.  The 2**70 delta takes the per-update path.
+        rng = np.random.default_rng(3)
+        batches = [
+            (rng.integers(0, 500, 64, dtype=np.int64), rng.integers(-3, 9, 64, dtype=np.int64))
+            for _ in range(4)
+        ]
+        algorithm = ShardedAlgorithm(
+            count_min_500, 2, backend="process", supervise=True, snapshot_every=3
+        )
+        reference = count_min_500()
+        zero = on_shard(algorithm.partitioner, 0)
+
+        def batch(index):
+            algorithm.process_batch(*batches[index])
+            reference.feed_batch(*batches[index])
+
+        def single(delta):
+            algorithm.process(Update(zero, delta))
+            reference.feed(Update(zero, delta))
+
+        try:
+            batch(0)
+            single(2**70)
+            batch(1)
+            batch(2)  # shard 0: refresh, then this batch's part is journaled
+            kill_worker(algorithm, 0)
+            single(-3)
+            batch(3)  # shard 0's journal: arrays, pairs, arrays
+            kill_worker(algorithm, 0)
+            assert algorithm.merged().snapshot() == reference.snapshot()
+            assert algorithm.health()["restarts"] == 2
+        finally:
+            algorithm.close()
+
+    def test_a_one_shard_journal_owns_its_entries(self):
+        # A one-shard split hands the pool the caller's arrays, and the
+        # caller refills them before the worker dies.
+        items = np.arange(40, dtype=np.int64)
+        deltas = np.ones(40, dtype=np.int64)
+        algorithm = ShardedAlgorithm(count_min_500, 1, backend="process", supervise=True)
+        reference = count_min_500()
+        try:
+            for _ in range(2):
+                algorithm.process_batch(items, deltas)
+                reference.feed_batch(items.copy(), deltas.copy())
+                items += 40
+                deltas += 1
+            kill_worker(algorithm, 0)
+            assert algorithm.merged().snapshot() == reference.snapshot()
+            assert algorithm.health()["restarts"] == 1
+        finally:
+            algorithm.close()
+
+    def test_unsupervised_death_raises_worker_died(self):
+        algorithm = ShardedAlgorithm(count_min_500, 2, backend="process")
+        try:
+            data = algorithm.merged().snapshot()
+            kill_worker(algorithm, 0)
+            with pytest.raises(WorkerDied):
+                algorithm.load_snapshot(data)
+            with pytest.raises(WorkerDied):
+                algorithm.process(Update(on_shard(algorithm.partitioner, 0), 1))
+        finally:
+            algorithm.close()

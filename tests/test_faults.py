@@ -430,6 +430,38 @@ class TestWireFaults:
             # Delays and slow reads are absorbed by timeouts, not retries.
             assert client.retries == 0
 
+    def test_replayed_frames_own_their_arrays(self):
+        # The source refills one buffer per chunk; frames still in the
+        # window when the connection resets are resent after the refill.
+        items, deltas = stream(8, 4 * 1000)
+        buffer_items = np.empty(1000, dtype=np.int64)
+        buffer_deltas = np.empty(1000, dtype=np.int64)
+
+        def refilled():
+            for start in range(0, len(items), 1000):
+                buffer_items[:] = items[start : start + 1000]
+                buffer_deltas[:] = deltas[start : start + 1000]
+                yield buffer_items, buffer_deltas
+
+        server = SketchServer(count_min_factory, 2, "serial")
+        policy = RetryPolicy(
+            max_attempts=8, base_delay=0.02, deadline=20.0, op_timeout=5.0
+        )
+        with server.run_in_thread():
+            with ChaosProxy("127.0.0.1", server.port) as proxy:
+                client = connect(
+                    self.transport, "127.0.0.1", proxy.port, retry=policy
+                )
+                target = proxy.frames_seen + 2
+                proxy.faults[target] = FaultEvent(at=target, kind="conn_reset")
+                result = client.feed_chunks(refilled(), window=4, retry=policy)
+                assert proxy.faults_applied
+                client.close()
+            assert result == {"count": len(items), "position": len(items)}
+            with SketchClient.connect("127.0.0.1", server.port) as direct:
+                snapshot = direct.snapshot()
+        assert snapshot == serial_reference(items, deltas).snapshot()
+
     def test_retry_exhaustion_raises_the_last_error(self):
         # Every frame after the handshake gets reset; a one-retry policy
         # must give up with the transport error instead of looping.

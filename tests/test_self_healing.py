@@ -734,7 +734,7 @@ class TestReadmissionJournalReplay:
                 # ... second half lives only in the journal.
                 for batch in chunks[4:]:
                     await coordinator.feed(*batch)
-                assert coordinator._journals[1], "journal should be non-empty"
+                assert coordinator._logs[1].entries, "journal should be non-empty"
 
                 # Outage + empty comeback on the same address.
                 ctx2.__exit__(None, None, None)

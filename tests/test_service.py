@@ -1111,7 +1111,7 @@ class TestCoordinator:
             coordinator = await self.connected(fleet)
             await coordinator.feed(items, deltas)  # one feed per server
             await coordinator.merged()
-            old_version = coordinator._versions[1]
+            old_version = coordinator._logs[1].version
             # Server 1 restarts on its port and takes exactly one feed, as
             # before: its slice of the chunk plus updates the old server
             # never saw.
@@ -1126,7 +1126,7 @@ class TestCoordinator:
                     np.concatenate([slice_deltas, extra_deltas]),
                 )
             await coordinator.readmit(1)
-            new_version = coordinator._versions[1]
+            new_version = coordinator._logs[1].version
             assert new_version[1] == old_version[1]
             assert new_version != old_version
             merged = await coordinator.merged()

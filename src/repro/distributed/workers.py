@@ -471,10 +471,7 @@ class ProcessShardPool:
         about to be dispatched goes into the fresh journal."""
         log = self._logs[shard]
         if len(log.entries) >= self.snapshot_every:
-            failure = self._drain_shard(shard)
-            if failure is not None:
-                raise failure
-            log.rebase(self._sync_request(shard, ("snapshot",), "snap")[1])
+            self.snapshot(shard)
         log.entries.append(entry)
 
     def _sync_request(self, shard: int, message: tuple, verb: str):
@@ -602,6 +599,13 @@ class ProcessShardPool:
         any worker failure every shard's outstanding acks are drained
         before the first error is raised, so surviving workers' pipes
         stay synchronized.
+
+        A supervised pool journals the parts for replay, so it takes
+        ownership of them: the caller must not write to a part's arrays
+        afterwards.  ``ShardedAlgorithm.process_batch`` hands over the
+        fresh shard-grouped arrays its split makes; only a one-shard
+        pool copies, because a one-part split returns the caller's own
+        arrays.
         """
         observing = _obs_registry.enabled
         started = time.perf_counter() if observing else 0.0
@@ -758,6 +762,21 @@ class ProcessShardPool:
         data = [reply[1] for reply in self._broadcast(("snapshot",), "snap")]
         for log, snap in zip(self._logs, data):
             log.rebase(snap)
+        return data
+
+    def snapshot(self, shard: int) -> bytes:
+        """One worker's wire-format snapshot, in one round trip.
+
+        Drains that shard's outstanding feeds first, so the snapshot is
+        at a chunk boundary; under supervision it also becomes the
+        shard's new baseline.
+        """
+        failure = self._drain_shard(shard)
+        if failure is not None:
+            raise failure
+        data = self._sync_request(shard, ("snapshot",), "snap")[1]
+        if self.supervise:
+            self._logs[shard].rebase(data)
         return data
 
     def restore(self, shard: int, data: bytes) -> None:

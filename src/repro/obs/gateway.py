@@ -30,7 +30,7 @@ Endpoints
 
 Providers are zero-argument callables and may be sync or async: the
 server-attached gateway's providers are coroutines closing over the
-sketch server's engine executor, so scrapes serialize with feeds (a
+sketch server's engine thread, so scrapes serialize with feeds (a
 process-backend fleet's metric pipes are single-reader).  Responses are
 always ``Connection: close`` -- scrapers open one connection per scrape
 anyway, and it keeps the server loop-shutdown story trivial.
@@ -188,7 +188,7 @@ class ObservabilityGateway:
         The standalone spelling: a driver process that wants scrapes
         without running a sketch service.  Server-attached gateways are
         started by :class:`~repro.service.server.SketchServer` on its
-        own loop instead (their providers must share its executor).
+        own loop instead (their providers must share its engine thread).
         """
         loop = asyncio.new_event_loop()
         started = threading.Event()

@@ -640,6 +640,7 @@ class RegistryStatsBase:
         for attr, (name, help_text) in self._GAUGES.items():
             instruments[attr] = registry.gauge(name, help_text)
         self.__dict__["_labels"] = dict(labels)
+        self.__dict__["_key"] = _label_key(labels)
         self.__dict__["_registry"] = registry
         self.__dict__["_instruments"] = instruments
 
@@ -653,7 +654,7 @@ class RegistryStatsBase:
         instruments, never the books.
         """
         instruments = self._instruments
-        key = _label_key(self._labels)
+        key = self._key
         with self._registry.lock:
             for attr, amount in amounts.items():
                 values = instruments[attr]._values

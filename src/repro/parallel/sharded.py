@@ -285,7 +285,7 @@ class ShardedAlgorithm(StreamAlgorithm):
         self._merged_cache = None
         if pool is not None:
             twin = copy.deepcopy(self.shards[0])
-            twin.restore(pool.snapshots()[0])
+            twin.restore(pool.snapshot(0))
             twin.merge_snapshot(data)
             pool.restore(0, twin.snapshot())
         else:

@@ -76,6 +76,8 @@ connection died, backup answered).
 from __future__ import annotations
 
 import asyncio
+import contextvars
+import functools
 import select
 import socket
 import time
@@ -116,6 +118,7 @@ __all__ = [
     "SketchClient",
     "AsyncSketchClient",
     "DEFAULT_HEDGE_DELAY",
+    "fan_out",
     "hedge_delay_from_metrics",
 ]
 
@@ -176,6 +179,111 @@ def hedge_delay_from_metrics(
         if value is not None:
             return float(value)
     return default
+
+
+async def fan_out(calls) -> list:
+    """``asyncio.gather(*calls, return_exceptions=True)`` without a task per call.
+
+    Every coroutine in ``calls`` first runs, on the caller's task and in
+    its own copy of the caller's context, up to its first suspension --
+    for a client call, its request written and its reply awaited -- so
+    every request is written before any reply is awaited, and no task is
+    created per server.  From then on each call is resumed as soon as
+    what it waits on is done, as its own task would be, so one call's
+    later waits (a reconnect, a resend) overlap the others' instead of
+    queueing behind them.  Returns each call's result, or the exception
+    it raised, in call order.
+
+    Cancelling the caller cancels what each unfinished call waits on,
+    runs its cleanup and re-raises :class:`asyncio.CancelledError`.  A
+    call must not hold a timeout that cancels the running task (an
+    ``asyncio.timeout`` block, or ``asyncio.wait_for`` from Python 3.12):
+    that task is the caller's.  The client bounds its reply and connect
+    waits with loop timers on futures of its own instead.
+    """
+    loop = asyncio.get_running_loop()
+    calls = [(call, contextvars.copy_context()) for call in calls]
+    results: list = [None] * len(calls)
+    #: Unfinished call -> the future it waits on (``None``: a bare yield).
+    parked: dict = {}
+    #: Parked calls whose wait is over, in the order they woke.
+    ready: deque = deque()
+    #: Parked calls to resume with the caller's cancellation.
+    doomed: set = set()
+    waiter: Optional[asyncio.Future] = None
+
+    def wake(index: int, _future=None) -> None:
+        ready.append(index)
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    def step(index: int, error: Optional[BaseException] = None) -> None:
+        call, context = calls[index]
+        done, value = _advance(call, context, error)
+        if done:
+            results[index] = value
+            parked.pop(index, None)
+        elif value is None:  # a bare yield: one pass of the loop
+            parked[index] = None
+            loop.call_soon(wake, index)
+        else:
+            parked[index] = value
+            value.add_done_callback(functools.partial(wake, index))
+
+    for index in range(len(calls)):
+        step(index)
+    cancelled: Optional[BaseException] = None
+    while parked:
+        if not ready:
+            waiter = loop.create_future()
+            try:
+                await waiter
+            except asyncio.CancelledError as exc:
+                # What a task's cancellation does: cancel the future each
+                # call waits on (the call then wakes to the cancellation),
+                # or, where that is already done, throw the cancellation
+                # into the call when it wakes.
+                cancelled = exc
+                for index, value in parked.items():
+                    if value is None or not value.cancel():
+                        doomed.add(index)
+                        if value is not None and not value.cancelled():
+                            value.exception()  # retrieved, as a wake-up would
+                continue
+        index = ready.popleft()
+        if index in doomed:
+            doomed.discard(index)
+            step(index, asyncio.CancelledError())
+        else:
+            step(index)
+    if cancelled is not None:
+        raise cancelled
+    return results
+
+
+def _advance(call, context, error: Optional[BaseException] = None) -> tuple:
+    """Run ``call`` to its next suspension, in ``context``.
+
+    Returns ``(True, outcome)`` once it finished -- its result or the
+    exception it raised -- else ``(False, awaited)``: the future it waits
+    on, or ``None`` for a bare yield.
+    """
+    try:
+        if error is None:
+            return False, context.run(call.send, None)
+        return False, context.run(call.throw, error)
+    except StopIteration as stop:
+        return True, stop.value
+    except (KeyboardInterrupt, SystemExit):
+        raise
+    except BaseException as exc:
+        return True, exc
+
+
+def _close_abandoned(opening: asyncio.Task) -> None:
+    """Close the connection an abandoned connect made, if it made one."""
+    if not opening.cancelled() and opening.exception() is None:
+        opening.result()[0].close()
 
 
 def _abandon(racing: dict) -> None:
@@ -799,14 +907,25 @@ class AsyncSketchClient(_ClientCore):
                 result, error = None, exc
 
     async def _open(self) -> None:
-        opening = asyncio.get_running_loop().create_connection(
-            lambda: FrameProtocol(self._max_frame), *self._address
+        loop = asyncio.get_running_loop()
+        opening = loop.create_task(
+            loop.create_connection(
+                lambda: FrameProtocol(self._max_frame), *self._address
+            )
         )
+        # ``asyncio.wait`` times out on a future of its own; ``wait_for``
+        # would cancel the running task (Python 3.12), which under
+        # :func:`fan_out` is the caller's.
+        done = set()
         try:
-            timeout = self._policy.op_timeout
-            _, self._frames = await asyncio.wait_for(opening, timeout)
-        except asyncio.TimeoutError:
-            raise OSError("connect timed out") from None
+            done, _ = await asyncio.wait((opening,), timeout=self._policy.op_timeout)
+        finally:
+            if not done:  # timed out, or the caller was cancelled
+                opening.cancel()
+                opening.add_done_callback(_close_abandoned)
+        if not done:
+            raise OSError("connect timed out")
+        _, self._frames = opening.result()
 
     async def _close(self) -> None:
         reading, self._reading = self._reading, None

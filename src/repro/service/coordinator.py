@@ -128,7 +128,7 @@ from repro.obs import (
     get_registry as _get_obs_registry,
 )
 from repro.parallel.partition import UniversePartitioner
-from repro.service.client import AsyncSketchClient
+from repro.service.client import AsyncSketchClient, fan_out
 from repro.service.protocol import ProtocolError, ServerBusy
 from repro.service.retry import RetryPolicy, count_retry
 
@@ -151,6 +151,20 @@ _obs_migrations_active = _obs_registry.gauge(
     MIGRATIONS_ACTIVE_METRIC,
     "Shard migrations currently executing",
 )
+
+
+async def _every(calls) -> list:
+    """:func:`~repro.service.client.fan_out`, raising the first failure
+    (in call order) once every call has finished.
+
+    Unlike ``asyncio.gather`` without ``return_exceptions``, no call is
+    left running, unobserved, after the first failure is raised.
+    """
+    results = await fan_out(calls)
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
 
 
 class SketchCoordinator:
@@ -271,14 +285,18 @@ class SketchCoordinator:
             raise RuntimeError("coordinator already connected")
         policy = retry if retry is not None else RetryPolicy(max_attempts=retries + 1)
         self._policy = policy
-        self.clients = list(
-            await asyncio.gather(
-                *(
-                    AsyncSketchClient.connect(host, port, retry=policy)
-                    for host, port in self.addresses
-                )
-            )
+        opened = await fan_out(
+            AsyncSketchClient.connect(host, port, retry=policy)
+            for host, port in self.addresses
         )
+        self.clients = [
+            client for client in opened if not isinstance(client, BaseException)
+        ]
+        if len(self.clients) < len(opened):
+            await self.close()
+            raise next(
+                failure for failure in opened if isinstance(failure, BaseException)
+            )
         for address, client in zip(self.addresses, self.clients):
             fingerprint = client.server_info["fingerprint"]
             if fingerprint != self.fingerprint:
@@ -288,9 +306,7 @@ class SketchCoordinator:
                     "constructed sketch; every server must be built from the "
                     "coordinator's factory (same parameters, same seed)"
                 )
-        await asyncio.gather(
-            *(self._pull(index) for index in range(len(self.clients)))
-        )
+        await _every(self._pull(index) for index in range(len(self.clients)))
         return self
 
     async def close(self) -> None:
@@ -417,14 +433,9 @@ class SketchCoordinator:
                         )
                         reservations[owner] = reserved
                     sends.append((owner, reserved))
-                results = await asyncio.gather(
-                    *(
-                        self._send_feed(
-                            clients[owner], entry[0], entry[2], entry[3]
-                        )
-                        for owner, entry in sends
-                    ),
-                    return_exceptions=True,
+                results = await fan_out(
+                    self._send_feed(clients[owner], entry[0], entry[2], entry[3])
+                    for owner, entry in sends
                 )
                 rejected: Optional[BaseException] = None
                 for (owner, entry), result in zip(sends, results):
@@ -476,10 +487,7 @@ class SketchCoordinator:
                 for index, log in enumerate(self._logs)
                 if log.entries and index not in self._migrated
             ]
-            await asyncio.gather(
-                *(self._rotate(index) for index in active),
-                return_exceptions=True,
-            )
+            await fan_out(self._rotate(index) for index in active)
 
     async def _rotate(self, index: int) -> None:
         """Fold server ``index``'s journal into its cache entry if the
@@ -633,9 +641,8 @@ class SketchCoordinator:
         """:meth:`_pull` every server in ``indices`` concurrently; maps
         each index to its result or its exception."""
         predicted = predicted or {}
-        results = await asyncio.gather(
-            *(self._pull(index, predicted.get(index)) for index in indices),
-            return_exceptions=True,
+        results = await fan_out(
+            self._pull(index, predicted.get(index)) for index in indices
         )
         return dict(zip(indices, results))
 
@@ -687,7 +694,7 @@ class SketchCoordinator:
     async def stats(self) -> list[dict]:
         """Every server's liveness/monitoring payload, in address order."""
         clients = self._require_clients()
-        return list(await asyncio.gather(*(client.stats() for client in clients)))
+        return await _every(client.stats() for client in clients)
 
     async def health(self) -> list[dict]:
         """Ping every server; per-server ``{"address", "ok", ...}`` dicts.
@@ -699,9 +706,7 @@ class SketchCoordinator:
         """
         clients = self._require_clients()
         async with self._feed_lock:
-            results = await asyncio.gather(
-                *(client.ping() for client in clients), return_exceptions=True
-            )
+            results = await fan_out(client.ping() for client in clients)
         health = []
         for address, result in zip(self.addresses, results):
             entry: dict = {"address": f"{address[0]}:{address[1]}"}
@@ -914,9 +919,7 @@ class SketchCoordinator:
 
         clients = self._require_clients()
         async with self._feed_lock:
-            replies = await asyncio.gather(
-                *(client.metrics() for client in clients)
-            )
+            replies = await _every(client.metrics() for client in clients)
         snapshot = merge_snapshots([reply["snapshot"] for reply in replies])
         return {
             "servers": [reply["server"] for reply in replies],
@@ -939,9 +942,7 @@ class SketchCoordinator:
 
         clients = self._require_clients()
         async with self._feed_lock:
-            replies = await asyncio.gather(
-                *(client.alerts() for client in clients)
-            )
+            replies = await _every(client.alerts() for client in clients)
         return merge_alert_payloads(
             replies, sources=[reply.get("server") for reply in replies]
         )

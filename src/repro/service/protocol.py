@@ -288,6 +288,12 @@ def _frame_buffer(length: int) -> np.ndarray:
     return np.empty(length, dtype=np.uint8)
 
 
+def _expire(waiter: asyncio.Future) -> None:
+    """A read's timer: fail its wait unless a frame or an ending came first."""
+    if not waiter.done():
+        waiter.set_exception(asyncio.TimeoutError())
+
+
 class FrameProtocol(asyncio.BufferedProtocol):
     """The asyncio end of one RSV1 connection: reads frames, writes frames.
 
@@ -451,11 +457,18 @@ class FrameProtocol(asyncio.BufferedProtocol):
                 raise self._error
             if self._eof:
                 return None
-            self._waiter = asyncio.get_running_loop().create_future()
+            loop = asyncio.get_running_loop()
+            self._waiter = waiter = loop.create_future()
+            # A loop timer on the reader's own future, not ``wait_for``:
+            # from Python 3.12 that cancels the running task, which under
+            # the client's ``fan_out`` is the caller's.
+            timer = None if timeout is None else loop.call_later(timeout, _expire, waiter)
             try:
-                await asyncio.wait_for(self._waiter, timeout)
+                await waiter
             finally:
                 self._waiter = None
+                if timer is not None:
+                    timer.cancel()
         message, size = self._messages.popleft()
         self._queued -= size
         if self._paused and self._queued <= PAUSE_BYTES and self._error is None:

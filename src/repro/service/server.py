@@ -14,16 +14,19 @@ and then goes down the existing
 partition, scatter, (optionally) process-pool fan-out.
 
 **Serialization point.**  Every engine operation (feeds from all
-connections, queries, snapshots) runs on one single-thread executor, so
-the engine sees a linear history exactly like a local driver -- queries
+connections, queries, snapshots) runs on one engine thread, which takes
+``(future, fn, args)`` jobs in FIFO order from a
+:class:`queue.SimpleQueue` and settles each job's future with one
+``call_soon_threadsafe`` -- one wake of the event loop per job.  So the
+engine sees a linear history exactly like a local driver -- queries
 observe chunk-boundary states, and the merged state stays bit-identical
 to a serial run over the concatenation of all clients' updates in the
-order the executor absorbed them (the sketches' update rules commute, so
+order the thread absorbed them (the sketches' update rules commute, so
 *any* interleaving of client sub-streams lands in the same final state).
-While the executor thread scatters chunk ``t``, the event loop keeps
-reading chunk ``t+1`` off other sockets -- the same produce/scatter
-overlap :func:`repro.parallel.ingest` pipelines, here fed by the
-network.
+A request cancelled before the thread takes its job never runs.  While
+the engine thread scatters chunk ``t``, the event loop keeps reading
+chunk ``t+1`` off other sockets -- the same produce/scatter overlap
+:func:`repro.parallel.ingest` pipelines, here fed by the network.
 
 One answer is given off the engine thread: a ``snapshot`` request
 whose ``unless`` equals the current state version ``(epoch,
@@ -38,12 +41,12 @@ engine thread as every other request does.  A matching check takes no
 engine slot, so ``queue_deadline`` never sheds it.
 
 **Backpressure.**  At most ``queue_depth`` engine operations may be
-queued on the executor at once (an :class:`asyncio.Semaphore`); beyond
-that, connection handlers stop taking requests, each connection's
-reader pauses once its decoded backlog passes
-:data:`~repro.service.protocol.PAUSE_BYTES`, and the kernel's TCP flow
-control pushes back on the clients -- a slow sketch never buffers an
-unbounded stream in user space.
+queued for the engine thread at once (an :class:`asyncio.Semaphore`
+guards its job queue); beyond that, connection handlers stop taking
+requests, each connection's reader pauses once its decoded backlog
+passes :data:`~repro.service.protocol.PAUSE_BYTES`, and the kernel's TCP
+flow control pushes back on the clients -- a slow sketch never buffers
+an unbounded stream in user space.
 
 **Liveness & monitoring.**  ``stats`` / ``ping`` ops expose the
 operational counters a deployed randomness-bearing component needs
@@ -73,10 +76,10 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import itertools
+import queue
 import secrets
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
 
 import numpy as np
@@ -121,7 +124,7 @@ __all__ = ["ConnectionStats", "ServerStats", "SketchServer"]
 
 _obs_registry = _get_obs_registry()
 _obs_tracer = _get_obs_tracer()
-_obs_phase_seconds = _obs_phase_histogram()
+_obs_request_seconds = _obs_phase_histogram().bind(phase="service.request")
 
 #: Distinguishes the ``server=`` label when several servers share one
 #: process (the coordinator tests host a whole fleet in-process).
@@ -139,6 +142,33 @@ _SERVER_PARTITION_SEED = 1
 #: its unacknowledged window (``DEFAULT_WINDOW`` frames by default), so
 #: the newest few cover every resend.
 _FAILED_FEEDS_KEPT = 64
+
+
+def _run_engine(jobs: queue.SimpleQueue, loop: asyncio.AbstractEventLoop) -> None:
+    """The engine thread: run each queued job in order until ``None``,
+    settling its future on the loop with one thread-safe call -- with
+    the job's result, or the exception it raised, as an executor would.
+    A job whose future is cancelled before the thread takes it never
+    runs."""
+    while (job := jobs.get()) is not None:
+        future, fn, args = job
+        if future.cancelled():
+            continue
+        try:
+            outcome, failed = fn(*args), False
+        except BaseException as exc:
+            outcome, failed = exc, True
+        loop.call_soon_threadsafe(_settle, future, outcome, failed)
+        del job, future, fn, args, outcome  # hold nothing until the next job
+
+
+def _settle(future: asyncio.Future, outcome, failed: bool) -> None:
+    if future.cancelled():  # the request gave up while the job ran
+        return
+    if failed:
+        future.set_exception(outcome)
+    else:
+        future.set_result(outcome)
 
 
 class ConnectionStats(RegistryStatsBase):
@@ -257,8 +287,8 @@ class SketchServer:
         Listen address; port 0 picks a free port (read ``server.port``
         after :meth:`start`).
     queue_depth:
-        Bound on engine operations queued behind the serialization
-        executor -- the service-side backpressure knob.
+        Bound on engine operations queued for (or running on) the
+        engine thread -- the service-side backpressure knob.
     queue_deadline:
         Graceful degradation: when set, a request that cannot claim an
         engine slot within this many seconds is *shed* with a retryable
@@ -291,8 +321,8 @@ class SketchServer:
         When given (0 picks a free port), :meth:`start` also binds an
         :class:`~repro.obs.gateway.ObservabilityGateway` on the
         server's own event loop (read ``server.gateway.port`` after
-        start).  Its ``/metrics`` and ``/alerts`` providers run through
-        the engine executor, so scrapes serialize with feeds exactly
+        start).  Its ``/metrics`` and ``/alerts`` providers run on
+        the engine thread, so scrapes serialize with feeds exactly
         like the ``metrics`` op; ``/healthz`` answers loop-side without
         touching the engine (liveness must not queue behind a scatter),
         and ``/readyz`` is an engine round-trip under a timeout --
@@ -396,7 +426,9 @@ class SketchServer:
         self.label = f"srv{next(_SERVER_SEQ)}"
         self.stats = ServerStats(started_at=time.monotonic(), server=self.label)
         self._server: Optional[asyncio.base_events.Server] = None
-        self._engine_pool: Optional[ThreadPoolExecutor] = None
+        #: The engine thread and its FIFO of ``(future, fn, args)`` jobs.
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._engine_thread: Optional[threading.Thread] = None
         self._slots: Optional[asyncio.Semaphore] = None
         self._connection_seq = 0
         self._handler_tasks: set[asyncio.Task] = set()
@@ -413,11 +445,9 @@ class SketchServer:
         """Bind and start accepting connections; resolves the port."""
         if self._server is not None:
             raise RuntimeError("server already started")
-        self._engine_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="sketch-engine"
-        )
+        loop = asyncio.get_running_loop()
         self._slots = asyncio.Semaphore(self.queue_depth)
-        self._server = await asyncio.get_running_loop().create_server(
+        self._server = await loop.create_server(
             lambda: FrameProtocol(self.max_frame, connected=self._accept),
             self.host,
             self._requested_port,
@@ -426,6 +456,15 @@ class SketchServer:
         if self._gateway_port is not None:
             self.gateway = self._build_gateway(self._gateway_port)
             await self.gateway.start()
+        # Last, so a failed bind leaves no thread behind; a job queued
+        # before this (a gateway scrape) waits in the queue.
+        self._engine_thread = threading.Thread(
+            target=_run_engine,
+            args=(self._jobs, loop),
+            name="sketch-engine",
+            daemon=True,
+        )
+        self._engine_thread.start()
         return self
 
     async def serve_forever(self) -> None:
@@ -460,8 +499,9 @@ class SketchServer:
         self.queue_deadline = None
         if self._writer is not None and self._writer.last_position != self.position:
             await self._engine_call(self._checkpoint_now)
-        if self._engine_pool is not None:
-            self._engine_pool.shutdown(wait=True)
+        if self._engine_thread is not None:
+            self._jobs.put(None)
+            self._engine_thread.join()
         self.engine.close()
 
     @contextlib.contextmanager
@@ -516,13 +556,14 @@ class SketchServer:
     # -- engine serialization ----------------------------------------------
 
     async def _engine_call(self, fn, *args):
-        """Run one engine operation on the single serialization thread.
+        """Run one engine operation on the engine thread.
 
-        The semaphore bounds queued operations (backpressure); FIFO
-        submission order on a one-thread pool is the linear history every
+        The semaphore bounds queued operations (backpressure); the FIFO
+        order of the thread's job queue is the linear history every
         correctness claim leans on.  With ``queue_deadline`` set, a
         request that cannot claim a slot in time is shed with a
-        retryable :class:`ServerBusy` *before* reaching the engine.
+        retryable :class:`ServerBusy` *before* reaching the engine.  A
+        request cancelled before the thread takes its job never runs.
         """
         if self.queue_deadline is not None:
             try:
@@ -536,13 +577,16 @@ class SketchServer:
                     "queue deadline; the request was not applied -- retry"
                 ) from None
             try:
-                loop = asyncio.get_running_loop()
-                return await loop.run_in_executor(self._engine_pool, fn, *args)
+                return await self._submit(fn, args)
             finally:
                 self._slots.release()
         async with self._slots:
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(self._engine_pool, fn, *args)
+            return await self._submit(fn, args)
+
+    def _submit(self, fn, args) -> asyncio.Future:
+        future = asyncio.get_running_loop().create_future()
+        self._jobs.put((future, fn, args))
+        return future
 
     def _feed(
         self,
@@ -551,8 +595,8 @@ class SketchServer:
         client_id: Optional[str] = None,
         seq: Optional[int] = None,
     ) -> tuple[int, bool]:
-        # Sequenced-feed dedup runs HERE, on the engine thread: the
-        # single-thread executor makes check-then-apply atomic across
+        # Sequenced-feed dedup runs HERE, on the engine thread: its
+        # one-at-a-time FIFO makes check-then-apply atomic across
         # connections, so a dying connection's in-flight feed and its
         # reconnected retransmit can never both apply.
         if client_id is not None:
@@ -767,7 +811,7 @@ class SketchServer:
                 return False, {
                     "status": "timeout",
                     "server": self.label,
-                    "detail": "engine executor did not answer within 5s",
+                    "detail": "engine thread did not answer within 5s",
                 }
             health["status"] = "ready" if health["ok"] else "degraded"
             health["server"] = self.label
@@ -949,9 +993,7 @@ class SketchServer:
                     reply = make_error_reply(request_id, exc)
                 if _obs_registry.enabled:
                     duration = time.perf_counter() - started
-                    _obs_phase_seconds.observe(
-                        duration, phase="service.request"
-                    )
+                    _obs_request_seconds.observe(duration)
                     _obs_tracer.record(
                         "service.request",
                         started,

@@ -155,9 +155,23 @@ def test_every_read_equals_the_serial_engine_and_a_rebuild(
         for op in [("read",), *ops, ("read",)]:
             if op[0] == "feed":
                 items, deltas = batch(op[1])
+                # Every journal_every-th feed rotates, and a rotation asks
+                # each journaled server once: those with a journal already,
+                # and those this feed's slices reach.
+                rotates = coordinator._chunks_since_rotate + 1 >= journal_every
+                journaled = {
+                    index for index, log in enumerate(coordinator._logs) if log.entries
+                } | {
+                    coordinator.routing[partition]
+                    for partition, part in enumerate(
+                        coordinator.partitioner.split(items, deltas)
+                    )
+                    if part is not None and len(part[0])
+                }
                 mark = len(replies)
                 await coordinator.feed(items, deltas)
                 acked.append((items, deltas))
+                assert len(replies) - mark == (len(journaled) if rotates else 0)
                 for reply in replies[mark:]:
                     pulled = reply["snapshot"] is not None
                     event(f"rotation {'pulled' if pulled else 'folded'}")

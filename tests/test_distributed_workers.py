@@ -24,6 +24,7 @@ from repro.core.stream import Update
 from repro.distinct.exact_l0 import ExactL0
 from repro.distinct.kmv import KMVEstimator
 from repro.distinct.sis_l0 import SisL0Estimator
+from repro.distributed.replay import merge_states
 from repro.distributed.workers import ProcessShardPool, WorkerDied
 from repro.heavyhitters.count_min import CountMinSketch
 from repro.heavyhitters.count_sketch import CountSketch
@@ -192,6 +193,34 @@ class TestProcessBackendEquivalence:
                 source.state_view().fields
             )
 
+    def test_merge_snapshot_takes_one_worker_snapshot(self):
+        """The migration hand-off folds a snapshot into shard 0, so only
+        shard 0's worker is asked for its state."""
+        rng = np.random.default_rng(11)
+        own = (rng.integers(0, 500, 300, dtype=np.int64), rng.integers(-3, 9, 300, dtype=np.int64))
+        donor = count_min_500()
+        donor.feed_batch(rng.integers(0, 500, 200, dtype=np.int64), np.ones(200, dtype=np.int64))
+        reference = count_min_500()
+        reference.feed_batch(*own)
+        reference.merge_snapshot(donor.snapshot())
+        algorithm = ShardedAlgorithm(count_min_500, 2, backend="process", supervise=True)
+        asked = []
+        try:
+            algorithm.process_batch(*own)
+            for shard, connection in enumerate(algorithm._pool._connections):
+
+                def send(message, _send=connection.send, _shard=shard):
+                    if message[0] == "snapshot":
+                        asked.append(_shard)
+                    _send(message)
+
+                connection.send = send
+            algorithm.merge_snapshot(donor.snapshot())
+            assert asked == [0]
+            assert algorithm.merged().snapshot() == reference.snapshot()
+        finally:
+            algorithm.close()
+
 
 class TestPoolMechanics:
     def test_non_serializable_sketch_rejected(self):
@@ -354,6 +383,32 @@ class TestWorkerDeath:
             assert algorithm.health()["restarts"] == 1
         finally:
             algorithm.close()
+
+    def test_a_multi_shard_pool_owns_the_parts_it_is_given(self):
+        # A direct caller of a two-shard pool that reuses its part
+        # buffers hands over a copy of each part: the pool journals the
+        # very arrays it is given, and replays them after a death.
+        rng = np.random.default_rng(5)
+        buffers = [
+            (rng.integers(0, 500, 48, dtype=np.int64), np.ones(48, dtype=np.int64))
+            for _ in range(2)
+        ]
+        reference = count_min_500()
+        with ProcessShardPool(
+            [count_min_500(), count_min_500()], supervise=True
+        ) as pool:
+            for _ in range(2):
+                parts = [(items.copy(), deltas.copy()) for items, deltas in buffers]
+                pool.scatter(parts)
+                for shard, (items, deltas) in enumerate(parts):
+                    assert pool._logs[shard].entries[-1][1] is items
+                    reference.feed_batch(items, deltas)
+                for _, deltas in buffers:
+                    deltas += 1
+            kill_worker(pool, 0)
+            merged = merge_states(count_min_500(), pool.snapshots())
+            assert pool.restarts == [1, 0]
+        assert merged.snapshot() == reference.snapshot()
 
     def test_unsupervised_death_raises_worker_died(self):
         algorithm = ShardedAlgorithm(count_min_500, 2, backend="process")

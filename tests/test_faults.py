@@ -811,6 +811,50 @@ class TestCoordinatorFailover:
             engine.drive_arrays([reference], part_items, part_deltas)
         assert merged.snapshot() == reference.snapshot()
 
+    def test_two_dropped_connections_reconnect_and_resend_together(self):
+        """Both servers' connections drop in the same feed, and each
+        resend then takes ``pause`` to reach its server: the two
+        reconnect-and-resend rounds overlap, so the feed takes about one
+        pause, not one per server, and nothing is applied twice."""
+        pause = 0.5
+        items, deltas = stream(12, 2 * CHUNK)
+
+        async def scenario(proxies):
+            coordinator = SketchCoordinator(
+                count_min_factory,
+                [("127.0.0.1", proxy.port) for proxy in proxies],
+            )
+            await coordinator.connect(
+                retry=RetryPolicy(max_attempts=3, base_delay=0.01, op_timeout=5.0)
+            )
+            await coordinator.feed(items[:CHUNK], deltas[:CHUNK])
+            for proxy in proxies:
+                # The next feed frame is dropped with its connection, the
+                # reconnect's hello passes, and the resend is held up.
+                after = proxy.frames_seen
+                proxy.faults[after + 1] = FaultEvent(at=after + 1, kind="conn_reset")
+                proxy.faults[after + 3] = FaultEvent(
+                    at=after + 3, kind="frame_delay", param=pause
+                )
+            started = time.perf_counter()
+            await coordinator.feed(items[CHUNK:], deltas[CHUNK:])
+            elapsed = time.perf_counter() - started
+            merged = await coordinator.merged(allow_degraded=False)
+            await coordinator.close()
+            return elapsed, merged
+
+        with contextlib.ExitStack() as stack:
+            proxies = []
+            for _ in range(2):
+                server = SketchServer(count_min_factory)
+                port = stack.enter_context(server.run_in_thread()).port
+                proxies.append(stack.enter_context(ChaosProxy("127.0.0.1", port)))
+            elapsed, merged = asyncio.run(scenario(proxies))
+            applied = [[fault.kind for fault in p.faults_applied] for p in proxies]
+        assert applied == [["conn_reset", "frame_delay"]] * 2
+        assert elapsed < 1.6 * pause, elapsed
+        assert merged.snapshot() == serial_reference(items, deltas).snapshot()
+
     def test_readmit_rejects_a_differently_constructed_server(self):
         from repro.distributed.codec import FingerprintMismatch
 

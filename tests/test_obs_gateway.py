@@ -5,7 +5,7 @@ Three tiers:
 * standalone gateway semantics over injected providers (status codes,
   content types, error mapping, HEAD, the request counter);
 * a gateway attached to a :class:`SketchServer` (providers ride the
-  engine executor, so scrapes serialize with feeds);
+  engine thread, so scrapes serialize with feeds);
 * the live-load scrape: a second thread hammers ``/metrics`` and
   ``/alerts`` while a four-client swarm feeds a process-backend fleet,
   and the final sketch state must still be byte-identical to a serial
@@ -339,7 +339,7 @@ class TestGatewayLiveLoad:
         Four client threads interleave one stream into a process-backend
         server with an attached gateway while a scraper thread loops on
         ``/metrics`` + ``/alerts``.  Scrapes serialize with feeds on the
-        engine executor, so the final state must be byte-identical to a
+        engine thread, so the final state must be byte-identical to a
         serial engine fed the concatenation, and the last scrape must
         account for every update.
         """

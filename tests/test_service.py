@@ -1041,6 +1041,27 @@ class TestCoordinator:
 
             self.run(scenario())
 
+    def test_a_refused_connect_closes_the_connections_that_opened(self):
+        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        with socket.socket() as unused:
+            unused.bind(("127.0.0.1", 0))
+            refused_port = unused.getsockname()[1]
+        with server.run_in_thread() as srv:
+
+            async def scenario():
+                coordinator = SketchCoordinator(
+                    count_min_factory,
+                    [("127.0.0.1", srv.port), ("127.0.0.1", refused_port)],
+                )
+                with pytest.raises(OSError):
+                    await coordinator.connect()
+                assert not coordinator.clients
+
+            self.run(scenario())
+            # The live server's connection was closed, not left behind.
+            assert wait_for(lambda: srv.stats.connections_open == 0)
+            assert srv.stats.connections_total == 1
+
     def test_coordinator_requires_addresses(self):
         with pytest.raises(ValueError):
             SketchCoordinator(count_min_factory, [])

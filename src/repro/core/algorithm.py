@@ -56,7 +56,7 @@ import bisect
 import copy
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -399,11 +399,7 @@ class SerializableSketch(abc.ABC):
         codec round-trips state exactly and the fingerprint check enforces
         shared construction randomness.
         """
-        from repro.distributed.codec import restore_sketch
-
-        twin = copy.deepcopy(self)
-        restore_sketch(twin, data)
-        self.merge(twin)  # type: ignore[attr-defined]  # MergeableSketch
+        self.merge(self.fork(data))  # type: ignore[attr-defined]  # MergeableSketch
 
     @abc.abstractmethod
     def _snapshot_state(self) -> dict:
@@ -433,7 +429,45 @@ class MergeableSketch(SerializableSketch):
     compatibility is checked against) and :meth:`_merge_state` (the actual
     state combination); the template methods here add the type/key checks
     and position accounting.
+
+    The fork contract
+    -----------------
+    :meth:`fork` is the copy the fleet makes for every view, replica and
+    restore twin.  Because no mergeable sketch draws randomness after
+    construction, a fork shares its source's randomness witness (the
+    transcript is the same object, so the adversary's view is the same),
+    plus the attributes a family lists in :attr:`_fork_shared`: hash
+    parameters fixed at construction and never written afterwards.
+    Every other attribute is deep-copied through one memo, so feeding,
+    merging into or restoring either side never shows in the other; an
+    attribute not declared is never shared.  ``_restore_state`` must
+    rebind the attributes it replaces, never write into them: a fork
+    restored from a snapshot copies only what the restore left in place.
     """
+
+    #: Construction-time attributes :meth:`fork` shares with the source
+    #: (the witness ``random`` is shared for every family).
+    _fork_shared: tuple[str, ...] = ()
+
+    def fork(self, snapshot: Optional[bytes] = None) -> "MergeableSketch":
+        """An independent copy that shares construction-time state.
+
+        With ``snapshot``, the copy is restored from those bytes
+        (fingerprint-verified) before anything is copied, so the tables
+        the restore replaces are never copied from the source.
+        """
+        source = vars(self)
+        shared = ("random", *self._fork_shared)
+        memo = {id(source[name]): source[name] for name in shared if name in source}
+        clone = object.__new__(type(self))
+        state = vars(clone)
+        state.update(source)
+        if snapshot is not None:
+            clone.restore(snapshot)
+        for name, value in source.items():
+            if state[name] is value and name not in shared:
+                state[name] = copy.deepcopy(value, memo)
+        return clone
 
     def merge(self, other: "MergeableSketch") -> None:
         """Absorb ``other``'s state into ``self`` (``self`` += ``other``)."""

@@ -82,6 +82,7 @@ class SisL0Estimator(MergeableSketch, StreamAlgorithm):
     """
 
     name = "sis-l0"
+    _fork_shared = ("params", "_cols64")
 
     def __init__(
         self,

@@ -8,16 +8,22 @@ included, depends on the updates alone, not on how they were batched or
 sharded (the batch- and shard-equivalence tests pin the bytes).  A log
 owns its entries: a caller that may hand it an array it later
 overwrites (a one-part split returns its input) copies first.
+
+Every sketch copy made here is a
+:meth:`~repro.core.algorithm.MergeableSketch.fork`: it shares the
+source's randomness witness and hash parameters, which no update,
+merge or restore ever writes, and copies the rest, so a view, replica
+or twin never changes its source or another copy.  A fork restored from
+snapshot bytes copies none of the tables the restore replaces.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.algorithm import StreamAlgorithm
+from repro.core.algorithm import MergeableSketch, StreamAlgorithm
 
 __all__ = ["ReplayLog", "absorb", "merge_states"]
 
@@ -52,14 +58,12 @@ class ReplayLog:
             self.baseline, self.words = baseline, len(baseline) // 8
         self.version, self.position, self.entries = version, position, []
 
-    def fold(self, template: StreamAlgorithm, version, position: int) -> None:
+    def fold(self, template: MergeableSketch, version, position: int) -> None:
         """Make baseline plus entries the new baseline: the entries are
-        absorbed into the replica, restored from the bytes into a copy
+        absorbed into the replica, restored from the bytes into a fork
         of ``template`` on first use (the bytes are dropped)."""
         if isinstance(self.baseline, bytes):
-            replica = copy.deepcopy(template)
-            replica.restore(self.baseline)
-            self.baseline = replica
+            self.baseline = template.fork(self.baseline)
         absorb(self.baseline, self.entries)
         self.rebase(None, version, position)
 
@@ -86,28 +90,25 @@ class ReplayLog:
 
 
 def merge_states(
-    template: StreamAlgorithm, states: Sequence, twin: Optional[StreamAlgorithm] = None
-) -> StreamAlgorithm:
+    template: MergeableSketch, states: Sequence, twin: Optional[MergeableSketch] = None
+) -> MergeableSketch:
     """A new sketch merging ``states``, each snapshot bytes or a replica.
 
-    The first is restored into a copy of ``template`` or deep-copied;
-    the rest are merged, bytes by way of ``twin`` (made from the
-    template when not given), which spares ``merge_snapshot``'s copy
-    per call.  ``restore`` replaces the twin's state wholesale, so one
-    twin serves every call byte-identically; it is never handed out,
-    and no merge keeps a reference to its argument.
+    The first is restored into a fork of ``template`` or forked; the
+    rest are merged, bytes by way of ``twin`` (forked from the template
+    when not given), which spares ``merge_snapshot``'s copy per call.
+    ``restore`` replaces the twin's state wholesale, so one twin serves
+    every call byte-identically; it is never handed out, and no merge
+    keeps a reference to its argument.
     """
     first, *rest = states
-    if isinstance(first, bytes):
-        view = copy.deepcopy(template)
-        view.restore(first)
-    else:
-        view = copy.deepcopy(first)
+    view = template.fork(first) if isinstance(first, bytes) else first.fork()
     for state in rest:
         if isinstance(state, bytes):
             if twin is None:
-                twin = copy.deepcopy(template)
-            twin.restore(state)
+                twin = template.fork(state)
+            else:
+                twin.restore(state)
             state = twin
         view.merge(state)
     return view

@@ -225,7 +225,7 @@ class ProcessShardPool:
         The constructed replicas.  Each worker inherits its replica at
         fork time; the parent's copies stay untouched and serve only as
         templates for fan-in (``ShardedAlgorithm.merged`` restores
-        snapshots into deep copies of shard 0).
+        snapshots into forks of shard 0).
     buffer_capacity:
         Initial per-block shared-memory capacity in updates; both of a
         worker's blocks grow automatically when a scatter part exceeds

@@ -47,6 +47,7 @@ class CountMinSketch(MergeableSketch, StreamAlgorithm):
     """Standard depth x width CountMin with pairwise-independent rows."""
 
     name = "count-min"
+    _fork_shared = ("row_params", "_row_a", "_row_b")
 
     def __init__(
         self, universe_size: int, width: int, depth: int, seed: int = 0

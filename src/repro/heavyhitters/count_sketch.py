@@ -43,6 +43,9 @@ class CountSketch(MergeableSketch, StreamAlgorithm):
     """Standard CountSketch: per-row bucket hash + sign hash; median estimate."""
 
     name = "count-sketch"
+    _fork_shared = (
+        "bucket_params", "sign_params", "_bucket_a", "_bucket_b", "_sign_a", "_sign_b",
+    )
 
     def __init__(
         self, universe_size: int, width: int, depth: int, seed: int = 0

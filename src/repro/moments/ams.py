@@ -41,6 +41,7 @@ class AMSSketch(MergeableSketch, StreamAlgorithm):
     """Mean-of-squares AMS estimator with ``rows`` independent sign vectors."""
 
     name = "ams-f2"
+    _fork_shared = ("row_seeds",)
 
     def __init__(self, universe_size: int, rows: int = 16, seed: int = 0) -> None:
         if rows < 1:

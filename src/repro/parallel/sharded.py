@@ -13,7 +13,7 @@ its items, in stream order, through the same ``process_batch`` fast paths
 a single engine would use.
 
 Because the sketches are mergeable, the sum of the shard states *is* the
-single-engine state: :meth:`ShardedAlgorithm.merged` clones shard 0 and
+single-engine state: :meth:`ShardedAlgorithm.merged` forks shard 0 and
 absorbs the rest, producing an instance whose tables, estimates,
 ``space_bits()`` and randomness transcript are bit-identical to one
 replica fed the whole stream.  ``query``/``state_view``/``space_bits`` on
@@ -46,7 +46,6 @@ Three scatter backends share the routing/merge machinery:
 
 from __future__ import annotations
 
-import copy
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
 
@@ -239,7 +238,7 @@ class ShardedAlgorithm(StreamAlgorithm):
     def merged(self) -> StreamAlgorithm:
         """A full sketch equal to one instance fed the whole stream.
 
-        Clones shard 0 (whose construction randomness every replica
+        Forks shard 0 (whose construction randomness every replica
         shares) and absorbs the remaining shards through
         :func:`~repro.distributed.replay.merge_states`.  The process
         backend fans worker state in as wire-format snapshots, restored
@@ -284,8 +283,7 @@ class ShardedAlgorithm(StreamAlgorithm):
         pool = self._live_pool()
         self._merged_cache = None
         if pool is not None:
-            twin = copy.deepcopy(self.shards[0])
-            twin.restore(pool.snapshot(0))
+            twin = self.shards[0].fork(pool.snapshot(0))
             twin.merge_snapshot(data)
             pool.restore(0, twin.snapshot())
         else:
@@ -323,10 +321,8 @@ class ShardedAlgorithm(StreamAlgorithm):
         pool = self._live_pool()
         if pool is None:
             return sum(shard.space_bits() for shard in self.shards)
-        twin = copy.deepcopy(self.shards[0])
-        return sum(
-            twin.restore(snapshot).space_bits() for snapshot in pool.snapshots()
-        )
+        template = self.shards[0]
+        return sum(template.fork(state).space_bits() for state in pool.snapshots())
 
     def shard_loads(self) -> list[int]:
         """Updates routed to each shard so far (load-balance diagnostics)."""

@@ -48,7 +48,7 @@ versions it reflects, and a read ends in one of three ways, recorded in
   version: the cached version plus one mutation per journaled slice (a
   server bumps its count once per applied feed).  When every server
   answers with its version alone, each holds exactly entry plus
-  journal, so a copy of the view fed the journaled slices it does not
+  journal, so a fork of the view fed the journaled slices it does not
   hold yet is the fleet's state: nothing is encoded, shipped, restored
   or merged.  A view only ever holds each server's entry plus a prefix
   of its journal, so the fold is exact;
@@ -109,7 +109,6 @@ concurrently); wrap calls with :func:`asyncio.run` from sync code.
 from __future__ import annotations
 
 import asyncio
-import copy
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -243,7 +242,7 @@ class SketchCoordinator:
         #: and the restore twin every rebuild reuses.
         self._view: Optional[StreamAlgorithm] = None
         self._view_key: Optional[tuple] = None
-        self._twin = copy.deepcopy(self.template)
+        self._twin = self.template.fork()
         #: Annotation of the most recent :meth:`merged` fan-in:
         #: ``{"degraded", "stale", "stale_positions", "position",
         #: "view"}``; ``view`` is ``"reused"``, ``"folded"`` or
@@ -557,7 +556,7 @@ class SketchCoordinator:
         * ``"folded"`` -- the view is each server's cache entry plus a
           prefix of its journal, the updates left to fold are no more
           than each server's snapshot has 8-byte words, and every
-          server answers at its predicted version: a copy of the view
+          server answers at its predicted version: a fork of the view
           is fed the journaled slices it lacks;
         * ``"rebuilt"`` -- otherwise: a fresh view from the cache
           entries, which changed servers refreshed with their bytes --
@@ -651,7 +650,7 @@ class SketchCoordinator:
 
         Every active server answered at its predicted version, so the
         view plus the slices it lacks is the fleet's state.  They go
-        into a copy: a handed-out view never changes.
+        into a fork: a handed-out view never changes.
         """
         slices = [
             piece
@@ -660,7 +659,7 @@ class SketchCoordinator:
         ]
         if not slices:
             return "reused"
-        view = copy.deepcopy(self._view)
+        view = self._view.fork()
         absorb(view, slices)
         self._view = view
         self._view_key = tuple(predicted.items())

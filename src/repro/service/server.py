@@ -455,7 +455,13 @@ class SketchServer:
         self.port = self._server.sockets[0].getsockname()[1]
         if self._gateway_port is not None:
             self.gateway = self._build_gateway(self._gateway_port)
-            await self.gateway.start()
+            try:
+                await self.gateway.start()
+            except BaseException:
+                # A failed gateway bind must not leave the listener open.
+                await self._close_listener()
+                self._server = self.gateway = None
+                raise
         # Last, so a failed bind leaves no thread behind; a job queued
         # before this (a gateway scrape) waits in the queue.
         self._engine_thread = threading.Thread(
@@ -466,6 +472,23 @@ class SketchServer:
         )
         self._engine_thread.start()
         return self
+
+    async def _close_listener(self) -> None:
+        """Stop accepting and end every connection handler."""
+        if self._server is not None:
+            self._server.close()
+        # Reap connection handlers still draining their sockets, so the
+        # event loop can close without orphaned tasks; after stop() began,
+        # _accept closes any new connection instead of starting a handler.
+        # This comes before wait_closed(): from Python 3.12.1 that waits
+        # until every connection is gone, and only a handler closes its
+        # connection.
+        handlers = list(self._handler_tasks)
+        for task in handlers:
+            task.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
 
     async def serve_forever(self) -> None:
         """``start()`` (if needed) then serve until cancelled."""
@@ -481,20 +504,7 @@ class SketchServer:
         self._closed = True
         if self.gateway is not None:
             await self.gateway.stop()
-        if self._server is not None:
-            self._server.close()
-        # Reap connection handlers still draining their sockets, so the
-        # event loop can close without orphaned tasks; _accept closes any
-        # connection made from here on instead of starting a handler.
-        # This comes before wait_closed(): from Python 3.12.1 that waits
-        # until every connection is gone, and only a handler closes its
-        # connection.
-        handlers = list(self._handler_tasks)
-        for task in handlers:
-            task.cancel()
-        await asyncio.gather(*handlers, return_exceptions=True)
-        if self._server is not None:
-            await self._server.wait_closed()
+        await self._close_listener()
         # Shutdown must not shed its own final checkpoint.
         self.queue_deadline = None
         if self._writer is not None and self._writer.last_position != self.position:

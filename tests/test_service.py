@@ -738,6 +738,26 @@ class TestServerExactness:
         assert elapsed < 5.0
         assert not loop_threads[0].is_alive()
 
+    def test_a_failed_gateway_bind_closes_the_listener(self):
+        """``start`` binds the server before its gateway; when the
+        gateway's port is taken, the server's listening socket closes
+        too, so nothing accepts on ``server.port`` and no unclosed
+        socket is left for ``-X dev`` to report."""
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            server = SketchServer(
+                count_min_factory,
+                chunk_size=CHUNK,
+                gateway_port=taken.getsockname()[1],
+            )
+            with pytest.raises(OSError):
+                with server.run_in_thread():
+                    pass
+        assert server.port
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", server.port), timeout=5).close()
+
 
 # -- application errors leave the connection usable --------------------------
 

@@ -171,20 +171,11 @@ class StreamEngine:
             )
         if checkpoint_path is None:
             return None
-        from repro.distributed.checkpoint import (
-            DEFAULT_CHECKPOINT_EVERY,
-            CheckpointWriter,
-        )
+        from repro.distributed.checkpoint import CheckpointWriter
 
-        writer = CheckpointWriter(
-            checkpoint_path,
-            targets[0],
-            every=checkpoint_every
-            if checkpoint_every is not None
-            else DEFAULT_CHECKPOINT_EVERY,
+        return CheckpointWriter(
+            checkpoint_path, targets[0], every=checkpoint_every, position=start_position
         )
-        writer.last_position = start_position
-        return writer
 
     def drive(
         self,

@@ -20,12 +20,20 @@ fleet can therefore resume on a single engine, a thread fleet, or an
 File format (atomic: written to a temp sibling, then ``os.replace``)::
 
     MAGIC "RCKP" | version u8 | sha256(body) | body =
-        encode({"position": int, "meta": dict, "snapshot": bytes})
+        encode({"position": int, "meta": dict, "snapshot": bytes,
+                "dedup": dict})
 
 The body digest means a crash mid-write (or disk corruption) surfaces as
 :class:`~repro.distributed.codec.SnapshotError`, never as silently wrong
 state; the construction fingerprint inside the inner snapshot still
 guards against resuming with the wrong seed or parameters.
+
+Version 2 added ``dedup``: a sketch server's exactly-once state for
+sequenced feeds (:mod:`repro.service.core`), per client id ``{"seq":
+last applied seq, "failed": {seq: (error kind, message)}}``.  It sits in
+the digested body beside the snapshot it belongs to, so a resumed
+server's dedup table always matches its state.  Version 1 files (no
+``dedup``) still load, with an empty table.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ import hashlib
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -53,7 +61,7 @@ __all__ = [
 ]
 
 MAGIC = b"RCKP"
-VERSION = 1
+VERSION = 2
 _DIGEST_BYTES = 32
 
 #: Default checkpoint cadence (updates between snapshots) used by the
@@ -68,6 +76,7 @@ class Checkpoint:
     position: int
     snapshot: bytes
     meta: dict = field(default_factory=dict)
+    dedup: dict = field(default_factory=dict)
 
 
 def _algorithm_snapshot(algorithm) -> bytes:
@@ -125,6 +134,7 @@ def save_checkpoint(
     meta: dict | None = None,
     *,
     keep: int = 0,
+    dedup: dict | None = None,
 ) -> Path:
     """Snapshot ``algorithm`` at stream position ``position`` to ``path``.
 
@@ -133,7 +143,8 @@ def save_checkpoint(
     into place (with the containing directory fsync'd after).  With
     ``keep=N`` the previous head survives as ``path.1`` (and so on up to
     ``path.N``) so a later corruption of the head still leaves verified
-    ancestors to fall back to.  Returns the path.
+    ancestors to fall back to.  ``dedup`` is a server's dedup table
+    (see the module notes).  Returns the path.
     """
     if position < 0:
         raise ValueError(f"position must be non-negative, got {position}")
@@ -145,6 +156,7 @@ def save_checkpoint(
             "position": int(position),
             "meta": dict(meta or {}),
             "snapshot": _algorithm_snapshot(algorithm),
+            "dedup": dict(dedup or {}),
         }
     )
     blob = MAGIC + bytes([VERSION]) + hashlib.sha256(body).digest() + body
@@ -179,10 +191,10 @@ def load_checkpoint(path) -> Checkpoint:
     if len(data) < header or data[: len(MAGIC)] != MAGIC:
         raise SnapshotError(f"{path}: not a checkpoint file (bad magic)")
     version = data[len(MAGIC)]
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise SnapshotError(
             f"{path}: unsupported checkpoint version {version} "
-            f"(expected {VERSION})"
+            f"(expected 1 or {VERSION})"
         )
     digest = data[len(MAGIC) + 1 : header]
     body = data[header:]
@@ -193,12 +205,14 @@ def load_checkpoint(path) -> Checkpoint:
         not isinstance(decoded, dict)
         or "position" not in decoded
         or "snapshot" not in decoded
+        or not isinstance(decoded.get("dedup", {}), dict)
     ):
         raise SnapshotError(f"{path}: checkpoint body malformed")
     return Checkpoint(
         position=decoded["position"],
         snapshot=decoded["snapshot"],
         meta=decoded.get("meta", {}),
+        dedup=decoded.get("dedup", {}),
     )
 
 
@@ -255,19 +269,27 @@ class CheckpointWriter:
     usable standalone around any drive loop.  ``maybe(position)`` saves
     when at least ``every`` updates passed since the last save;
     ``flush(position)`` saves unconditionally (end of stream).
-    ``keep=N`` retains the N previous checkpoints as rotated numbered
-    siblings (the durability fallback chain).
+    ``every=None`` means :data:`DEFAULT_CHECKPOINT_EVERY`; ``position``
+    is where the stream starts (nonzero when resuming), so the first
+    save is due ``every`` updates past it.  ``keep=N`` retains the N
+    previous checkpoints as rotated numbered siblings (the durability
+    fallback chain).  ``dedup``, when given, is called at each save
+    for the dedup table written beside the snapshot (a sketch server's).
     """
 
     def __init__(
         self,
         path,
         algorithm,
-        every: int = DEFAULT_CHECKPOINT_EVERY,
+        every: int | None = None,
         meta: dict | None = None,
         *,
         keep: int = 0,
+        position: int = 0,
+        dedup: Callable[[], dict] | None = None,
     ) -> None:
+        if every is None:
+            every = DEFAULT_CHECKPOINT_EVERY
         if every <= 0:
             raise ValueError(f"every must be positive, got {every}")
         if keep < 0:
@@ -277,7 +299,8 @@ class CheckpointWriter:
         self.every = every
         self.meta = dict(meta or {})
         self.keep = keep
-        self.last_position = 0
+        self.dedup = dedup
+        self.last_position = position
         self.saves = 0
 
     def maybe(self, position: int) -> bool:
@@ -290,7 +313,12 @@ class CheckpointWriter:
     def flush(self, position: int) -> None:
         """Checkpoint unconditionally at ``position``."""
         save_checkpoint(
-            self.path, self.algorithm, position, meta=self.meta, keep=self.keep
+            self.path,
+            self.algorithm,
+            position,
+            meta=self.meta,
+            keep=self.keep,
+            dedup=self.dedup() if self.dedup is not None else None,
         )
         self.last_position = position
         self.saves += 1

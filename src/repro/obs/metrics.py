@@ -660,6 +660,10 @@ class RegistryStatsBase:
                 values = instruments[attr]._values
                 values[key] = values.get(key, 0) + amount
 
+    def values(self) -> dict:
+        """Every declared field's current value, by attribute name."""
+        return {attr: getattr(self, attr) for attr in self._instruments}
+
     def dispose(self) -> None:
         """Drop this surface's label series from every instrument."""
         for instrument in self._instruments.values():

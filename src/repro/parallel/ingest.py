@@ -256,19 +256,11 @@ async def ingest_async(
     target_list: Sequence[StreamAlgorithm] = [targets] if single else list(targets)
     writer = None
     if checkpoint_path is not None:
-        from repro.distributed.checkpoint import (
-            DEFAULT_CHECKPOINT_EVERY,
-            CheckpointWriter,
-        )
+        from repro.distributed.checkpoint import CheckpointWriter
 
         writer = CheckpointWriter(
-            checkpoint_path,
-            target_list[0],
-            every=checkpoint_every
-            if checkpoint_every is not None
-            else DEFAULT_CHECKPOINT_EVERY,
+            checkpoint_path, target_list[0], every=checkpoint_every, position=start_position
         )
-        writer.last_position = start_position
     stats = IngestStats(
         queue_depth=queue_depth,
         targets=len(target_list),

@@ -13,7 +13,9 @@ puts a service boundary in front of it:
 * :mod:`repro.service.server` -- :class:`SketchServer`, the asyncio TCP
   collector that decodes update batches straight into a
   :class:`~repro.parallel.sharded.ShardedStreamEngine` with
-  backpressure, per-connection stats, and chunk-boundary checkpointing;
+  backpressure, per-connection stats, and chunk-boundary checkpointing:
+  the transport of :class:`~repro.service.core.ServerCore`, which holds
+  the server's rules with no socket, thread or event loop;
 * :mod:`repro.service.client` -- :class:`SketchClient` (blocking) and
   :class:`AsyncSketchClient` (asyncio), two transports of one client
   core: pipelined and sequenced feeding, hedged reads, and the full

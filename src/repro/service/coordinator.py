@@ -128,7 +128,7 @@ from repro.obs import (
 )
 from repro.parallel.partition import UniversePartitioner
 from repro.service.client import AsyncSketchClient, fan_out
-from repro.service.protocol import ProtocolError, ServerBusy
+from repro.service.protocol import ProtocolError, ServerBusy, query_method
 from repro.service.retry import RetryPolicy, count_retry
 
 __all__ = ["SketchCoordinator"]
@@ -684,11 +684,7 @@ class SketchCoordinator:
     async def query(self, kind: Optional[str] = None):
         """The family's native query from the wire-merged state."""
         merged = await self.merged()
-        if kind in (None, "default"):
-            return merged.query()
-        if kind == "f2":
-            return merged.f2_estimate()
-        raise ValueError(f"unknown query kind {kind!r}")
+        return getattr(merged, query_method(kind))()
 
     async def stats(self) -> list[dict]:
         """Every server's liveness/monitoring payload, in address order."""

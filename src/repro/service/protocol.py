@@ -140,6 +140,7 @@ __all__ = [
     "raise_for_reply",
     "pack_array",
     "unpack_array",
+    "query_method",
     "sanitize_value",
 ]
 
@@ -584,6 +585,16 @@ def raise_for_reply(message: dict, request_id: int) -> Any:
 
 
 # -- value helpers -----------------------------------------------------------
+
+
+def query_method(kind: Any) -> str:
+    """The sketch method a ``query`` op of ``kind`` calls: the family's
+    native ``query`` by default, ``f2_estimate`` for ``"f2"``."""
+    if kind in (None, "default"):
+        return "query"
+    if kind == "f2":
+        return "f2_estimate"
+    raise ValueError(f"unknown query kind {kind!r}")
 
 
 def pack_array(array: np.ndarray) -> dict:

@@ -5,12 +5,15 @@ thread, which takes ``(future, fn, args)`` jobs from a queue and settles
 each future on the event loop.  These tests pin what that hand-off keeps
 from a one-worker executor: a job whose request is cancelled while it
 waits never runs, engine exceptions arrive with their type and message
-(the failed-feed resend path raises the stored one again), and no engine
+(the failed-feed resend path raises the stored one again), no engine
 thread outlives its server -- after ``run_in_thread`` exits, or after a
-``start()`` whose bind fails.
+``start()`` whose bind fails -- nor do a failed ``run_in_thread``'s
+fleet workers, and the connection table the event loop owns is never
+read on the engine thread.
 """
 
 import asyncio
+import multiprocessing
 import socket
 import threading
 import time
@@ -108,3 +111,51 @@ class TestEngineThreadLifetime:
             with pytest.raises(OSError):
                 asyncio.run(server.start())
         assert engine_threads() - before == set()
+
+    def test_a_failed_run_in_thread_leaves_no_fleet_workers(self):
+        before = set(multiprocessing.active_children())
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            server = SketchServer(
+                count_min_factory,
+                num_shards=2,
+                backend="process",
+                gateway_port=taken.getsockname()[1],
+            )
+            assert len(set(multiprocessing.active_children()) - before) == 2
+            with pytest.raises(OSError):
+                with server.run_in_thread():
+                    pass
+        assert set(multiprocessing.active_children()) - before == set()
+
+
+class ThreadRecordingTable(dict):
+    """A connection table that records which threads iterate it."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = set()
+
+    def items(self):
+        self.threads.add(threading.current_thread().name)
+        return super().items()
+
+    def __iter__(self):
+        self.threads.add(threading.current_thread().name)
+        return super().__iter__()
+
+
+class TestLoopOwnedState:
+    def test_stats_reads_the_connection_table_on_the_loop(self):
+        """Handlers add and remove connections on the event loop, so a
+        ``stats`` answer that iterated the table on the engine thread
+        could meet it changing size mid-iteration."""
+        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        server.stats.connections = table = ThreadRecordingTable()
+        with server.run_in_thread():
+            with SketchClient.connect("127.0.0.1", server.port) as client:
+                client.feed(*stream(5, 256))
+                stats = client.stats()
+        assert [entry["updates"] for entry in stats["connections"].values()] == [256]
+        assert table.threads and "sketch-engine" not in table.threads

@@ -39,6 +39,7 @@ from repro.service import (
     ProtocolError,
     ProtocolVersionMismatch,
     RetryPolicy,
+    SequenceGap,
     ServerBusy,
     ServiceError,
     SketchClient,
@@ -942,6 +943,41 @@ class TestRestartRecovery:
                     client.estimate(PROBE), reference.estimate_batch(PROBE)
                 )
                 assert client.snapshot() == reference.snapshot()
+
+    def test_a_resumed_server_remembers_each_clients_last_seq(self, tmp_path):
+        """A server acks five sequenced 2,000-update feeds, then "dies":
+        a copy of its 8,000-update checkpoint stands in for the crash.
+        Resumed from that copy, it must refuse the client's sixth feed
+        with a gap (seq 6 after 4), never ack it at position 10,000."""
+        items, deltas = stream(9, 12_000)
+        path = tmp_path / "service.ckpt"
+        crashed = tmp_path / "crashed.ckpt"
+        first = SketchServer(
+            count_min_factory,
+            chunk_size=CHUNK,
+            checkpoint_path=path,
+            checkpoint_every=8_000,
+        )
+        with first.run_in_thread() as srv:
+            port = srv.port
+            client = SketchClient.connect("127.0.0.1", port)
+            for start in range(0, 10_000, 2_000):
+                reply = client.feed(
+                    items[start : start + 2_000],
+                    deltas[start : start + 2_000],
+                    seq=client.next_seq(),
+                )
+            assert reply["position"] == 10_000
+            crashed.write_bytes(path.read_bytes())
+        second = SketchServer(
+            count_min_factory, chunk_size=CHUNK, port=port, resume_path=crashed
+        )
+        with second.run_in_thread() as srv, client:
+            client.reconnect()
+            with pytest.raises(SequenceGap, match="seq 6 after 4.*resend from seq 5"):
+                client.feed(items[10_000:], deltas[10_000:], seq=client.next_seq())
+            assert client.ping()["position"] == 8_000
+            assert srv.position == 8_000
 
     def test_connect_retries_ride_out_a_down_server(self):
         # grab a port with no listener

@@ -87,9 +87,7 @@ def measure_single_client(
     factory, backend: str, num_shards: int, items, deltas, reference, probe
 ) -> dict:
     """One client, one fleet: the pipelined feed_chunks path end to end."""
-    server = SketchServer(
-        factory, num_shards=num_shards, backend=backend, chunk_size=FEED_CHUNK
-    )
+    server = SketchServer(factory, num_shards=num_shards, backend=backend)
     with server.run_in_thread() as srv:
         with SketchClient.connect("127.0.0.1", srv.port) as client:
             start = time.perf_counter()
@@ -118,9 +116,7 @@ def measure_swarm(
     independent of how the server interleaves them, which the post-run
     exactness check certifies.
     """
-    server = SketchServer(
-        factory, num_shards=num_shards, backend="process", chunk_size=FEED_CHUNK
-    )
+    server = SketchServer(factory, num_shards=num_shards, backend="process")
     failures: list[BaseException] = []
     with server.run_in_thread() as srv:
 
@@ -193,7 +189,6 @@ def measure_fault_recovery(
         factory,
         num_shards=num_shards,
         backend="process",
-        chunk_size=FEED_CHUNK,
         snapshot_every=8,
     )
     chunk_starts = list(range(0, len(items), FEED_CHUNK))
@@ -212,7 +207,7 @@ def measure_fault_recovery(
             seconds = time.perf_counter() - start
             assert ack["position"] == len(items)
             _verify(client, reference, probe)
-        health = server.engine.algorithm.health()
+        health = server.fleet.health()
     if health["restarts"] < 1:
         raise AssertionError("fault_recovery row ran without a worker restart")
     if not health["ok"]:
@@ -315,9 +310,7 @@ def measure_failover_migration(factory, items, deltas, probe) -> dict:
         return seconds
 
     # Fork the fleet before any event loop exists in this process.
-    servers = [
-        ServerProcess(factory, chunk_size=FEED_CHUNK) for _ in range(3)
-    ]
+    servers = [ServerProcess(factory) for _ in range(3)]
     for server in servers:
         server.start()
     try:

@@ -11,9 +11,10 @@ keys -- PR 1's per-update-vs-batched baseline -- are preserved):
   the only representation the seed had);
 * ``batched_seconds`` -- the same 1-shard path today (for SIS-L0 this is
   where the int64 dense fast path lands);
-* ``shards`` -- ``ShardedStreamEngine`` runs at 1/2/4/8 shards, serial
-  scatter, each verified bit-identical to the single-engine state before
-  its numbers count.
+* ``shards`` -- ``ShardedAlgorithm`` fleets at 1/2/4/8 shards, serial
+  scatter, driven by ``StreamEngine`` in ``DEFAULT_CHUNK_SIZE * shards``
+  chunks (so each shard scatters near-default sub-chunks), each verified
+  bit-identical to the single-engine state before its numbers count.
 
 ``speedup_vs_seed`` compares the 4-shard engine against the seed's 1-shard
 batched path.  Honesty note, recorded in the payload: this host exposes
@@ -55,12 +56,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.engine import StreamEngine
+from repro.core.engine import DEFAULT_CHUNK_SIZE, StreamEngine
 from repro.crypto.modmath import next_prime
 from repro.crypto.sis import SISParams
 from repro.distinct.sis_l0 import SisL0Estimator
 from repro.heavyhitters.count_min import CountMinSketch
-from repro.parallel import ShardedStreamEngine
+from repro.parallel import ShardedAlgorithm
 from repro.workloads.frequency import uniform_arrays
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -102,11 +103,13 @@ def measure_family(name: str, factory, seed_factory, items, deltas) -> dict:
     reference = _state_signature(batch_alg)
     shard_rows = []
     for count in SHARD_COUNTS:
-        engine = ShardedStreamEngine(factory, num_shards=count)
+        fleet = ShardedAlgorithm(factory, num_shards=count)
         start = time.perf_counter()
-        engine.drive_arrays(items, deltas)
+        StreamEngine(chunk_size=DEFAULT_CHUNK_SIZE * count).drive_arrays(
+            fleet, items, deltas
+        )
         seconds = time.perf_counter() - start
-        if _state_signature(engine.merged()) != reference:
+        if _state_signature(fleet.merged()) != reference:
             raise AssertionError(f"{name}: {count}-shard merged state diverged")
         shard_rows.append(
             {
@@ -146,12 +149,14 @@ def measure_backends(name: str, factory, items, deltas, num_shards: int) -> dict
     rows = []
     serial_seconds = None
     for backend in ("serial", "thread", "process"):
-        with ShardedStreamEngine(
+        with ShardedAlgorithm(
             factory, num_shards=num_shards, backend=backend
-        ) as engine:
+        ) as fleet:
             start = time.perf_counter()
-            engine.drive_arrays(items, deltas)
-            merged = engine.merged()  # process backend: snapshot fan-in
+            StreamEngine(chunk_size=DEFAULT_CHUNK_SIZE * num_shards).drive_arrays(
+                fleet, items, deltas
+            )
+            merged = fleet.merged()  # process backend: snapshot fan-in
             seconds = time.perf_counter() - start
             if _state_signature(merged) != reference:
                 raise AssertionError(

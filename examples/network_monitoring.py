@@ -13,7 +13,7 @@ the monitor's own counters*.  Algorithm 4's guarantees survive that;
 deterministic baselines survive trivially but pay log(m) per counter.
 
 Part two scales the monitor up: per-flow packet counting over a million
-flow labels, driven through the sharded engine (universe-partitioned
+flow labels, driven through a sharded fleet (universe-partitioned
 CountMin replicas whose merged table is bit-identical to one collector)
 with the asyncio ingestion front-end pipelining packet-chunk production
 against the scatter -- the deployment shape for a collector fleet, with a
@@ -42,7 +42,7 @@ from repro.hhh.domain import HierarchicalDomain, Prefix, exact_hhh
 from repro.hhh.hss import HierarchicalSpaceSaving
 from repro.hhh.robust_hhh import RobustHHH
 from repro.distributed import resume_from, tail_chunks
-from repro.parallel import ShardedStreamEngine, chunk_arrays, ingest
+from repro.parallel import ShardedAlgorithm, chunk_arrays, ingest
 from repro.workloads.hierarchy import planted_hhh_stream
 from repro.workloads.frequency import zipf_arrays
 
@@ -64,10 +64,10 @@ def sharded_flow_monitor(
         )
         return SisL0Estimator(flows, params=params, seed=42)
 
-    counter_engine = ShardedStreamEngine(make_counter, num_shards=shards)
-    distinct_engine = ShardedStreamEngine(make_distinct, num_shards=shards)
+    counter_fleet = ShardedAlgorithm(make_counter, num_shards=shards)
+    distinct_fleet = ShardedAlgorithm(make_distinct, num_shards=shards)
     stats = ingest(
-        [counter_engine.algorithm, distinct_engine.algorithm],
+        [counter_fleet, distinct_fleet],
         chunk_arrays(items, deltas, chunk_size=8192),
         queue_depth=4,
     )
@@ -75,17 +75,17 @@ def sharded_flow_monitor(
     # Single-collector reference: the merged shard state must match it.
     reference = make_counter()
     reference.feed_batch(items, deltas)
-    merged = counter_engine.merged()
+    merged = counter_fleet.merged()
     top = np.argsort(np.bincount(items))[-3:][::-1]
-    z = distinct_engine.query()
-    factor = distinct_engine.algorithm.approximation_factor()
+    z = distinct_fleet.query()
+    factor = distinct_fleet.approximation_factor()
 
     print(f"-- sharded flow monitor ({shards} shards, async ingest) --")
     print(
         f"  ingested {stats.updates} packets in {stats.chunks} chunks "
         f"({stats.updates_per_second:,.0f} packets/s pipeline)"
     )
-    print(f"  shard loads: {counter_engine.algorithm.shard_loads()}")
+    print(f"  shard loads: {counter_fleet.shard_loads()}")
     for flow in top.tolist():
         print(
             f"  top talker flow {flow}: ~{merged.estimate(flow)} packets "
@@ -129,11 +129,9 @@ def _run_distributed_monitor(checkpoint, flows, items, deltas, packets, shards):
     # back in as fingerprint-verified wire snapshots.  The run
     # checkpoints every ~2^14 packets and "dies" 60% through the stream.
     crash_at = int(0.6 * packets)
-    with ShardedStreamEngine(
-        make_counter, num_shards=shards, backend="process"
-    ) as fleet:
+    with ShardedAlgorithm(make_counter, num_shards=shards, backend="process") as fleet:
         stats = ingest(
-            fleet.algorithm,
+            fleet,
             chunk_arrays(items[:crash_at], deltas[:crash_at], 8192),
             checkpoint_path=checkpoint,
             checkpoint_every=1 << 14,
@@ -146,12 +144,10 @@ def _run_distributed_monitor(checkpoint, flows, items, deltas, packets, shards):
 
     # Recovery: a fresh fleet restores the checkpointed merged state and
     # replays only the unabsorbed tail of the packet stream.
-    with ShardedStreamEngine(
-        make_counter, num_shards=shards, backend="process"
-    ) as recovered:
-        position = resume_from(checkpoint, recovered.algorithm)
+    with ShardedAlgorithm(make_counter, num_shards=shards, backend="process") as recovered:
+        position = resume_from(checkpoint, recovered)
         ingest(
-            recovered.algorithm,
+            recovered,
             tail_chunks(chunk_arrays(items, deltas, 8192), position),
             checkpoint_path=checkpoint,
             start_position=position,

@@ -101,7 +101,7 @@ def main() -> None:
     rng = np.random.default_rng(7)
     with server.run_in_thread() as srv:
         port = srv.gateway.port
-        partitioner = srv.engine.algorithm.partitioner
+        partitioner = srv.fleet.partitioner
         universe = np.arange(UNIVERSE, dtype=np.int64)
         shard0 = universe[partitioner.assign_array(universe) == 0]
 

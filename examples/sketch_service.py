@@ -66,7 +66,7 @@ def main() -> bool:
 
     # -- part one: one server, four concurrent clients -------------------
     print("== one collector, four concurrent clients ==")
-    server = SketchServer(factory, num_shards=2, backend="process", chunk_size=CHUNK)
+    server = SketchServer(factory, num_shards=2, backend="process")
     with server.run_in_thread() as srv:
 
         def feed_slice(offset: int) -> None:
@@ -98,8 +98,8 @@ def main() -> bool:
 
     # -- part two: a coordinator over two servers ------------------------
     print("== coordinator: two servers, wire merge, checkpoint/recover ==")
-    s1 = SketchServer(factory, chunk_size=CHUNK)
-    s2 = SketchServer(factory, chunk_size=CHUNK)
+    s1 = SketchServer(factory)
+    s2 = SketchServer(factory)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fleet.ckpt"
 
@@ -125,8 +125,8 @@ def main() -> bool:
             asyncio.run(deploy())
 
         # a brand-new fleet picks the checkpoint up over the wire
-        f1 = SketchServer(factory, chunk_size=CHUNK)
-        f2 = SketchServer(factory, chunk_size=CHUNK)
+        f1 = SketchServer(factory)
+        f2 = SketchServer(factory)
 
         async def recover() -> None:
             coordinator = SketchCoordinator(

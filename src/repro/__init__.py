@@ -41,8 +41,9 @@ experiments
     The theorem-by-theorem experiment harness (``python -m
     repro.experiments``).
 parallel
-    The scaling layer: mergeable-sketch sharding
-    (``ShardedStreamEngine``), universe partitioning, asyncio ingestion.
+    The scaling layer: mergeable-sketch sharding (``ShardedAlgorithm``,
+    driven by ``StreamEngine`` like any algorithm), universe
+    partitioning, asyncio ingestion.
 distributed
     The deployment layer: wire-format sketch snapshots, process-parallel
     shard workers (``backend="process"``), checkpoint/recovery.

@@ -19,16 +19,21 @@ does not move when internals refactor.  This module is that path:
   ``queue_depth`` of :func:`ingest`/:func:`ingest_async`, the
   ``retry_interval=`` connect kwarg and ``RetryPolicy.fixed``, direct
   assignment of service stats counters, and the renamed facade aliases
-  (``encode_sketch``, ``decode_sketch``, ``ShardedEngine``).  CI imports
-  this facade with warnings-as-errors, so it stays warning-free.
+  (``encode_sketch``, ``decode_sketch``, ``ShardedEngine``).
+  ``API_VERSION`` 3.0 removed two wrappers: ``ShardedStreamEngine``
+  (a :class:`ShardedAlgorithm` is driven by :class:`StreamEngine` like
+  any algorithm, and ``SketchServer`` no longer takes its dead
+  ``chunk_size=``) and ``ShardMigrationPlanner`` (:class:`FleetProber`
+  calls ``SketchCoordinator.migrate_server``, which picks the same
+  least-loaded survivor).  CI imports this facade with
+  warnings-as-errors, so it stays warning-free.
 
 The surface, by layer::
 
     driving     StreamEngine, DEFAULT_CHUNK_SIZE, Update, run_game,
                 GameResult, StreamAlgorithm, MergeableSketch,
                 SerializableSketch, StateView, WhiteBoxAdversary
-    sharding    ShardedAlgorithm, ShardedStreamEngine,
-                UniversePartitioner
+    sharding    ShardedAlgorithm, UniversePartitioner
     ingestion   ingest, ingest_async, IngestStats, chunk_arrays,
                 chunk_updates
     state       snapshot_sketch, restore_sketch,
@@ -41,7 +46,7 @@ The surface, by layer::
                 ProtocolVersionMismatch, PROTOCOL_VERSION,
                 hedge_delay_from_metrics
     healing     FleetProber, MembershipStateMachine,
-                ShardMigrationPlanner, default_membership_rules
+                default_membership_rules
     faults      RetryPolicy, ServerBusy, SequenceGap, FaultPlan,
                 ChaosProxy, ServerProcess, default_fault_rules
     telemetry   MetricsRegistry, get_registry, merge_snapshots,
@@ -112,7 +117,7 @@ from repro.parallel.ingest import (
     ingest_async,
 )
 from repro.parallel.partition import UniversePartitioner
-from repro.parallel.sharded import ShardedAlgorithm, ShardedStreamEngine
+from repro.parallel.sharded import ShardedAlgorithm
 from repro.service import (
     PROTOCOL_VERSION,
     AsyncSketchClient,
@@ -124,7 +129,6 @@ from repro.service import (
     SequenceGap,
     ServerBusy,
     ServiceError,
-    ShardMigrationPlanner,
     SketchClient,
     SketchCoordinator,
     SketchServer,
@@ -134,7 +138,7 @@ from repro.testing.faults import ChaosProxy, FaultEvent, FaultPlan, ServerProces
 
 #: Major version of this surface.  Additions bump nothing; a removal or
 #: an incompatible signature change bumps the major.
-API_VERSION = "2.0"
+API_VERSION = "3.0"
 
 __all__ = [
     "API_VERSION",
@@ -167,10 +171,8 @@ __all__ = [
     "ServerBusy",
     "ServerProcess",
     "ServiceError",
-    "ShardMigrationPlanner",
     "ShardSkewMonitor",
     "ShardedAlgorithm",
-    "ShardedStreamEngine",
     "SketchClient",
     "SketchCoordinator",
     "SketchServer",

@@ -10,9 +10,9 @@ Four pieces, stacked on the merge protocol
   deterministic ndarray/scalar payloads) behind ``snapshot()`` /
   ``restore()`` / ``merge_snapshot()``;
 * :mod:`repro.distributed.workers` -- :class:`ProcessShardPool`, the
-  ``multiprocessing`` scatter backend of the sharded engine
+  ``multiprocessing`` scatter backend of a sharded fleet
   (shared-memory chunk transport out, snapshot transport back), giving
-  ``ShardedStreamEngine(backend="process")`` real parallelism for
+  ``ShardedAlgorithm(backend="process")`` real parallelism for
   Python-bound sketches;
 * :mod:`repro.distributed.replay` -- :class:`ReplayLog`, a baseline
   state plus the batches applied since (the coordinator's per-server

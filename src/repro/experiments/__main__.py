@@ -34,7 +34,7 @@ def main(argv: list[str] | None = None) -> int:
         default=1,
         metavar="N",
         help="drive shard-aware experiments (e02, e06, e11) through an "
-        "N-shard ShardedStreamEngine and report merged-state equivalence",
+        "N-shard ShardedAlgorithm fleet and report merged-state equivalence",
     )
     parser.add_argument(
         "--checkpoint",

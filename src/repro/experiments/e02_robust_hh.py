@@ -18,7 +18,7 @@ from repro.experiments.base import ExperimentResult, register
 from repro.heavyhitters.count_min import CountMinSketch
 from repro.heavyhitters.misra_gries import MisraGriesAlgorithm
 from repro.heavyhitters.robust_l1 import RobustL1HeavyHitters
-from repro.parallel import ShardedStreamEngine
+from repro.parallel import ShardedAlgorithm
 
 __all__ = ["run", "batched_planted_stream"]
 
@@ -110,8 +110,10 @@ def run(
                 engine.drive(
                     single_cm, batched_planted_stream(universe, m, heavies, seed=m)
                 )
-                sharded = ShardedStreamEngine(make_cm, num_shards=shards)
-                sharded.drive(batched_planted_stream(universe, m, heavies, seed=m))
+                sharded = ShardedAlgorithm(make_cm, num_shards=shards)
+                engine.drive(
+                    sharded, batched_planted_stream(universe, m, heavies, seed=m)
+                )
                 merged = sharded.merged()
                 # One batched point query over the fleet (one merge fan-in,
                 # one vectorized estimate pass) instead of per-item calls.

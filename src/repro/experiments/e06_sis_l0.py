@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.core.engine import StreamEngine
 from repro.distinct.sis_l0 import SisL0Estimator
 from repro.experiments.base import ExperimentResult, register
-from repro.parallel import ShardedStreamEngine
+from repro.parallel import ShardedAlgorithm
 from repro.workloads.turnstile import insert_delete_stream, sparse_survivors_stream
 
 __all__ = ["run"]
@@ -27,7 +27,7 @@ def run(
     """Run E06: SIS-sketch L0 bounds and space (Theorem 1.5).
 
     With ``shards > 1`` every explicit-mode estimator is additionally
-    driven through a :class:`ShardedStreamEngine`; the ``sharded_match``
+    driven as a :class:`ShardedAlgorithm` fleet; the ``sharded_match``
     column certifies that the merged shard state answers identically
     (Theorem 1.5's guarantee is preserved verbatim under sharding because
     the chunk sketches are linear).
@@ -62,14 +62,14 @@ def run(
                 <= oracle.query() * factor,
             }
             if shards > 1:
-                engine = ShardedStreamEngine(
+                fleet = ShardedAlgorithm(
                     lambda n=n, eps=eps: SisL0Estimator(
                         n, eps=eps, c=0.25, mode="explicit", seed=n
                     ),
                     num_shards=shards,
                 )
-                engine.drive(survivors)
-                merged = engine.merged()
+                StreamEngine().drive(fleet, survivors)
+                merged = fleet.merged()
                 row["shards"] = shards
                 row["sharded_match"] = (
                     merged.query() == z

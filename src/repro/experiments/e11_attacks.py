@@ -26,7 +26,7 @@ from repro.experiments.base import ExperimentResult, register
 from repro.heavyhitters.count_sketch import CountSketch
 from repro.moments.ams import AMSSketch
 from repro.moments.frequency import ExactFpMoment
-from repro.parallel import ShardedStreamEngine
+from repro.parallel import ShardedAlgorithm
 
 __all__ = ["run"]
 
@@ -100,17 +100,17 @@ def run(
         successes = 0
         trace_chunks = 0
         for seed in range(trials):
-            engine = ShardedStreamEngine(
+            fleet = ShardedAlgorithm(
                 lambda seed=seed: AMSSketch(universe_size=universe, rows=6, seed=seed),
                 num_shards=shards,
-                chunk_size=4,
             )
             # The white-box adversary reads the merged view -- the same
             # sign seeds a single engine would expose -- and commits to a
             # kernel stream (oblivious replay batches through the game).
-            updates = ams_attack_updates(engine.merged())
+            updates = ams_attack_updates(fleet.merged())
             truth = sum(u.delta * u.delta for u in updates)
-            result = engine.play(
+            result = StreamEngine(chunk_size=4).play(
+                fleet,
                 ObliviousAdversary(updates),
                 frequency_truth(universe, lambda v: v.fp_moment(2)),
                 validator=lambda answer, exact: answer == exact,
@@ -118,7 +118,7 @@ def run(
                 query_every=len(updates),
             )
             trace_chunks = max(trace_chunks, len(result.chunk_rounds))
-            if engine.query() == 0 and truth > 0 and not result.algorithm_won:
+            if fleet.query() == 0 and truth > 0 and not result.algorithm_won:
                 successes += 1
         rows.append(
             {

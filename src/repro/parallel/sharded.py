@@ -26,10 +26,12 @@ what the adversary observes -- which is the point: the white-box model's
 attacks work against sharded deployments too (experiment E11's
 ``--shards`` path demonstrates it).
 
-:class:`ShardedStreamEngine` packages the wrapper with a
-:class:`~repro.core.engine.StreamEngine` whose default chunk grows with the
-shard count (each shard then scatters near-default-sized sub-chunks).
-Three scatter backends share the routing/merge machinery:
+So a fleet needs no engine class of its own: ``StreamEngine(chunk_size=...)``'s
+``drive``/``drive_arrays``/``play`` and :func:`repro.parallel.ingest` run
+it like any other algorithm, and a server core holds it directly.  Use
+it as a context manager (or call :meth:`ShardedAlgorithm.close`) to shut
+down a thread pool or worker processes.  Three scatter backends share
+the routing/merge machinery:
 
 * ``backend="serial"`` -- one process, one thread (the default);
 * ``backend="thread"`` -- per-shard scatters on a thread pool; the numpy
@@ -52,16 +54,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.core.algorithm import MergeableSketch, StateView, StreamAlgorithm
-from repro.core.engine import DEFAULT_CHUNK_SIZE, StreamEngine
-from repro.core.game import GameResult, GroundTruth, Validator
-from repro.core.adversary import WhiteBoxAdversary
 from repro.core.stream import Update
 from repro.distributed.replay import merge_states
 from repro.obs import get_registry as _get_obs_registry
 from repro.obs.monitors import SHARD_UPDATES_METRIC
 from repro.parallel.partition import UniversePartitioner
 
-__all__ = ["ShardedAlgorithm", "ShardedStreamEngine"]
+__all__ = ["ShardedAlgorithm"]
 
 _BACKENDS = ("serial", "thread", "process")
 
@@ -401,6 +400,12 @@ class ShardedAlgorithm(StreamAlgorithm):
             self._pool.close()
             self._pool = None
 
+    def __enter__(self) -> "ShardedAlgorithm":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     def __getattr__(self, attribute: str):
         """Estimator conveniences (``estimate``, heavy-hitter helpers,
         ``f2_estimate``, ...) resolve against the merged view, so sharded
@@ -410,141 +415,3 @@ class ShardedAlgorithm(StreamAlgorithm):
         if attribute.startswith("_") or attribute in ("shards", "merged"):
             raise AttributeError(attribute)
         return getattr(self.merged(), attribute)
-
-
-class ShardedStreamEngine:
-    """Drives streams through a :class:`ShardedAlgorithm`.
-
-    The front door of the sharded subsystem: builds the wrapper, sizes the
-    chunking so each shard scatters near-default batches, and mirrors the
-    :class:`~repro.core.engine.StreamEngine` driving surface (``drive``,
-    ``drive_arrays``, ``play``).
-
-    Parameters
-    ----------
-    factory:
-        Zero-argument callable returning one identically-seeded replica.
-    num_shards:
-        Number of shard workers.
-    chunk_size:
-        Updates per partition round; defaults to
-        ``DEFAULT_CHUNK_SIZE * num_shards`` so per-shard sub-chunks stay
-        near the single-engine sweet spot.
-    backend:
-        ``"serial"`` / ``"thread"`` / ``"process"`` scatter backend (see
-        :class:`ShardedAlgorithm`).
-    supervise / snapshot_every:
-        Process-backend worker supervision knobs (see
-        :class:`ShardedAlgorithm`).
-    """
-
-    def __init__(
-        self,
-        factory: Callable[[], StreamAlgorithm],
-        num_shards: int,
-        chunk_size: Optional[int] = None,
-        partitioner: Optional[UniversePartitioner] = None,
-        backend: str = "serial",
-        supervise: bool = False,
-        snapshot_every: Optional[int] = None,
-    ) -> None:
-        self.algorithm = ShardedAlgorithm(
-            factory,
-            num_shards,
-            partitioner=partitioner,
-            backend=backend,
-            supervise=supervise,
-            snapshot_every=snapshot_every,
-        )
-        self.engine = StreamEngine(
-            chunk_size=chunk_size
-            if chunk_size is not None
-            else DEFAULT_CHUNK_SIZE * num_shards
-        )
-
-    @property
-    def num_shards(self) -> int:
-        return self.algorithm.num_shards
-
-    @property
-    def backend(self) -> str:
-        return self.algorithm.backend
-
-    def load_snapshot(self, data: bytes) -> None:
-        """Load a wire-format snapshot (see :meth:`ShardedAlgorithm.load_snapshot`)."""
-        self.algorithm.load_snapshot(data)
-
-    def merge_snapshot(self, data: bytes) -> None:
-        """Fold a wire-format snapshot in (see :meth:`ShardedAlgorithm.merge_snapshot`)."""
-        self.algorithm.merge_snapshot(data)
-
-    def drive(self, updates, on_chunk=None, **checkpoint_kwargs) -> ShardedAlgorithm:
-        """Feed an update iterable through the partition/scatter pipeline.
-
-        Accepts ``StreamEngine.drive``'s full keyword surface, including
-        the ``checkpoint_path`` / ``checkpoint_every`` / ``start_position``
-        parameters (sharded engines checkpoint their merged state).
-        """
-        self.engine.drive(
-            self.algorithm, updates, on_chunk=on_chunk, **checkpoint_kwargs
-        )
-        return self.algorithm
-
-    def drive_arrays(self, items, deltas, on_chunk=None, **checkpoint_kwargs) -> ShardedAlgorithm:
-        """Array-native fast path (mirrors ``StreamEngine.drive_arrays``)."""
-        self.engine.drive_arrays(
-            self.algorithm, items, deltas, on_chunk=on_chunk, **checkpoint_kwargs
-        )
-        return self.algorithm
-
-    def play(
-        self,
-        adversary: WhiteBoxAdversary,
-        ground_truth: GroundTruth,
-        validator: Validator,
-        max_rounds: int,
-        **kwargs,
-    ) -> GameResult:
-        """The white-box game against the *merged* state.
-
-        Adaptive adversaries degrade to the per-round loop and observe a
-        merged state view after every update -- the same view a single
-        engine would hand them.
-        """
-        return self.engine.play(
-            self.algorithm, adversary, ground_truth, validator, max_rounds, **kwargs
-        )
-
-    def merged(self) -> StreamAlgorithm:
-        """The bit-exact single-engine-equivalent sketch (shard fan-in)."""
-        return self.algorithm.merged()
-
-    def query(self):
-        """Answer the game's query from the merged state."""
-        return self.algorithm.query()
-
-    def estimate_batch(self, items) -> np.ndarray:
-        """Batched point estimates from the merged state (one fan-in)."""
-        return self.algorithm.estimate_batch(items)
-
-    def state_view(self) -> StateView:
-        """The merged white-box state view (see :class:`ShardedAlgorithm`)."""
-        return self.algorithm.state_view()
-
-    def metrics_snapshot(self) -> dict:
-        """The fleet-merged obs snapshot (see :class:`ShardedAlgorithm`)."""
-        return self.algorithm.metrics_snapshot()
-
-    def health(self) -> dict:
-        """Fleet liveness summary (see :meth:`ShardedAlgorithm.health`)."""
-        return self.algorithm.health()
-
-    def close(self) -> None:
-        """Shut down the shard worker pool (no-op for serial engines)."""
-        self.algorithm.close()
-
-    def __enter__(self) -> "ShardedStreamEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

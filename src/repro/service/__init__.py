@@ -12,10 +12,10 @@ puts a service boundary in front of it:
   verified snapshot transport);
 * :mod:`repro.service.server` -- :class:`SketchServer`, the asyncio TCP
   collector that decodes update batches straight into a
-  :class:`~repro.parallel.sharded.ShardedStreamEngine` with
-  backpressure, per-connection stats, and chunk-boundary checkpointing:
+  :class:`~repro.parallel.sharded.ShardedAlgorithm` fleet with
+  backpressure, per-connection stats, and batch-boundary checkpointing:
   the transport of :class:`~repro.service.core.ServerCore`, which holds
-  the server's rules with no socket, thread or event loop;
+  the fleet and the server's rules with no socket, thread or event loop;
 * :mod:`repro.service.client` -- :class:`SketchClient` (blocking) and
   :class:`AsyncSketchClient` (asyncio), two transports of one client
   core: pipelined and sequenced feeding, hedged reads, and the full
@@ -27,9 +27,10 @@ puts a service boundary in front of it:
 * :mod:`repro.service.membership` -- the self-healing layer:
   :class:`FleetProber` (background health probing driving a per-server
   ``up / suspect / down / readmitting`` state machine with automatic
-  fingerprint-verified readmission), :class:`MembershipStateMachine`,
-  and :class:`ShardMigrationPlanner` (cross-server shard migration for
-  permanently lost servers).
+  fingerprint-verified readmission, and migration of a permanently
+  lost server's shards to the least-loaded survivor through
+  :meth:`SketchCoordinator.migrate_server`) and
+  :class:`MembershipStateMachine`.
 
 The stable import surface for all of it is :mod:`repro.api`.
 """
@@ -41,11 +42,7 @@ from repro.service.client import (
     hedge_delay_from_metrics,
 )
 from repro.service.coordinator import SketchCoordinator
-from repro.service.membership import (
-    FleetProber,
-    MembershipStateMachine,
-    ShardMigrationPlanner,
-)
+from repro.service.membership import FleetProber, MembershipStateMachine
 from repro.service.protocol import (
     DEFAULT_MAX_FRAME,
     PROTOCOL_VERSION,
@@ -74,7 +71,6 @@ __all__ = [
     "ServerBusy",
     "ServerStats",
     "ServiceError",
-    "ShardMigrationPlanner",
     "SketchClient",
     "SketchCoordinator",
     "SketchServer",

@@ -230,7 +230,8 @@ class SketchCoordinator:
         self._logs = [ReplayLog() for _ in self.addresses]
         self._chunks_since_rotate = 0
         self.journal_every = int(journal_every)
-        #: Updates routed per server (the migration planner's load key).
+        #: Updates routed per server (the load key that picks a
+        #: migration's least-loaded destination).
         self.routed_updates: list[int] = [0] * len(self.addresses)
         #: Migrations completed (functional twin of the metric).
         self.migrations = 0

@@ -60,7 +60,7 @@ from repro.distributed.codec import (
 )
 from repro.obs import EXPOSITION_CONTENT_TYPE, RegistryStatsBase, render_prometheus
 from repro.parallel.partition import UniversePartitioner
-from repro.parallel.sharded import ShardedStreamEngine
+from repro.parallel.sharded import ShardedAlgorithm
 from repro.service.protocol import SequenceGap, pack_array, query_method, sanitize_value
 
 __all__ = ["ServerCore", "ServerStats"]
@@ -152,13 +152,16 @@ class ServerCore:
     Besides :meth:`handle`, only :meth:`liveness` and :attr:`version` may
     be read off the engine thread; every other method is a job.
 
+    The fleet is one :class:`ShardedAlgorithm`, :attr:`fleet`; a feed
+    hands its whole batch to ``fleet.process_batch``.
+
     Parameters
     ----------
     factory:
         Zero-argument callable building one identically-seeded replica
-        (the :class:`ShardedStreamEngine` contract).
-    num_shards / backend / chunk_size / partitioner:
-        Passed to :class:`ShardedStreamEngine` (``backend="process"``
+        (the :class:`ShardedAlgorithm` contract).
+    num_shards / backend / partitioner:
+        Passed to :class:`ShardedAlgorithm` (``backend="process"``
         puts a worker-process fleet behind the socket).  The default
         partitioner is seeded apart from the seed-0 one a
         :class:`~repro.service.coordinator.SketchCoordinator` routes
@@ -166,7 +169,7 @@ class ServerCore:
         the universe over all of its shards.  The merged state, and so
         every snapshot the server ships, does not depend on the cut.
     supervise / snapshot_every:
-        Passed to :class:`ShardedStreamEngine`: ``supervise=True`` (the
+        Passed to :class:`ShardedAlgorithm`: ``supervise=True`` (the
         default here -- a network service should outlive its workers)
         arms the process backend's supervised respawn, with a per-worker
         baseline snapshot refreshed every ``snapshot_every`` journaled
@@ -192,7 +195,6 @@ class ServerCore:
         num_shards: int = 1,
         backend: str = "serial",
         *,
-        chunk_size: Optional[int] = None,
         partitioner: Optional[UniversePartitioner] = None,
         supervise: bool = True,
         snapshot_every: Optional[int] = None,
@@ -203,10 +205,9 @@ class ServerCore:
         resume_path=None,
         alert_engine=None,
     ) -> None:
-        self.engine = ShardedStreamEngine(
+        self.fleet = ShardedAlgorithm(
             factory,
             num_shards,
-            chunk_size=chunk_size,
             partitioner=partitioner
             or UniversePartitioner(num_shards, seed=_SERVER_PARTITION_SEED),
             backend=backend,
@@ -216,7 +217,7 @@ class ServerCore:
         #: Construction identity of the fleet (every replica's, by the
         #: merge-key check) -- sent in ``hello`` so clients and the
         #: coordinator can reject a mis-seeded server before feeding it.
-        template = self.engine.algorithm.shards[0]
+        template = self.fleet.shards[0]
         self.fingerprint = construction_fingerprint(template)
         self.sketch_class = snapshot_class_name(template)
         self.position = start_position
@@ -228,7 +229,7 @@ class ServerCore:
         self._mutations = 0
         if resume_path is not None:
             checkpoint, _ = load_latest_checkpoint(resume_path)
-            self.engine.load_snapshot(checkpoint.snapshot)
+            self.fleet.load_snapshot(checkpoint.snapshot)
             self.position = checkpoint.position
             for client, entry in checkpoint.dedup.items():
                 self._feed_seqs[client] = entry["seq"]
@@ -239,7 +240,7 @@ class ServerCore:
         if checkpoint_path is not None:
             self._writer = CheckpointWriter(
                 checkpoint_path,
-                self.engine.algorithm,
+                self.fleet,
                 every=checkpoint_every,
                 keep=checkpoint_keep,
                 position=self.position,
@@ -269,8 +270,8 @@ class ServerCore:
                 "repro_version": __version__,
                 "sketch": self.sketch_class,
                 "fingerprint": self.fingerprint,
-                "num_shards": self.engine.num_shards,
-                "backend": self.engine.backend,
+                "num_shards": self.fleet.num_shards,
+                "backend": self.fleet.backend,
             }
         if op == "ping":
             return {"pong": True, "position": self.position}
@@ -302,22 +303,22 @@ class ServerCore:
             if not isinstance(items, np.ndarray) or items.dtype != np.int64:
                 raise ValueError("estimate needs an int64 'items' array")
             count(queries=1)
-            return lambda: pack_array(np.asarray(self.engine.estimate_batch(items)))
+            return lambda: pack_array(np.asarray(self.fleet.estimate_batch(items)))
         if op == "query":
             count(queries=1)
             method = query_method(message.get("kind"))
-            return lambda: sanitize_value(getattr(self.engine.algorithm, method)())
+            return lambda: sanitize_value(getattr(self.fleet, method)())
         if op == "snapshot":
             count(queries=1)
             if "unless" not in message:
-                return lambda: self.engine.merged().snapshot()
+                return lambda: self.fleet.merged().snapshot()
             # A state still at ``unless`` is neither merged, encoded nor
             # shipped.  The version only grows, so a check that mismatches
             # here would mismatch in the job.
             version = self.version
             if message["unless"] == version:
                 return {"version": version, "snapshot": None}
-            return lambda: {"version": self.version, "snapshot": self.engine.merged().snapshot()}
+            return lambda: {"version": self.version, "snapshot": self.fleet.merged().snapshot()}
         if op == "load_snapshot":
             data = message.get("snapshot")
             if not isinstance(data, (bytes, bytearray)):
@@ -363,7 +364,7 @@ class ServerCore:
         # have changed the state.
         self._mutations += 1
         try:
-            self.engine.algorithm.process_batch(items, deltas)
+            self.fleet.process_batch(items, deltas)
         except Exception as exc:
             if client_id is not None:
                 failed = self._failed_feeds.setdefault(client_id, {})
@@ -395,16 +396,18 @@ class ServerCore:
             # Additive restore (shard migration): fold the snapshot into the
             # live state and advance the feed position by the updates the
             # snapshot carried (explicit `position` overrides the delta).
-            before = int(self.engine.algorithm.updates_processed)
-            self.engine.merge_snapshot(data)
-            gained = int(self.engine.algorithm.updates_processed) - before
+            # Feeds bypass the fleet's own counter, so the gain is read off
+            # the shard loads, which merge_snapshot recounts it from.
+            before = sum(self.fleet.shard_loads())
+            self.fleet.merge_snapshot(data)
+            gained = self.fleet.updates_processed - before
             self.position += int(position) if position is not None else gained
         else:
-            self.engine.load_snapshot(data)
+            self.fleet.load_snapshot(data)
             self.position = (
                 int(position)
                 if position is not None
-                else self.engine.algorithm.updates_processed
+                else self.fleet.updates_processed
             )
         if self._writer is not None:
             self._writer.last_position = self.position
@@ -460,9 +463,9 @@ class ServerCore:
         return {
             **self.liveness(),
             **self.stats.values(),
-            "num_shards": self.engine.num_shards,
-            "backend": self.engine.backend,
-            "shard_loads": list(self.engine.algorithm.shard_loads()),
+            "num_shards": self.fleet.num_shards,
+            "backend": self.fleet.backend,
+            "shard_loads": self.fleet.shard_loads(),
         }
 
     def telemetry(self, op: str) -> dict:
@@ -477,7 +480,7 @@ class ServerCore:
         if op == "alerts" and self.alert_engine is None:
             payload = {"alerts": [], "firing": 0, "evaluated_at": None}
         else:
-            snapshot = self.engine.algorithm.metrics_snapshot()
+            snapshot = self.fleet.metrics_snapshot()
             if op == "metrics":
                 payload = {
                     "snapshot": snapshot,

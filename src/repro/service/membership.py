@@ -1,4 +1,4 @@
-"""Self-healing fleet membership: prober, state machine, migration planner.
+"""Self-healing fleet membership: a prober and its per-server state machine.
 
 The coordinator's recovery verbs (:meth:`SketchCoordinator.readmit`,
 :meth:`SketchCoordinator.migrate_server`) are manual levers; this module
@@ -48,7 +48,6 @@ __all__ = [
     "UP",
     "FleetProber",
     "MembershipStateMachine",
-    "ShardMigrationPlanner",
 ]
 
 UP = "up"
@@ -253,31 +252,6 @@ class MembershipStateMachine:
         member.migrated = True
 
 
-class ShardMigrationPlanner:
-    """Chooses migration destinations and executes the transfer.
-
-    The default plan is *least-loaded survivor*: the non-migrated server
-    (other than the casualty) with the fewest routed updates, ties
-    broken by index -- the same key :meth:`SketchCoordinator.feed`
-    accounting maintains, so repeated failures spread load instead of
-    piling onto server 0.
-    """
-
-    def __init__(self, coordinator) -> None:
-        self.coordinator = coordinator
-
-    def plan(self, index: int) -> int:
-        """Destination server index for ``index``'s shards (raises
-        :class:`RuntimeError` when no survivor remains)."""
-        return self.coordinator._pick_destination(index)
-
-    async def migrate(self, index: int) -> dict:
-        """Run the transfer via :meth:`SketchCoordinator.migrate_server`."""
-        return await self.coordinator.migrate_server(
-            index, destination=self.plan(index)
-        )
-
-
 class FleetProber:
     """Background health prober driving automatic readmission/migration.
 
@@ -287,7 +261,8 @@ class FleetProber:
     ladder (``policy.delay(failures)``) so a flapping server is probed
     *more* often while its fate is undecided.  Probe outcomes feed a
     :class:`MembershipStateMachine`; its actions call the coordinator's
-    :meth:`readmit` / the :class:`ShardMigrationPlanner`.
+    :meth:`readmit` / :meth:`migrate_server`, which moves a lost
+    server's shards to the least-loaded survivor.
 
     ``probe`` / ``readmit`` / ``migrate`` are injectable async callables
     (``index -> awaitable``) so the loop is unit-testable without
@@ -326,14 +301,13 @@ class FleetProber:
             down_after=down_after,
             clock=clock,
         )
-        self.planner = ShardMigrationPlanner(coordinator)
         self.healthy_interval = (
             self.policy.max_delay if healthy_interval is None else healthy_interval
         )
         self.clock = clock
         self._probe = probe or self._default_probe
         self._readmit = readmit or coordinator.readmit
-        self._migrate = migrate or self.planner.migrate
+        self._migrate = migrate or coordinator.migrate_server
         now = clock()
         self._next_probe = [now] * len(coordinator.addresses)
         self._task: Optional[asyncio.Task] = None
@@ -439,12 +413,9 @@ class FleetProber:
     async def _do_migrate(self, index: int) -> None:
         try:
             info = await self._migrate(index)
-        except RuntimeError as exc:
-            # No survivor to migrate to; nothing to do but keep trying.
-            self.events.append(
-                {"event": "migrate-failed", "server": index, "error": str(exc)}
-            )
         except Exception as exc:
+            # No survivor to migrate to, or the transfer failed; the
+            # next failing probe asks again.
             self.events.append(
                 {"event": "migrate-failed", "server": index, "error": str(exc)}
             )

@@ -13,9 +13,9 @@ into its staging buffer (or, for a large frame, the frame's own buffer)
 and decodes each one as it completes; the connection handler takes the
 decoded requests in order.  An update batch costs one copy per array
 on the way in -- out of the received frame into a fresh int64 array --
-and then goes down the existing
-:class:`~repro.parallel.sharded.ShardedStreamEngine` chunk path --
-partition, scatter, (optionally) process-pool fan-out.
+and then goes whole into the core's
+:class:`~repro.parallel.sharded.ShardedAlgorithm` fleet -- partition,
+scatter, (optionally) process-pool fan-out.
 
 **Serialization point.**  Every engine operation (feeds from all
 connections, queries, snapshots) runs on one engine thread, which takes
@@ -313,7 +313,7 @@ class SketchServer(ServerCore):
             await self._engine_call(self.flush)
             self._jobs.put(None)
             self._engine_thread.join()
-        self.engine.close()
+        self.fleet.close()
 
     @contextlib.contextmanager
     def run_in_thread(self):
@@ -389,7 +389,7 @@ class SketchServer(ServerCore):
             # pipes, so /readyz flips to 503 the moment a worker dies or
             # a respawn-and-replay is in flight -- even while the engine
             # thread is busy doing that recovery.
-            health = self.engine.algorithm.health()
+            health = self.fleet.health()
             if not health.get("ok", True):
                 health["status"] = (
                     "recovering" if health.get("recovering") else "degraded"
@@ -398,7 +398,7 @@ class SketchServer(ServerCore):
                 return False, health
             try:
                 health = await asyncio.wait_for(
-                    self._engine_call(self.engine.algorithm.health),
+                    self._engine_call(self.fleet.health),
                     timeout=5.0,
                 )
             except asyncio.TimeoutError:

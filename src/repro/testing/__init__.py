@@ -11,7 +11,7 @@ from repro.testing.faults import (
     ChaosProxy,
     FaultEvent,
     FaultPlan,
-    inject_worker_kills,
+    inject_chunk_faults,
     kill_worker,
 )
 
@@ -19,6 +19,6 @@ __all__ = [
     "ChaosProxy",
     "FaultEvent",
     "FaultPlan",
-    "inject_worker_kills",
+    "inject_chunk_faults",
     "kill_worker",
 ]

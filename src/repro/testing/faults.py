@@ -19,9 +19,9 @@ Three layers:
     wire faults at exactly the scheduled frame indices -- it parses the
     RSV1 framing on the client-to-server direction, so "truncate frame
     17" means frame 17, not "whatever bytes were in flight".
-:func:`kill_worker` / :func:`inject_worker_kills` / :func:`inject_chunk_faults`
+:func:`kill_worker` / :func:`inject_chunk_faults`
     SIGKILL a process-backend shard worker (resolving pids through the
-    pool) and chunk-source wrappers that fire the plan's chunk-boundary
+    pool) and a chunk-source wrapper that fires the plan's chunk-boundary
     faults (worker kills, and full ``server_crash`` events for the
     self-healing suite) on schedule.
 :class:`ServerProcess`
@@ -65,7 +65,6 @@ __all__ = [
     "ServerProcess",
     "WIRE_FAULT_KINDS",
     "inject_chunk_faults",
-    "inject_worker_kills",
     "kill_worker",
 ]
 
@@ -518,8 +517,8 @@ def _has_pool_surface(target) -> bool:
 
 
 def _resolve_pool(target):
-    """Accept a pool, a ShardedAlgorithm, a ShardedStreamEngine, or a
-    SketchServer and find the process pool underneath.
+    """Accept a pool, a ShardedAlgorithm, or a SketchServer and find the
+    process pool underneath.
 
     The descent must never invoke dynamic attribute machinery:
     ``ShardedAlgorithm.__getattr__`` resolves unknown names -- including
@@ -531,7 +530,7 @@ def _resolve_pool(target):
     :func:`inspect.getattr_static`, which reads class and instance
     dictionaries without triggering ``__getattr__`` or descriptors.
     """
-    for attribute in ("engine", "algorithm", "_pool"):
+    for attribute in ("fleet", "_pool"):
         if _has_pool_surface(target):
             break
         inner = inspect.getattr_static(target, attribute, None)
@@ -566,39 +565,21 @@ def kill_worker(target, shard: int, *, wait: float = 5.0) -> int:
     return pid
 
 
-def inject_worker_kills(
-    source: Iterable,
-    plan: FaultPlan,
-    killer: Callable[[FaultEvent], None],
-) -> Iterator:
-    """Yield ``source``'s chunks, firing the plan's kills on schedule.
-
-    A kill scheduled ``at=k`` fires after chunk ``k-1`` is yielded and
-    before chunk ``k`` -- i.e. on the chunk boundary, where the engines
-    synchronize.  ``killer`` receives the :class:`FaultEvent` (typically
-    ``lambda e: kill_worker(engine, e.target)``).
-    """
-    kills = {event.at: event for event in plan.worker_kills()}
-    for index, chunk in enumerate(source):
-        event = kills.pop(index, None)
-        if event is not None and index > 0:
-            killer(event)
-        yield chunk
-
-
 def inject_chunk_faults(
     source: Iterable,
     plan: FaultPlan,
     killer: Callable[[FaultEvent], None],
 ) -> Iterator:
-    """Like :func:`inject_worker_kills`, for *all* chunk-boundary faults.
+    """Yield ``source``'s chunks, firing the plan's chunk faults on schedule.
 
-    Fires the plan's worker kills **and** server crashes at their
-    scheduled boundaries (a fault ``at=k`` fires after chunk ``k-1`` and
-    before chunk ``k``); ``killer`` receives each :class:`FaultEvent`
-    and dispatches on ``event.kind`` -- typically a worker kill goes to
-    :func:`kill_worker` and a ``server_crash`` to
-    :meth:`ServerProcess.crash` on ``servers[event.target]``.
+    Fires the plan's worker kills and server crashes on the chunk
+    boundary, where the engines synchronize: a fault ``at=k`` fires
+    after chunk ``k-1`` is yielded and before chunk ``k``.  ``killer``
+    receives each :class:`FaultEvent` and dispatches on ``event.kind``
+    -- typically a worker kill goes to :func:`kill_worker` (``lambda e:
+    kill_worker(server, e.target)`` when the plan has only kills) and a
+    ``server_crash`` to :meth:`ServerProcess.crash` on
+    ``servers[event.target]``.
     """
     faults: dict[int, list[FaultEvent]] = {}
     for event in plan.chunk_faults():

@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 import repro.api as api
-from repro.parallel.sharded import ShardedAlgorithm, ShardedStreamEngine
+from repro.parallel.sharded import ShardedAlgorithm
 from repro.workloads.frequency import uniform_arrays
 
 
@@ -27,10 +27,20 @@ class TestFacadeSurface:
             assert getattr(api, name) is not None, name
 
     def test_api_version_and_library_version(self):
-        assert api.API_VERSION == "2.0"
+        assert api.API_VERSION == "3.0"
         import repro
+        import repro.parallel
+        import repro.service
+        import repro.testing
 
         assert api.__version__ == repro.__version__
+        # The wrappers 3.0 removed are exported nowhere.
+        for name in ("ShardedStreamEngine", "ShardMigrationPlanner"):
+            assert name not in api.__all__
+            assert not hasattr(api, name)
+        assert not hasattr(repro.parallel, "ShardedStreamEngine")
+        assert not hasattr(repro.service, "ShardMigrationPlanner")
+        assert not hasattr(repro.testing, "inject_worker_kills")
 
     def test_names_point_at_their_documented_homes(self):
         from repro.core.engine import StreamEngine
@@ -69,9 +79,9 @@ class TestParallelFlagShim:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             wrapper = ShardedAlgorithm(_count_min, 2, backend="serial")
-            engine = ShardedStreamEngine(_count_min, 2, backend="thread")
+            threaded = ShardedAlgorithm(_count_min, 2, backend="thread")
         wrapper.close()
-        engine.close()
+        threaded.close()
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):

@@ -11,7 +11,7 @@ from repro.core.engine import StreamEngine
 from repro.crypto.modmath import next_prime
 from repro.crypto.sis import SISMatrix, SISParams, sis_parameters_for_l0
 from repro.distinct.sis_l0 import SisL0Estimator
-from repro.parallel import ShardedStreamEngine
+from repro.parallel import ShardedAlgorithm
 from repro.workloads.frequency import turnstile_arrays
 
 
@@ -212,12 +212,13 @@ class TestDeepCopy:
     def test_sharded_fleet_byte_identical_to_serial_engine(self):
         items, deltas = turnstile_arrays(DENSE_UNIVERSE, 30_000, seed=12)
         reference = dense_estimator()
-        StreamEngine(chunk_size=4_096).drive_arrays(reference, items, deltas)
-        with ShardedStreamEngine(dense_estimator, 3, chunk_size=4_096) as engine:
-            engine.drive_arrays(items[:15_000], deltas[:15_000])
-            engine.merged()  # a mid-stream fan-in copies shard 0
-            engine.drive_arrays(items[15_000:], deltas[15_000:])
-            merged = engine.merged()
+        engine = StreamEngine(chunk_size=4_096)
+        engine.drive_arrays(reference, items, deltas)
+        with ShardedAlgorithm(dense_estimator, 3) as fleet:
+            engine.drive_arrays(fleet, items[:15_000], deltas[:15_000])
+            fleet.merged()  # a mid-stream fan-in copies shard 0
+            engine.drive_arrays(fleet, items[15_000:], deltas[15_000:])
+            merged = fleet.merged()
         assert merged.snapshot() == reference.snapshot()
         assert merged.query() == reference.query()
         assert np.array_equal(merged._dense, reference._dense)

@@ -33,7 +33,7 @@ from repro.distributed.checkpoint import (
 )
 from repro.distributed.codec import FingerprintMismatch, SnapshotError
 from repro.heavyhitters.count_min import CountMinSketch
-from repro.parallel import ShardedStreamEngine, chunk_arrays, ingest
+from repro.parallel import ShardedAlgorithm, chunk_arrays, ingest
 from repro.workloads.frequency import uniform_arrays
 
 UNIVERSE = 5000
@@ -295,16 +295,14 @@ class TestResumeExactness:
         reference = make_sketch()
         reference.feed_batch(items, deltas)
 
-        with ShardedStreamEngine(
-            make_sketch, num_shards=2, backend="process"
-        ) as dying:
-            dying.drive_arrays(items[:12_000], deltas[:12_000])
-            save_checkpoint(path, dying.algorithm, 12_000)
+        with ShardedAlgorithm(make_sketch, num_shards=2, backend="process") as dying:
+            StreamEngine().drive_arrays(dying, items[:12_000], deltas[:12_000])
+            save_checkpoint(path, dying, 12_000)
 
-        with ShardedStreamEngine(make_sketch, num_shards=3) as resumed:
-            position = resume_from(path, resumed.algorithm)
+        with ShardedAlgorithm(make_sketch, num_shards=3) as resumed:
+            position = resume_from(path, resumed)
             assert position == 12_000
-            resumed.drive_arrays(items[position:], deltas[position:])
+            StreamEngine().drive_arrays(resumed, items[position:], deltas[position:])
             assert_state_identical(reference, resumed.merged())
 
 

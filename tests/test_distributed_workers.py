@@ -1,7 +1,7 @@
 """Process-backend equivalence: worker fleets must be observationally
 identical to the single engine.
 
-``ShardedStreamEngine(backend="process")`` routes chunks to
+``ShardedAlgorithm(backend="process")`` routes chunks to
 ``multiprocessing`` workers over shared memory and fans state back in as
 wire-format snapshots; these tests enforce that the merged state stays
 bit-identical to the single-engine (and thread/serial-backend) state for
@@ -31,7 +31,7 @@ from repro.heavyhitters.count_sketch import CountSketch
 from repro.heavyhitters.misra_gries import MisraGriesAlgorithm
 from repro.moments.ams import AMSSketch
 from repro.moments.frequency import ExactFpMoment
-from repro.parallel import ShardedAlgorithm, ShardedStreamEngine
+from repro.parallel import ShardedAlgorithm
 from repro.testing.faults import kill_worker
 
 FAMILIES = {
@@ -75,29 +75,25 @@ class TestProcessBackendEquivalence:
         updates = turnstile_updates(universe, 1500, 17, insertions_only)
         single = make()
         StreamEngine(chunk_size=64).drive(single, updates)
-        with ShardedStreamEngine(
-            make, num_shards=2, chunk_size=64, backend="process"
-        ) as engine:
-            engine.drive(updates)
-            merged = engine.merged()
+        with ShardedAlgorithm(make, num_shards=2, backend="process") as fleet:
+            StreamEngine(chunk_size=64).drive(fleet, updates)
+            merged = fleet.merged()
             single_view = single.state_view()
             merged_view = merged.state_view()
             assert dict(single_view.fields) == dict(merged_view.fields)
             assert single_view.randomness == merged_view.randomness
             assert single.updates_processed == merged.updates_processed
             assert single.space_bits() == merged.space_bits()
-            assert single.query() == engine.query()
+            assert single.query() == fleet.query()
 
     def test_process_matches_serial_and_thread_backends(self):
         make, universe, _ = FAMILIES["count-min"]
         updates = turnstile_updates(universe, 1200, 29)
         states = {}
         for backend in ("serial", "thread", "process"):
-            with ShardedStreamEngine(
-                make, num_shards=2, chunk_size=128, backend=backend
-            ) as engine:
-                engine.drive(updates)
-                states[backend] = dict(engine.state_view().fields)
+            with ShardedAlgorithm(make, num_shards=2, backend=backend) as fleet:
+                StreamEngine(chunk_size=128).drive(fleet, updates)
+                states[backend] = dict(fleet.state_view().fields)
         assert states["serial"] == states["thread"] == states["process"]
 
     def test_per_update_routing_through_workers(self):
@@ -107,23 +103,19 @@ class TestProcessBackendEquivalence:
         single = make()
         for update in updates:
             single.feed(update)
-        with ShardedStreamEngine(
-            make, num_shards=2, backend="process"
-        ) as engine:
+        with ShardedAlgorithm(make, num_shards=2, backend="process") as fleet:
             for update in updates:
-                engine.algorithm.feed(update)
-            assert dict(engine.state_view().fields) == dict(
+                fleet.feed(update)
+            assert dict(fleet.state_view().fields) == dict(
                 single.state_view().fields
             )
 
     def test_shard_loads_cover_stream(self):
         make, universe, _ = FAMILIES["exact-l0"]
         updates = turnstile_updates(universe, 900, 37)
-        with ShardedStreamEngine(
-            make, num_shards=2, chunk_size=64, backend="process"
-        ) as engine:
-            engine.drive(updates)
-            loads = engine.algorithm.shard_loads()
+        with ShardedAlgorithm(make, num_shards=2, backend="process") as fleet:
+            StreamEngine(chunk_size=64).drive(fleet, updates)
+            loads = fleet.shard_loads()
             assert sum(loads) == len(updates)
             assert all(load > 0 for load in loads)
 
@@ -162,10 +154,9 @@ class TestProcessBackendEquivalence:
             max_rounds=len(updates),
             query_every=64,
         )
-        with ShardedStreamEngine(
-            make, num_shards=2, chunk_size=32, backend="process"
-        ) as engine:
-            sharded_result = engine.play(
+        with ShardedAlgorithm(make, num_shards=2, backend="process") as fleet:
+            sharded_result = StreamEngine(chunk_size=32).play(
+                fleet,
                 ObliviousAdversary(updates),
                 frequency_truth(universe, lambda v: v.l0()),
                 validator=lambda answer, exact: answer == exact,
@@ -184,12 +175,10 @@ class TestProcessBackendEquivalence:
         source = make()
         for update in updates:
             source.feed(update)
-        with ShardedStreamEngine(
-            make, num_shards=2, backend="process"
-        ) as engine:
-            engine.load_snapshot(source.snapshot())
-            assert engine.algorithm.updates_processed == len(updates)
-            assert dict(engine.state_view().fields) == dict(
+        with ShardedAlgorithm(make, num_shards=2, backend="process") as fleet:
+            fleet.load_snapshot(source.snapshot())
+            assert fleet.updates_processed == len(updates)
+            assert dict(fleet.state_view().fields) == dict(
                 source.state_view().fields
             )
 
@@ -248,15 +237,14 @@ class TestPoolMechanics:
     def test_closed_process_wrapper_refuses_further_use(self):
         """After close() the worker state is gone; routing/querying must
         raise instead of silently answering from empty parent replicas."""
-        engine = ShardedStreamEngine(
-            lambda: ExactL0(100), num_shards=2, backend="process"
-        )
-        engine.drive([Update(1, 1), Update(2, 1)])
-        engine.close()
+        fleet = ShardedAlgorithm(lambda: ExactL0(100), num_shards=2, backend="process")
+        engine = StreamEngine()
+        engine.drive(fleet, [Update(1, 1), Update(2, 1)])
+        fleet.close()
         with pytest.raises(RuntimeError, match="closed"):
-            engine.drive([Update(3, 1)])
+            engine.drive(fleet, [Update(3, 1)])
         with pytest.raises(RuntimeError, match="closed"):
-            engine.query()
+            fleet.query()
 
     def test_non_page_aligned_buffer_capacity(self):
         """Odd capacities (not page multiples) must not skew the deltas
@@ -283,37 +271,42 @@ class TestPoolMechanics:
         assert merged.total == single.total
 
     def test_engine_close_shuts_pool_down(self):
-        engine = ShardedStreamEngine(
+        fleet = ShardedAlgorithm(lambda: ExactL0(100), num_shards=2, backend="process")
+        StreamEngine().drive(fleet, [Update(1, 1), Update(2, 1)])
+        fleet.close()
+        fleet.close()
+        # As a context manager, the end of the block closes the fleet.
+        with ShardedAlgorithm(
             lambda: ExactL0(100), num_shards=2, backend="process"
-        )
-        engine.drive([Update(1, 1), Update(2, 1)])
-        engine.close()
-        engine.close()
+        ) as fleet:
+            StreamEngine().drive(fleet, [Update(1, 1), Update(2, 1)])
+            workers = list(fleet._pool._processes)
+            assert all(worker.is_alive() for worker in workers)
+        assert not any(worker.is_alive() for worker in workers)
+        assert fleet.health()["closed"]
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
-            ShardedStreamEngine(
-                lambda: ExactL0(100), num_shards=2, backend="gpu"
-            )
+            ShardedAlgorithm(lambda: ExactL0(100), num_shards=2, backend="gpu")
 
     def test_worker_failure_surfaces_original_error(self):
         """A sketch rejecting an update inside a worker reports the real
         error (and points at checkpoint recovery), not a dead pipe."""
-        with ShardedStreamEngine(
+        with ShardedAlgorithm(
             lambda: KMVEstimator(1000, k=8, seed=1),
             num_shards=2,
             backend="process",
-        ) as engine:
+        ) as fleet:
             with pytest.raises(RuntimeError, match="insertion-only"):
                 # KMV rejects deletions; the worker dies informatively.
                 # The double-buffered scatter is pipelined, so the error
                 # surfaces at the next synchronization point -- here the
                 # merge's flush -- rather than inside the dispatch itself.
-                engine.algorithm.process_batch(
+                fleet.process_batch(
                     np.array([1, 2], dtype=np.int64),
                     np.array([-1, -1], dtype=np.int64),
                 )
-                engine.merged()
+                fleet.merged()
 
 
 def count_min_500():

@@ -19,7 +19,7 @@ import threading
 import time
 
 import pytest
-from test_service import CHUNK, PROBE, count_min_factory, held, stream
+from test_service import PROBE, count_min_factory, held, stream
 
 from repro.service import SketchClient, SketchServer
 
@@ -46,11 +46,11 @@ class Rejected(Exception):
 
 class TestJobs:
     def test_a_job_cancelled_while_it_waits_never_runs(self):
-        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        server = SketchServer(count_min_factory)
         ran = []
         with server.run_in_thread():
             with SketchClient.connect("127.0.0.1", server.port) as reader:
-                with held(server.engine, "estimate_batch") as entered:
+                with held(server.fleet, "estimate_batch") as entered:
                     estimating = threading.Thread(target=reader.estimate, args=(PROBE,))
                     estimating.start()
                     assert entered.wait(timeout=5)
@@ -66,7 +66,7 @@ class TestJobs:
 
     def test_engine_exceptions_keep_their_type_and_message(self):
         items, deltas = stream(3, 64)
-        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        server = SketchServer(count_min_factory)
 
         def reject(*_):
             raise Rejected("the engine said no")
@@ -76,7 +76,7 @@ class TestJobs:
                 on_loop(server, server._engine_call(reject)).result(timeout=5)
             # The failed-feed resend path: the apply raises, and a resend
             # of the same seq raises the stored exception again.
-            server.engine.algorithm.process_batch = reject
+            server.fleet.process_batch = reject
             raised = []
             for _ in range(2):
                 with pytest.raises(Rejected, match="^the engine said no$") as info:
@@ -91,7 +91,7 @@ class TestJobs:
 class TestEngineThreadLifetime:
     def test_no_engine_thread_outlives_run_in_thread(self):
         before = engine_threads()
-        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        server = SketchServer(count_min_factory)
         with server.run_in_thread():
             with SketchClient.connect("127.0.0.1", server.port) as client:
                 client.feed(*stream(4, 256))
@@ -151,7 +151,7 @@ class TestLoopOwnedState:
         """Handlers add and remove connections on the event loop, so a
         ``stats`` answer that iterated the table on the engine thread
         could meet it changing size mid-iteration."""
-        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        server = SketchServer(count_min_factory)
         server.stats.connections = table = ThreadRecordingTable()
         with server.run_in_thread():
             with SketchClient.connect("127.0.0.1", server.port) as client:

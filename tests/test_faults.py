@@ -57,7 +57,7 @@ from repro.testing.faults import (
     ChaosProxy,
     FaultEvent,
     FaultPlan,
-    inject_worker_kills,
+    inject_chunk_faults,
     kill_worker,
 )
 
@@ -529,7 +529,7 @@ class TestSupervisedRecovery:
                         for at, event in plan.wire_faults().items()
                     }
                 )
-                source = inject_worker_kills(
+                source = inject_chunk_faults(
                     iter(chunks),
                     plan,
                     lambda event: kill_worker(server, event.target),
@@ -537,7 +537,7 @@ class TestSupervisedRecovery:
                 result = client.feed_chunks(source, window=4, retry=policy)
                 client.close()
             assert result == {"count": len(items), "position": len(items)}
-            health = server.engine.algorithm.health()
+            health = server.fleet.health()
             assert health["restarts"] == len(plan.worker_kills()) == 2
             assert health["ok"]
             with SketchClient.connect("127.0.0.1", server.port) as direct:
@@ -675,7 +675,7 @@ class TestChaosSwarm:
                     client.close()
             assert errors == []
             assert sum(r["count"] for r in results.values()) == len(items)
-            health = server.engine.algorithm.health()
+            health = server.fleet.health()
             assert health["restarts"] >= 1
             with SketchClient.connect("127.0.0.1", server.port) as direct:
                 assert direct.ping()["position"] == len(items)

@@ -219,7 +219,7 @@ def test_server_snapshot_and_estimate_fork(no_witness_copies):
     reference = count_min_factory()
     reference.feed_batch(items, deltas)
     probe = np.arange(0, 1 << 14, 97, dtype=np.int64)
-    server = SketchServer(count_min_factory, num_shards=2, chunk_size=512)
+    server = SketchServer(count_min_factory, num_shards=2)
     with server.run_in_thread() as srv:
         with SketchClient.connect("127.0.0.1", srv.port) as client:
             client.feed(items, deltas)

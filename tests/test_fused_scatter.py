@@ -613,7 +613,7 @@ class TestDoubleBufferedProcessScatter:
 
     def test_merged_state_matches_serial_backend(self):
         from repro.core.engine import StreamEngine
-        from repro.parallel import ShardedStreamEngine
+        from repro.parallel import ShardedAlgorithm
 
         rng = np.random.default_rng(12)
         items = rng.integers(0, 50_000, 120_000, dtype=np.int64)
@@ -623,15 +623,14 @@ class TestDoubleBufferedProcessScatter:
             return CountMinSketch(50_000, width=32, depth=4, seed=21)
 
         reference = factory()
-        StreamEngine().drive_arrays(reference, items, deltas)
-        with ShardedStreamEngine(
-            factory, num_shards=2, backend="process"
-        ) as engine:
+        engine = StreamEngine()
+        engine.drive_arrays(reference, items, deltas)
+        with ShardedAlgorithm(factory, num_shards=2, backend="process") as fleet:
             half = len(items) // 2
-            engine.drive_arrays(items[:half], deltas[:half])
-            engine.merged()  # mid-stream flush must not disturb the pipeline
-            engine.drive_arrays(items[half:], deltas[half:])
-            merged = engine.merged()
+            engine.drive_arrays(fleet, items[:half], deltas[:half])
+            fleet.merged()  # mid-stream flush must not disturb the pipeline
+            engine.drive_arrays(fleet, items[half:], deltas[half:])
+            merged = fleet.merged()
             assert dict(merged.state_view().fields) == dict(
                 reference.state_view().fields
             )

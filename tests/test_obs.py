@@ -40,7 +40,8 @@ from repro.obs import (
     snapshot_is_empty,
 )
 from repro.obs.monitors import SHARD_SKEW_METRIC, SHARD_UPDATES_METRIC
-from repro.parallel.sharded import ShardedStreamEngine
+from repro.core.engine import StreamEngine
+from repro.parallel.sharded import ShardedAlgorithm
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -687,11 +688,9 @@ class TestShardSkewMonitor:
         obs.reset()
         items = np.arange(20_000, dtype=np.int64) % UNIVERSE
         deltas = np.ones(20_000, dtype=np.int64)
-        with ShardedStreamEngine(
-            count_min_factory, 2, chunk_size=4096, backend="serial"
-        ) as engine:
-            engine.drive_arrays(items, deltas)
-            snapshot = engine.metrics_snapshot()
+        with ShardedAlgorithm(count_min_factory, 2, backend="serial") as fleet:
+            StreamEngine(chunk_size=4096).drive_arrays(fleet, items, deltas)
+            snapshot = fleet.metrics_snapshot()
         obs.reset()
         per_shard = [
             counter_value(snapshot, SHARD_UPDATES_METRIC, shard=str(index))
@@ -704,11 +703,9 @@ class TestShardSkewMonitor:
         obs.reset()
         items = np.arange(20_000, dtype=np.int64) % UNIVERSE
         deltas = np.ones(20_000, dtype=np.int64)
-        with ShardedStreamEngine(
-            count_min_factory, 2, chunk_size=4096, backend="process"
-        ) as engine:
-            engine.drive_arrays(items, deltas)
-            snapshot = engine.metrics_snapshot()
+        with ShardedAlgorithm(count_min_factory, 2, backend="process") as fleet:
+            StreamEngine(chunk_size=4096).drive_arrays(fleet, items, deltas)
+            snapshot = fleet.metrics_snapshot()
         obs.reset()
         assert counter_total(snapshot, SHARD_UPDATES_METRIC) == len(items)
 
@@ -735,12 +732,10 @@ class TestProcessFleetFanIn:
 
         def run(backend):
             obs.reset()
-            with ShardedStreamEngine(
-                count_min_factory, 2, chunk_size=8192, backend=backend
-            ) as engine:
-                engine.drive_arrays(items, deltas)
-                snapshot = engine.metrics_snapshot()
-                state = engine.merged().snapshot()
+            with ShardedAlgorithm(count_min_factory, 2, backend=backend) as fleet:
+                StreamEngine(chunk_size=8192).drive_arrays(fleet, items, deltas)
+                snapshot = fleet.metrics_snapshot()
+                state = fleet.merged().snapshot()
             obs.reset()
             return snapshot, state
 
@@ -761,11 +756,9 @@ class TestProcessFleetFanIn:
         items = np.arange(30_000, dtype=np.int64) % UNIVERSE
         deltas = np.ones(30_000, dtype=np.int64)
         obs.reset()
-        with ShardedStreamEngine(
-            count_min_factory, 2, chunk_size=8192, backend="process"
-        ) as engine:
-            engine.drive_arrays(items, deltas)
-            worker_snapshots = engine.algorithm._live_pool().metric_snapshots()
+        with ShardedAlgorithm(count_min_factory, 2, backend="process") as fleet:
+            StreamEngine(chunk_size=8192).drive_arrays(fleet, items, deltas)
+            worker_snapshots = fleet._live_pool().metric_snapshots()
             parent = obs.get_registry().snapshot()
         obs.reset()
         # Workers reset their fork-inherited registries, so the replica

@@ -4,7 +4,7 @@ Everything here runs on a fake clock -- hold durations and rates are
 finite differences of injected times, so every pending -> firing ->
 resolved transition is pinned deterministically, with zero sleeps.  The
 acceptance scenario lives in ``TestSkewAlertLifecycle``: an adversarially
-skewed stream drives a real ``ShardedStreamEngine``'s per-shard counters
+skewed stream drives a real ``ShardedAlgorithm``'s per-shard counters
 through a ``ShardSkewMonitor``-backed rule from pending to firing, and a
 balanced tail resolves it.
 """
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.engine import StreamEngine
 from repro.heavyhitters.count_min import CountMinSketch
 from repro.obs import (
     AbsenceRule,
@@ -31,7 +32,7 @@ from repro.obs.alerts import (
     default_fault_rules,
 )
 from repro.obs.monitors import SHARD_SKEW_METRIC
-from repro.parallel.sharded import ShardedStreamEngine
+from repro.parallel.sharded import ShardedAlgorithm
 
 UNIVERSE = 1 << 14
 
@@ -296,10 +297,9 @@ class TestSkewAlertLifecycle:
             clock=clock,
             registry=registry,
         )
-        with ShardedStreamEngine(
-            count_min_factory, 2, chunk_size=4096, backend="serial"
-        ) as sharded:
-            partitioner = sharded.algorithm.partitioner
+        feeder = StreamEngine(chunk_size=4096)
+        with ShardedAlgorithm(count_min_factory, 2, backend="serial") as sharded:
+            partitioner = sharded.partitioner
             all_items = np.arange(UNIVERSE, dtype=np.int64)
             shard0_items = all_items[
                 partitioner.assign_array(all_items) == 0
@@ -309,26 +309,26 @@ class TestSkewAlertLifecycle:
             # Baseline: a balanced prefix.
             rng = np.random.default_rng(0)
             balanced = rng.choice(all_items, size=4096).astype(np.int64)
-            sharded.drive_arrays(balanced, deltas)
+            feeder.drive_arrays(sharded, balanced, deltas)
             (state,) = engine.evaluate(sharded.metrics_snapshot())
             assert state["state"] == "inactive"
 
             # The adversary aims its whole stream at shard 0.
             skewed = rng.choice(shard0_items, size=4096).astype(np.int64)
-            sharded.drive_arrays(skewed, deltas)
+            feeder.drive_arrays(sharded, skewed, deltas)
             clock.advance(10.0)
             (state,) = engine.evaluate(sharded.metrics_snapshot())
             assert state["state"] == "pending"
             assert state["value"] == pytest.approx(2.0)
 
             # Still skewed past the hold duration: the page fires.
-            sharded.drive_arrays(skewed, deltas)
+            feeder.drive_arrays(sharded, skewed, deltas)
             clock.advance(31.0)
             (state,) = engine.evaluate(sharded.metrics_snapshot())
             assert state["state"] == "firing"
 
             # The attack ends; a balanced tail resolves the alert.
-            sharded.drive_arrays(balanced, deltas)
+            feeder.drive_arrays(sharded, balanced, deltas)
             clock.advance(10.0)
             (state,) = engine.evaluate(sharded.metrics_snapshot())
             assert state["state"] == "resolved"

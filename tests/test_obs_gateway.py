@@ -247,14 +247,14 @@ class TestStandaloneGateway:
 
 class TestServerAttachedGateway:
     def test_no_gateway_by_default(self):
-        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        server = SketchServer(count_min_factory)
         with server.run_in_thread() as srv:
             assert srv.gateway is None
 
     def test_endpoints_reflect_the_engine(self):
         items, deltas = stream(5, 8_192)
         server = SketchServer(
-            count_min_factory, num_shards=2, chunk_size=CHUNK, gateway_port=0
+            count_min_factory, num_shards=2, gateway_port=0
         )
         with server.run_in_thread() as srv:
             assert srv.gateway.port
@@ -304,12 +304,11 @@ class TestServerAttachedGateway:
         server = SketchServer(
             count_min_factory,
             num_shards=2,
-            chunk_size=CHUNK,
             gateway_port=0,
             alert_engine=engine,
         )
         with server.run_in_thread() as srv:
-            partitioner = srv.engine.algorithm.partitioner
+            partitioner = srv.fleet.partitioner
             all_items = np.arange(UNIVERSE, dtype=np.int64)
             shard0 = all_items[partitioner.assign_array(all_items) == 0]
             skewed = np.random.default_rng(1).choice(shard0, 4_096)
@@ -353,7 +352,6 @@ class TestGatewayLiveLoad:
             count_min_factory,
             num_shards=2,
             backend="process",
-            chunk_size=CHUNK,
             queue_depth=4,
             gateway_port=0,
             alert_engine=engine,

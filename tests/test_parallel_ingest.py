@@ -10,7 +10,7 @@ from repro.core.stream import Update
 from repro.distinct.exact_l0 import ExactL0
 from repro.heavyhitters.count_min import CountMinSketch
 from repro.parallel import (
-    ShardedStreamEngine,
+    ShardedAlgorithm,
     chunk_arrays,
     chunk_updates,
     ingest,
@@ -70,13 +70,13 @@ class TestIngestEquivalence:
 
     def test_feeds_sharded_engines(self):
         items, deltas = stream_arrays()
-        engine = ShardedStreamEngine(
+        fleet = ShardedAlgorithm(
             lambda: CountMinSketch(500, width=32, depth=4, seed=5), num_shards=4
         )
-        ingest(engine.algorithm, chunk_arrays(items, deltas, 1024))
+        ingest(fleet, chunk_arrays(items, deltas, 1024))
         reference = CountMinSketch(500, width=32, depth=4, seed=5)
         reference.feed_batch(items, deltas)
-        assert np.array_equal(engine.merged().table, reference.table)
+        assert np.array_equal(fleet.merged().table, reference.table)
 
     def test_async_source_supported(self):
         items, deltas = stream_arrays(length=1500)

@@ -30,7 +30,7 @@ from repro.heavyhitters.misra_gries import MisraGries, MisraGriesAlgorithm
 from repro.heavyhitters.phi_eps import PhiEpsilonHeavyHitters
 from repro.heavyhitters.robust_l1 import RobustL1HeavyHitters
 from repro.heavyhitters.space_saving import SpaceSaving
-from repro.parallel import ShardedStreamEngine
+from repro.parallel import ShardedAlgorithm
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -288,10 +288,10 @@ class TestShardedEquivalence:
         StreamEngine().drive_arrays(single, items, deltas)
         probe = rng.integers(0, 5000, 500, dtype=np.int64)
         for shards in (1, 3):
-            engine = ShardedStreamEngine(factory, num_shards=shards)
-            engine.drive_arrays(items, deltas)
+            fleet = ShardedAlgorithm(factory, num_shards=shards)
+            StreamEngine().drive_arrays(fleet, items, deltas)
             assert (
-                engine.estimate_batch(probe).tolist()
+                fleet.estimate_batch(probe).tolist()
                 == single.estimate_batch(probe).tolist()
                 == scalar_reference(single, probe)
             )
@@ -306,11 +306,11 @@ class TestShardedEquivalence:
 
         single = factory()
         StreamEngine().drive_arrays(single, items, deltas)
-        engine = ShardedStreamEngine(factory, num_shards=4)
-        engine.drive_arrays(items, deltas)
+        fleet = ShardedAlgorithm(factory, num_shards=4)
+        StreamEngine().drive_arrays(fleet, items, deltas)
         probe = rng.integers(0, 3000, 400, dtype=np.int64)
         assert (
-            engine.estimate_batch(probe).tolist()
+            fleet.estimate_batch(probe).tolist()
             == scalar_reference(single, probe)
         )
 

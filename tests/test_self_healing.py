@@ -799,6 +799,11 @@ class TestShardMigration:
                 assert info["to"] in (0, 1)
                 assert 2 not in coordinator.routing
                 assert coordinator.migrations == 1
+                # The destination acks exactly the updates it now holds.
+                destination = servers[info["to"]]
+                with SketchClient.connect("127.0.0.1", destination.port) as client:
+                    position = client.ping()["position"]
+                assert position == coordinator.routed_updates[info["to"]]
 
                 # Idempotent: a second request is a no-op.
                 again = await coordinator.migrate_server(2)

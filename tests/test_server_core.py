@@ -68,11 +68,11 @@ def reject_every_apply(core):
     def reject(items, deltas):
         raise Rejected(f"no to {len(items)} updates")
 
-    core.engine.algorithm.process_batch = reject
+    core.fleet.process_batch = reject
 
 
 def accept_applies(core):
-    del core.engine.algorithm.process_batch
+    del core.fleet.process_batch
 
 
 class TestSequencedFeeds:
@@ -110,13 +110,13 @@ class TestSequencedFeeds:
         core = ServerCore(factory)
         epoch, mutations = core.version
         seen = []
-        apply = core.engine.algorithm.process_batch
+        apply = core.fleet.process_batch
 
         def watched(items, deltas):
             seen.append(core.version)
             apply(items, deltas)
 
-        core.engine.algorithm.process_batch = watched
+        core.fleet.process_batch = watched
         feed(core, 1)
         assert seen == [(epoch, mutations + 1)]
         reject_every_apply(core)
@@ -144,6 +144,14 @@ class TestSnapshots:
         reply = ask(merged, "load_snapshot", snapshot=data, merge=True, position=3)
         assert reply == {"position": 1003}
         assert ask(merged, "snapshot") == serial_snapshot(1, 2, 1)
+
+        # A merge without a position gains the snapshot's updates, not the
+        # fed core's whole load.
+        fed = ServerCore(factory)
+        feed(fed, 1)
+        assert ask(fed, "load_snapshot", snapshot=data, merge=True) == {"position": 1000}
+        assert ask(fed, "load_snapshot", snapshot=data, merge=True) == {"position": 1500}
+        assert ask(fed, "snapshot") == serial_snapshot(1, 1, 1)
 
     def test_a_foreign_snapshot_is_refused_before_the_fleet(self):
         core = ServerCore(factory)

@@ -116,7 +116,7 @@ class HostedFleet:
 
     def start(self, index):
         server = SketchServer(
-            self.factory, chunk_size=CHUNK, port=self.ports[index]
+            self.factory, port=self.ports[index]
         )
         context = server.run_in_thread()
         context.__enter__()
@@ -544,7 +544,7 @@ def resident_bytes() -> int:
 )
 def test_announced_frames_do_not_commit_memory():
     """Memory held for a frame in flight follows the bytes received."""
-    server = SketchServer(count_min_factory, chunk_size=CHUNK)
+    server = SketchServer(count_min_factory)
     with server.run_in_thread() as srv:
         before = resident_bytes()
         raws = [socket.create_connection(("127.0.0.1", srv.port)) for _ in range(4)]
@@ -571,7 +571,7 @@ def test_announced_frames_do_not_commit_memory():
 
 class TestMalformedFrames:
     def test_bad_magic_closes_connection_not_server(self):
-        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        server = SketchServer(count_min_factory)
         with server.run_in_thread() as srv:
             raw = socket.create_connection(("127.0.0.1", srv.port))
             raw.sendall(b"XXXX" + struct.pack(">I", 4) + b"junk")
@@ -584,7 +584,7 @@ class TestMalformedFrames:
                 assert client.stats()["errors"] >= 1
 
     def test_oversized_frame_rejected(self):
-        server = SketchServer(count_min_factory, chunk_size=CHUNK, max_frame=1024)
+        server = SketchServer(count_min_factory, max_frame=1024)
         with server.run_in_thread() as srv:
             raw = socket.create_connection(("127.0.0.1", srv.port))
             raw.sendall(MAGIC + struct.pack(">I", 1 << 30))
@@ -594,7 +594,7 @@ class TestMalformedFrames:
     def test_truncated_frame_is_protocol_error_client_side(self):
         from repro.service.protocol import recv_message
 
-        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        server = SketchServer(count_min_factory)
         with server.run_in_thread() as srv:
             client = SketchClient.connect("127.0.0.1", srv.port, hello=False)
             # hand-feed a frame whose payload never arrives, then half-close:
@@ -614,7 +614,7 @@ class TestServerExactness:
     def test_single_client_matches_serial_engine(self):
         items, deltas = stream(1)
         reference = serial_reference(count_min_factory, items, deltas)
-        server = SketchServer(count_min_factory, num_shards=2, chunk_size=CHUNK)
+        server = SketchServer(count_min_factory, num_shards=2)
         with server.run_in_thread() as srv:
             with SketchClient.connect("127.0.0.1", srv.port) as client:
                 ack = client.feed_chunks(
@@ -640,7 +640,7 @@ class TestServerExactness:
         items, deltas = stream(2, 40_000)
         reference = serial_reference(count_min_factory, items, deltas)
         server = SketchServer(
-            count_min_factory, num_shards=2, chunk_size=CHUNK, queue_depth=4
+            count_min_factory, num_shards=2, queue_depth=4
         )
         errors = []
         with server.run_in_thread() as srv:
@@ -678,7 +678,7 @@ class TestServerExactness:
         items, deltas = stream(4)
         reference = serial_reference(count_min_factory, items, deltas)
         server = SketchServer(
-            count_min_factory, num_shards=2, backend="process", chunk_size=CHUNK
+            count_min_factory, num_shards=2, backend="process"
         )
         with server.run_in_thread() as srv:
             with SketchClient.connect("127.0.0.1", srv.port) as client:
@@ -691,7 +691,7 @@ class TestServerExactness:
         """CountSketch medians are float64; the wire must not perturb them."""
         items, deltas = stream(5)
         reference = serial_reference(count_sketch_factory, items, deltas)
-        server = SketchServer(count_sketch_factory, chunk_size=CHUNK)
+        server = SketchServer(count_sketch_factory)
         with server.run_in_thread() as srv:
             with SketchClient.connect("127.0.0.1", srv.port) as client:
                 client.feed(items, deltas)
@@ -702,14 +702,14 @@ class TestServerExactness:
     def test_f2_query_over_the_wire(self):
         items, deltas = stream(6)
         reference = serial_reference(count_sketch_factory, items, deltas)
-        server = SketchServer(count_sketch_factory, chunk_size=CHUNK)
+        server = SketchServer(count_sketch_factory)
         with server.run_in_thread() as srv:
             with SketchClient.connect("127.0.0.1", srv.port) as client:
                 client.feed(items, deltas)
                 assert client.f2_estimate() == reference.f2_estimate()
 
     def test_hello_pins_identity(self):
-        server = SketchServer(count_min_factory, num_shards=3, chunk_size=CHUNK)
+        server = SketchServer(count_min_factory, num_shards=3)
         with server.run_in_thread() as srv:
             with SketchClient.connect("127.0.0.1", srv.port) as client:
                 info = client.server_info
@@ -721,7 +721,7 @@ class TestServerExactness:
         """From Python 3.12.1 ``wait_closed()`` waits for every open
         connection, so ``stop()`` reaps the handlers that own them first;
         otherwise the server thread outlives ``run_in_thread``'s join."""
-        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        server = SketchServer(count_min_factory)
         hosted = server.run_in_thread()
         before = set(threading.enumerate())
         srv = hosted.__enter__()
@@ -749,7 +749,6 @@ class TestServerExactness:
             taken.listen()
             server = SketchServer(
                 count_min_factory,
-                chunk_size=CHUNK,
                 gateway_port=taken.getsockname()[1],
             )
             with pytest.raises(OSError):
@@ -765,7 +764,7 @@ class TestServerExactness:
 
 class TestApplicationErrors:
     def test_unknown_op_and_bad_kind_then_connection_survives(self):
-        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        server = SketchServer(count_min_factory)
         with server.run_in_thread() as srv:
             with SketchClient.connect("127.0.0.1", srv.port) as client:
                 with pytest.raises(ServiceError) as info:
@@ -776,7 +775,7 @@ class TestApplicationErrors:
                 assert client.ping()["pong"]
 
     def test_misaligned_feed_rejected_client_side(self):
-        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        server = SketchServer(count_min_factory)
         with server.run_in_thread() as srv:
             with SketchClient.connect("127.0.0.1", srv.port) as client:
                 with pytest.raises(ValueError):
@@ -785,7 +784,7 @@ class TestApplicationErrors:
     def test_fingerprint_mismatch_rejected_and_fleet_intact(self):
         items, deltas = stream(7)
         reference = serial_reference(count_min_factory, items, deltas)
-        server = SketchServer(count_min_factory, num_shards=2, chunk_size=CHUNK)
+        server = SketchServer(count_min_factory, num_shards=2)
         with server.run_in_thread() as srv:
             with SketchClient.connect("127.0.0.1", srv.port) as client:
                 client.feed(items, deltas)
@@ -797,7 +796,7 @@ class TestApplicationErrors:
                 )
 
     def test_checkpoint_without_path_is_remote_error(self):
-        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        server = SketchServer(count_min_factory)
         with server.run_in_thread() as srv:
             with SketchClient.connect("127.0.0.1", srv.port) as client:
                 with pytest.raises(ServiceError) as info:
@@ -825,7 +824,7 @@ class TestFeedPipelineErrors:
             yield items[:10], deltas[:5]
 
         retry = RetryPolicy(max_attempts=3, base_delay=0.01) if sequenced else None
-        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        server = SketchServer(count_min_factory)
         with server.run_in_thread() as srv:
             with connect(self.transport, "127.0.0.1", srv.port) as client:
                 expected = RuntimeError if failure == "raises" else ValueError
@@ -861,7 +860,7 @@ class TestProtocolVersionHandshake:
     transport = "sync"
 
     def test_connect_refuses_another_version_without_retrying(self, monkeypatch):
-        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        server = SketchServer(count_min_factory)
         with server.run_in_thread() as srv:
             monkeypatch.setattr(server_module, "PROTOCOL_VERSION", 1)
             with pytest.raises(ProtocolVersionMismatch) as info:
@@ -875,7 +874,7 @@ class TestProtocolVersionHandshake:
     def test_feed_replay_never_resends_into_another_version(self, monkeypatch):
         items, deltas = stream(13, 2 * CHUNK)
         retry = RetryPolicy(max_attempts=5, base_delay=0.01)
-        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        server = SketchServer(count_min_factory)
         with server.run_in_thread() as srv:
             with connect(self.transport, "127.0.0.1", srv.port) as client:
                 # The server "restarts" speaking version 1: the replay
@@ -908,7 +907,6 @@ class TestRestartRecovery:
         first = SketchServer(
             count_min_factory,
             num_shards=2,
-            chunk_size=CHUNK,
             checkpoint_path=path,
             checkpoint_every=5_000,
         )
@@ -919,7 +917,7 @@ class TestRestartRecovery:
         # server gone; a fresh one resumes from the file
         assert path.exists()
         second = SketchServer(
-            count_min_factory, num_shards=2, chunk_size=CHUNK, resume_path=path
+            count_min_factory, num_shards=2, resume_path=path
         )
         with second.run_in_thread() as srv:
             client = SketchClient.connect(
@@ -954,7 +952,6 @@ class TestRestartRecovery:
         crashed = tmp_path / "crashed.ckpt"
         first = SketchServer(
             count_min_factory,
-            chunk_size=CHUNK,
             checkpoint_path=path,
             checkpoint_every=8_000,
         )
@@ -970,7 +967,7 @@ class TestRestartRecovery:
             assert reply["position"] == 10_000
             crashed.write_bytes(path.read_bytes())
         second = SketchServer(
-            count_min_factory, chunk_size=CHUNK, port=port, resume_path=crashed
+            count_min_factory, port=port, resume_path=crashed
         )
         with second.run_in_thread() as srv, client:
             client.reconnect()
@@ -1003,8 +1000,8 @@ class TestCoordinator:
     def test_two_server_fleet_bit_exact_and_checkpoints(self, tmp_path):
         items, deltas = stream(9)
         reference = serial_reference(count_min_factory, items, deltas)
-        s1 = SketchServer(count_min_factory, chunk_size=CHUNK)
-        s2 = SketchServer(count_min_factory, chunk_size=CHUNK)
+        s1 = SketchServer(count_min_factory)
+        s2 = SketchServer(count_min_factory)
         path = tmp_path / "fleet.ckpt"
 
         async def scenario():
@@ -1033,8 +1030,8 @@ class TestCoordinator:
         assert path.exists()
 
         # recovery into a brand-new fleet
-        f1 = SketchServer(count_min_factory, chunk_size=CHUNK)
-        f2 = SketchServer(count_min_factory, chunk_size=CHUNK)
+        f1 = SketchServer(count_min_factory)
+        f2 = SketchServer(count_min_factory)
 
         async def recovery():
             coordinator = SketchCoordinator(
@@ -1057,7 +1054,7 @@ class TestCoordinator:
         items, deltas = stream(21)
         reference = serial_reference(count_min_factory, items, deltas)
         servers = [
-            SketchServer(count_min_factory, num_shards=2, chunk_size=CHUNK)
+            SketchServer(count_min_factory, num_shards=2)
             for _ in range(2)
         ]
 
@@ -1082,8 +1079,8 @@ class TestCoordinator:
         assert merged.snapshot() == reference.snapshot()
 
     def test_mis_seeded_server_rejected_at_connect(self):
-        good = SketchServer(count_min_factory, chunk_size=CHUNK)
-        bad = SketchServer(other_seed_factory, chunk_size=CHUNK)
+        good = SketchServer(count_min_factory)
+        bad = SketchServer(other_seed_factory)
         with good.run_in_thread(), bad.run_in_thread():
 
             async def scenario():
@@ -1098,7 +1095,7 @@ class TestCoordinator:
             self.run(scenario())
 
     def test_a_refused_connect_closes_the_connections_that_opened(self):
-        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        server = SketchServer(count_min_factory)
         with socket.socket() as unused:
             unused.bind(("127.0.0.1", 0))
             refused_port = unused.getsockname()[1]
@@ -1304,7 +1301,7 @@ class TestCoordinator:
             np.concatenate([deltas, deltas]),
         )
         # One shard, so a replacing load_snapshot replaces the whole state.
-        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        server = SketchServer(count_min_factory)
         with server.run_in_thread() as srv:
             with SketchClient.connect("127.0.0.1", srv.port) as client:
                 empty = client.snapshot(unless=None)
@@ -1363,7 +1360,7 @@ class TestVersionCheckOnTheLoop:
     on the event loop; any other check queues on the engine thread."""
 
     def test_a_matching_check_answers_while_the_engine_is_held(self):
-        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        server = SketchServer(count_min_factory)
         # Without a loop-side answer the check would wait for the held
         # estimate and time out.
         policy = RetryPolicy(max_attempts=1, op_timeout=5.0)
@@ -1372,7 +1369,7 @@ class TestVersionCheckOnTheLoop:
                 "127.0.0.1", server.port, retry=policy
             ) as checker, SketchClient.connect("127.0.0.1", server.port) as other:
                 version = checker.snapshot(unless=None)["version"]
-                with held(server.engine, "estimate_batch") as entered:
+                with held(server.fleet, "estimate_batch") as entered:
                     reader = threading.Thread(target=other.estimate, args=(PROBE,))
                     reader.start()
                     assert entered.wait(timeout=5)
@@ -1386,7 +1383,7 @@ class TestVersionCheckOnTheLoop:
     def test_a_matching_check_is_never_shed(self):
         items, deltas = stream(28, CHUNK)
         server = SketchServer(
-            count_min_factory, chunk_size=CHUNK, queue_depth=1, queue_deadline=0.05
+            count_min_factory, queue_depth=1, queue_deadline=0.05
         )
         with server.run_in_thread():
             with SketchClient.connect(
@@ -1395,7 +1392,7 @@ class TestVersionCheckOnTheLoop:
                 old = checker.snapshot(unless=None)["version"]
                 checker.feed(items, deltas)
                 current = checker.snapshot(unless=old)["version"]
-                with held(server.engine, "estimate_batch") as entered:
+                with held(server.fleet, "estimate_batch") as entered:
                     reader = threading.Thread(target=other.estimate, args=(PROBE,))
                     reader.start()
                     assert entered.wait(timeout=5)
@@ -1419,7 +1416,7 @@ class TestVersionCheckOnTheLoop:
             np.concatenate([first[0], second[0]]),
             np.concatenate([first[1], second[1]]),
         )
-        server = SketchServer(count_min_factory, chunk_size=CHUNK)
+        server = SketchServer(count_min_factory)
         with server.run_in_thread():
             with SketchClient.connect(
                 "127.0.0.1", server.port
@@ -1427,7 +1424,7 @@ class TestVersionCheckOnTheLoop:
                 writer.feed(*first)
                 before = checker.snapshot(unless=None)["version"]
                 replies = []
-                with held(server.engine.algorithm, "process_batch") as entered:
+                with held(server.fleet, "process_batch") as entered:
                     feeding = threading.Thread(target=writer.feed, args=second)
                     feeding.start()
                     assert entered.wait(timeout=5)
@@ -1468,7 +1465,7 @@ class TestServiceTelemetry:
         quarter = len(items) // 4
         fed = quarter * 4
         server = SketchServer(
-            count_min_factory, num_shards=2, backend="process", chunk_size=CHUNK
+            count_min_factory, num_shards=2, backend="process"
         )
         with server.run_in_thread() as srv:
             for k in range(4):
@@ -1512,8 +1509,8 @@ class TestServiceTelemetry:
     def test_coordinator_metrics_merges_fleet(self):
         obs.reset()
         items, deltas = stream(12)
-        s1 = SketchServer(count_min_factory, chunk_size=CHUNK)
-        s2 = SketchServer(count_min_factory, chunk_size=CHUNK)
+        s1 = SketchServer(count_min_factory)
+        s2 = SketchServer(count_min_factory)
 
         async def scenario():
             coordinator = SketchCoordinator(
@@ -1556,7 +1553,7 @@ class TestAsyncClient:
     def test_async_feed_estimate_round_trip(self):
         items, deltas = stream(10)
         reference = serial_reference(count_min_factory, items, deltas)
-        server = SketchServer(count_min_factory, num_shards=2, chunk_size=CHUNK)
+        server = SketchServer(count_min_factory, num_shards=2)
         with server.run_in_thread() as srv:
 
             async def scenario():

@@ -1,7 +1,8 @@
 """Sharded vs single-engine equivalence: the merge contract, enforced.
 
-A k-shard :class:`ShardedStreamEngine` run must be observationally
-identical to the single batched engine on the same stream: identical
+A k-shard :class:`ShardedAlgorithm` driven by a :class:`StreamEngine`
+must be observationally identical to one sketch driven by the same
+engine over the same stream: identical
 merged tables/registers, identical estimates, identical randomness
 transcripts, identical ``space_bits()``.  These tests enforce that
 bit-for-bit on random turnstile (or insertion) streams for every
@@ -28,7 +29,7 @@ from repro.heavyhitters.count_sketch import CountSketch
 from repro.heavyhitters.misra_gries import MisraGriesAlgorithm
 from repro.moments.ams import AMSSketch
 from repro.moments.frequency import ExactFpMoment
-from repro.parallel import ShardedAlgorithm, ShardedStreamEngine, UniversePartitioner
+from repro.parallel import ShardedAlgorithm, UniversePartitioner
 
 
 def turnstile_updates(universe, length, seed, insertions_only=False):
@@ -60,22 +61,22 @@ def drive_pair(make, updates, num_shards, chunk_size=64):
     """A single-engine instance and a k-shard twin fed the same stream."""
     single = make()
     StreamEngine(chunk_size=chunk_size).drive(single, updates)
-    engine = ShardedStreamEngine(make, num_shards=num_shards, chunk_size=chunk_size)
-    engine.drive(updates)
-    return single, engine
+    fleet = ShardedAlgorithm(make, num_shards=num_shards)
+    StreamEngine(chunk_size=chunk_size).drive(fleet, updates)
+    return single, fleet
 
 
-def assert_merged_identical(single, engine):
-    merged = engine.merged()
+def assert_merged_identical(single, fleet):
+    merged = fleet.merged()
     single_view = single.state_view()
     merged_view = merged.state_view()
     assert dict(single_view.fields) == dict(merged_view.fields)
     assert single_view.randomness == merged_view.randomness
     assert single.updates_processed == merged.updates_processed
-    assert single.updates_processed == engine.algorithm.updates_processed
+    assert single.updates_processed == fleet.updates_processed
     assert single.space_bits() == merged.space_bits()
-    assert single.space_bits() == engine.algorithm.space_bits()
-    assert single.query() == engine.query()
+    assert single.space_bits() == fleet.space_bits()
+    assert single.query() == fleet.query()
 
 
 SKETCHES = {
@@ -122,8 +123,8 @@ class TestShardedEquivalence:
         updates = turnstile_updates(
             config["universe"], 2000, seed=17, insertions_only=config["insertions_only"]
         )
-        single, engine = drive_pair(make, updates, num_shards)
-        assert_merged_identical(single, engine)
+        single, fleet = drive_pair(make, updates, num_shards)
+        assert_merged_identical(single, fleet)
 
     @pytest.mark.parametrize("name", sorted(SKETCHES))
     @pytest.mark.parametrize("num_shards", [2, 3])
@@ -133,15 +134,15 @@ class TestShardedEquivalence:
         updates = skewed_updates(
             config["universe"], 4000, seed=19, insertions_only=config["insertions_only"]
         )
-        single, engine = drive_pair(make, updates, num_shards)
-        assert engine.merged().snapshot() == single.snapshot()
+        single, fleet = drive_pair(make, updates, num_shards)
+        assert fleet.merged().snapshot() == single.snapshot()
 
     def test_estimates_route_through_merged_view(self):
         make, _ = SKETCHES["count-min"]
         updates = turnstile_updates(500, 1500, seed=23)
-        single, engine = drive_pair(make, updates, 4)
+        single, fleet = drive_pair(make, updates, 4)
         for item in range(0, 500, 11):
-            assert engine.algorithm.estimate(item) == single.estimate(item)
+            assert fleet.estimate(item) == single.estimate(item)
 
     def test_per_update_and_batched_sharded_paths_agree(self):
         """Routing one update at a time equals routing vectorized chunks."""
@@ -150,30 +151,28 @@ class TestShardedEquivalence:
         looped = ShardedAlgorithm(make, num_shards=3)
         for update in updates:
             looped.feed(update)
-        engine = ShardedStreamEngine(make, num_shards=3, chunk_size=128)
-        engine.drive(updates)
+        batched = ShardedAlgorithm(make, num_shards=3)
+        StreamEngine(chunk_size=128).drive(batched, updates)
         assert dict(looped.state_view().fields) == dict(
-            engine.state_view().fields
+            batched.state_view().fields
         )
 
     def test_shard_loads_cover_stream(self):
         updates = turnstile_updates(1000, 1200, seed=31)
-        _, engine = drive_pair(
+        _, fleet = drive_pair(
             lambda: ExactL0(1000), updates, num_shards=4
         )
-        loads = engine.algorithm.shard_loads()
+        loads = fleet.shard_loads()
         assert sum(loads) == len(updates)
         assert all(load > 0 for load in loads)  # the hash spreads the universe
 
     def test_parallel_scatter_matches_serial(self):
         updates = turnstile_updates(400, 1500, seed=41)
         make = lambda: CountMinSketch(400, width=16, depth=3, seed=7)  # noqa: E731
-        serial = ShardedStreamEngine(make, num_shards=4, chunk_size=64)
-        serial.drive(updates)
-        with ShardedStreamEngine(
-            make, num_shards=4, chunk_size=64, backend="thread"
-        ) as threaded:
-            threaded.drive(updates)
+        serial = ShardedAlgorithm(make, num_shards=4)
+        StreamEngine(chunk_size=64).drive(serial, updates)
+        with ShardedAlgorithm(make, num_shards=4, backend="thread") as threaded:
+            StreamEngine(chunk_size=64).drive(threaded, updates)
             assert dict(serial.state_view().fields) == dict(
                 threaded.state_view().fields
             )
@@ -316,8 +315,8 @@ class TestShardedGames:
             max_rounds=len(updates),
             query_every=64,
         )
-        engine = ShardedStreamEngine(make, num_shards=4, chunk_size=32)
-        sharded_result = engine.play(
+        sharded_result = StreamEngine(chunk_size=32).play(
+            ShardedAlgorithm(make, num_shards=4),
             ObliviousAdversary(updates),
             frequency_truth(universe, lambda v: v.l0()),
             validator=lambda answer, exact: answer == exact,
@@ -344,11 +343,8 @@ class TestShardedGames:
                 return super().next_update(view)
 
         updates, truth = self._setup(universe, rounds=40)
-        engine = ShardedStreamEngine(
-            lambda: ExactL0(universe), num_shards=3, chunk_size=16
-        )
         result = run_game(
-            engine.algorithm,
+            ShardedAlgorithm(lambda: ExactL0(universe), num_shards=3),
             Peeker(updates),
             truth,
             validator=lambda answer, exact: answer == exact,

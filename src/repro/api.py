@@ -30,12 +30,13 @@ does not move when internals refactor.  This module is that path:
 
 The surface, by layer::
 
-    driving     StreamEngine, DEFAULT_CHUNK_SIZE, Update, run_game,
-                GameResult, StreamAlgorithm, MergeableSketch,
-                SerializableSketch, StateView, WhiteBoxAdversary
+    driving     StreamEngine, DEFAULT_CHUNK_SIZE, chunk_arrays,
+                chunk_updates, Update, run_game, GameResult,
+                StreamAlgorithm, MergeableSketch, SerializableSketch,
+                StateView, WhiteBoxAdversary
     sharding    ShardedAlgorithm, UniversePartitioner
-    ingestion   ingest, ingest_async, IngestStats, chunk_arrays,
-                chunk_updates
+    ingestion   ingest, ingest_async, IngestStats (the engine's one chunk
+                loop, fed from a pipelined queue)
     state       snapshot_sketch, restore_sketch,
                 construction_fingerprint, SnapshotError,
                 FingerprintMismatch, save_checkpoint, load_checkpoint,
@@ -69,7 +70,12 @@ from repro.core.algorithm import (
     StateView,
     StreamAlgorithm,
 )
-from repro.core.engine import DEFAULT_CHUNK_SIZE, StreamEngine
+from repro.core.engine import (
+    DEFAULT_CHUNK_SIZE,
+    StreamEngine,
+    chunk_arrays,
+    chunk_updates,
+)
 from repro.core.game import GameResult, run_game
 from repro.core.stream import Update
 from repro.distributed.checkpoint import (
@@ -109,13 +115,7 @@ from repro.obs import (
     render_prometheus,
 )
 from repro.obs import timer as obs_timer
-from repro.parallel.ingest import (
-    IngestStats,
-    chunk_arrays,
-    chunk_updates,
-    ingest,
-    ingest_async,
-)
+from repro.parallel.ingest import IngestStats, ingest, ingest_async
 from repro.parallel.partition import UniversePartitioner
 from repro.parallel.sharded import ShardedAlgorithm
 from repro.service import (

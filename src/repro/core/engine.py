@@ -40,19 +40,27 @@ Two situations force the chunk size down to 1:
   :class:`OverflowError` and routed through the per-update path, preserving
   Python's arbitrary-precision arithmetic.
 
+One chunk loop
+--------------
+:func:`chunk_loop` is the one loop behind :meth:`StreamEngine.drive`,
+:meth:`StreamEngine.drive_arrays` and :func:`repro.parallel.ingest`:
+each supplies its chunks and runs the loop's feed step, inline or on
+ingest's scatter thread.
+
 Intermediate answers
 --------------------
-``query_every`` in :meth:`drive` mirrors the game runner's thinning: the
-engine queries at chunk boundaries, never inside a chunk.  Experiments that
-only read final answers (most of them) keep ``query_every=None`` and pay
-zero query overhead.
+``on_chunk`` in :meth:`StreamEngine.drive` mirrors the game runner's
+thinning: experiments measure at chunk boundaries, never inside a chunk.
+Experiments that only read final answers (most of them) pass no hook and
+pay zero query overhead.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -72,9 +80,16 @@ from repro.core.game import (
     Validator,
     run_game,
 )
-from repro.core.stream import updates_to_arrays
+from repro.core.stream import Update, updates_to_arrays
 
-__all__ = ["StreamEngine", "DEFAULT_CHUNK_SIZE"]
+__all__ = [
+    "DEFAULT_CHUNK_SIZE",
+    "END",
+    "StreamEngine",
+    "chunk_arrays",
+    "chunk_loop",
+    "chunk_updates",
+]
 
 #: Default chunk size: large enough to amortize numpy dispatch, small enough
 #: that per-chunk scratch arrays stay cache-friendly.
@@ -87,10 +102,14 @@ DEFAULT_CHUNK_SIZE = 8192
 _obs_registry = _get_obs_registry()
 _obs_tracer = _get_obs_tracer()
 _obs_chunks = _obs_registry.counter(
-    "repro_engine_chunks_total", "Chunks driven through StreamEngine, by path"
+    "repro_engine_chunks_total", "Chunks driven by the engine's loops, by path"
 )
 _obs_chunk_updates = _obs_registry.counter(
-    "repro_engine_updates_total", "Updates driven through StreamEngine, by path"
+    "repro_engine_updates_total", "Updates driven by the engine's loops, by path"
+)
+_obs_checkpoints = _obs_registry.counter(
+    "repro_engine_checkpoints_total",
+    "Checkpoints written by the engine's chunk loop, by path",
 )
 _obs_phase_seconds = _obs_registry.histogram(
     PHASE_SECONDS_METRIC, PHASE_SECONDS_HELP, buckets=TIME_BUCKETS
@@ -99,12 +118,19 @@ _obs_phase_seconds = _obs_registry.histogram(
 # registry-lock acquisition per drive call, not one per chunk.
 _obs_chunk_seconds = _obs_phase_seconds.bind(phase="engine.chunk")
 _obs_by_path = {
-    path: (_obs_chunks.bind(path=path), _obs_chunk_updates.bind(path=path))
-    for path in ("drive", "drive_arrays", "game")
+    path: (
+        _obs_chunks.bind(path=path),
+        _obs_chunk_updates.bind(path=path),
+        _obs_checkpoints.bind(path=path),
+    )
+    for path in ("drive", "drive_arrays", "ingest", "game")
 }
 
+#: What a runner of :func:`chunk_loop` sends in once the stream is over.
+END = object()
 
-def _flush_chunks(path: str, log: list) -> None:
+
+def _flush_chunks(path: str, log: list, checkpoints: int = 0) -> None:
     """Fold one drive call's accumulated chunk log into the telemetry.
 
     ``log`` rows are ``(started, duration, position, count)``.  Counter
@@ -113,11 +139,14 @@ def _flush_chunks(path: str, log: list) -> None:
     final totals (and the serial-vs-process fan-in equality) exact while
     the loop itself stays near-free.  Per-chunk latency still reaches the
     ``repro_phase_seconds{phase="engine.chunk"}`` histogram and the span
-    ring at full resolution.
+    ring at full resolution.  ``checkpoints`` is the call's checkpoint
+    writes.
     """
+    chunks, chunk_updates, saves = _obs_by_path[path]
+    if checkpoints:
+        saves.add(checkpoints)
     if not log:
         return
-    chunks, chunk_updates = _obs_by_path[path]
     with _obs_registry.lock:
         chunks.add_unlocked(len(log))
         chunk_updates.add_unlocked(sum(row[3] for row in log))
@@ -132,6 +161,140 @@ def _flush_chunks(path: str, log: list) -> None:
             for started, duration, position, count in log
         ),
     )
+
+
+def chunk_arrays(items, deltas, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator:
+    """Slice one big array pair into engine-sized chunks."""
+    if chunk_size <= 0:
+        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+    items = np.asarray(items, dtype=np.int64)
+    deltas = np.asarray(deltas, dtype=np.int64)
+    if len(items) != len(deltas):
+        raise ValueError(
+            f"items/deltas length mismatch: {len(items)} != {len(deltas)}"
+        )
+    for start in range(0, len(items), chunk_size):
+        yield items[start : start + chunk_size], deltas[start : start + chunk_size]
+
+
+def chunk_updates(
+    updates: Iterable[Update], chunk_size: int = DEFAULT_CHUNK_SIZE
+) -> Iterator:
+    """Batch an :class:`Update` iterable into array chunks.
+
+    A chunk whose items or deltas do not fit int64 comes out as its list
+    of updates instead, which :func:`chunk_loop` feeds one update at a
+    time, so beyond-int64 coefficients keep exact arithmetic.
+    """
+    if chunk_size <= 0:
+        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+    iterator = iter(updates)
+    while pending := list(itertools.islice(iterator, chunk_size)):
+        try:
+            chunk = updates_to_arrays(pending)
+        except OverflowError:
+            chunk = pending
+        yield chunk
+
+
+def _feed(targets: list, chunk) -> None:
+    """Feed one chunk to every target, in order."""
+    if isinstance(chunk, list):
+        for target in targets:
+            for update in chunk:
+                target.feed(update)
+    else:
+        items, deltas = chunk
+        for target in targets:
+            target.feed_batch(items, deltas)
+
+
+def chunk_loop(
+    algorithms,
+    path: str,
+    on_chunk: Optional[Callable[[int], None]] = None,
+    checkpoint_path=None,
+    checkpoint_every: Optional[int] = None,
+    start_position: int = 0,
+):
+    """The one chunk loop, as a generator of two steps a runner answers.
+
+    * ``None``: take the next chunk and send it in (:data:`END` once the
+      stream is over);
+    * a zero-argument job: run it (it feeds the chunk to every target,
+      in order), then send in ``None``.
+
+    Everything else runs here, on the runner's thread: the target list
+    (one :class:`StreamAlgorithm` or a lockstep sequence), the absolute
+    position (``start_position`` plus the updates fed),
+    ``on_chunk(position)`` after each chunk, the first target's
+    checkpoints (every ``checkpoint_every`` updates and at stream end)
+    and the chunk telemetry under ``path``.  A chunk is an ``(items,
+    deltas)`` pair, or the :class:`Update` list :func:`chunk_updates`
+    yields beyond int64.  Returns the run's ``targets``, ``chunks``,
+    ``updates``, ``checkpoints`` and ``position`` as a dict.
+    """
+    if start_position < 0:
+        raise ValueError(
+            f"start_position must be non-negative, got {start_position}"
+        )
+    single = isinstance(algorithms, StreamAlgorithm)
+    targets = [algorithms] if single else list(algorithms)
+    writer = None
+    if checkpoint_path is not None:
+        from repro.distributed.checkpoint import CheckpointWriter
+
+        writer = CheckpointWriter(
+            checkpoint_path, targets[0], every=checkpoint_every, position=start_position
+        )
+    position = start_position
+    chunks = 0
+    chunk_log: list = []
+    try:
+        while (chunk := (yield)) is not END:
+            count = len(chunk) if isinstance(chunk, list) else len(chunk[0])
+            observing = _obs_registry.enabled
+            started = time.perf_counter() if observing else 0.0
+            yield partial(_feed, targets, chunk)
+            chunks += 1
+            position += count
+            if observing:
+                chunk_log.append(
+                    (started, time.perf_counter() - started, position, count)
+                )
+            if on_chunk is not None:
+                on_chunk(position)
+            if writer is not None:
+                writer.maybe(position)
+        # A final checkpoint, so a clean finish resumes with nothing to
+        # replay.
+        if writer is not None and writer.last_position != position:
+            writer.flush(position)
+    finally:
+        saves = writer.saves if writer is not None else 0
+        _flush_chunks(path, chunk_log, saves)
+    return {
+        "targets": len(targets),
+        "chunks": chunks,
+        "updates": position - start_position,
+        "checkpoints": saves,
+        "position": position,
+    }
+
+
+def _run(steps, chunks) -> None:
+    """Run :func:`chunk_loop` ``steps`` inline over the ``chunks`` iterable."""
+    chunks = iter(chunks)
+    try:
+        step = next(steps)
+        while True:
+            answer = next(chunks, END) if step is None else step()
+            try:
+                step = steps.send(answer)
+            except StopIteration:
+                return
+    finally:
+        steps.close()
 
 
 class StreamEngine:
@@ -150,32 +313,6 @@ class StreamEngine:
         self.chunk_size = chunk_size
 
     # -- plain streams ------------------------------------------------------
-
-    def _checkpoint_writer(
-        self,
-        targets,
-        checkpoint_path,
-        checkpoint_every: Optional[int],
-        start_position: int,
-    ):
-        """Build the chunk-boundary checkpoint policy ``drive`` paths share.
-
-        Same parameter names and semantics as :func:`repro.parallel.ingest`:
-        the first target snapshots to ``checkpoint_path`` every
-        ``checkpoint_every`` updates and once at stream end, with positions
-        kept absolute via ``start_position``.
-        """
-        if start_position < 0:
-            raise ValueError(
-                f"start_position must be non-negative, got {start_position}"
-            )
-        if checkpoint_path is None:
-            return None
-        from repro.distributed.checkpoint import CheckpointWriter
-
-        return CheckpointWriter(
-            checkpoint_path, targets[0], every=checkpoint_every, position=start_position
-        )
 
     def drive(
         self,
@@ -196,49 +333,22 @@ class StreamEngine:
         updates consumed so far, plus ``start_position``) -- experiments
         hook intermediate measurements there.
 
-        The checkpoint parameters mirror :func:`repro.parallel.ingest`
-        exactly: pass ``checkpoint_path`` and the first algorithm snapshots
-        there every ``checkpoint_every`` updates at chunk boundaries (plus
-        once at stream end), with ``start_position`` keeping recorded
-        positions absolute across resumes.
+        The checkpoint parameters run the same loop as
+        :func:`repro.parallel.ingest`: pass ``checkpoint_path`` and the
+        first algorithm snapshots there every ``checkpoint_every`` updates
+        at chunk boundaries (plus once at stream end), with
+        ``start_position`` keeping recorded positions absolute across
+        resumes.
 
         Returns the algorithm (or list) for chaining.
         """
-        single = isinstance(algorithms, StreamAlgorithm)
-        targets = [algorithms] if single else list(algorithms)
-        writer = self._checkpoint_writer(
-            targets, checkpoint_path, checkpoint_every, start_position
+        _run(
+            chunk_loop(
+                algorithms, "drive", on_chunk, checkpoint_path,
+                checkpoint_every, start_position,
+            ),
+            chunk_updates(updates, self.chunk_size),
         )
-        position = start_position
-        chunk_log: list = []
-        try:
-            for chunk in _chunked(updates, self.chunk_size):
-                observing = _obs_registry.enabled
-                started = time.perf_counter() if observing else 0.0
-                try:
-                    items, deltas = updates_to_arrays(chunk)
-                except OverflowError:
-                    # Beyond-int64 coefficients: exact per-update arithmetic.
-                    for target in targets:
-                        for update in chunk:
-                            target.feed(update)
-                else:
-                    for target in targets:
-                        target.feed_batch(items, deltas)
-                position += len(chunk)
-                if observing:
-                    chunk_log.append(
-                        (started, time.perf_counter() - started, position,
-                         len(chunk))
-                    )
-                if on_chunk is not None:
-                    on_chunk(position)
-                if writer is not None:
-                    writer.maybe(position)
-        finally:
-            _flush_chunks("drive", chunk_log)
-        if writer is not None and writer.last_position != position:
-            writer.flush(position)
         return algorithms
 
     def drive_arrays(
@@ -257,42 +367,13 @@ class StreamEngine:
         materialize :class:`Update` objects at all.  ``on_chunk`` and the
         checkpoint parameters behave exactly as in :meth:`drive`.
         """
-        single = isinstance(algorithms, StreamAlgorithm)
-        targets = [algorithms] if single else list(algorithms)
-        items = np.asarray(items, dtype=np.int64)
-        deltas = np.asarray(deltas, dtype=np.int64)
-        if len(items) != len(deltas):
-            raise ValueError(
-                f"items/deltas length mismatch: {len(items)} != {len(deltas)}"
-            )
-        writer = self._checkpoint_writer(
-            targets, checkpoint_path, checkpoint_every, start_position
+        _run(
+            chunk_loop(
+                algorithms, "drive_arrays", on_chunk, checkpoint_path,
+                checkpoint_every, start_position,
+            ),
+            chunk_arrays(items, deltas, self.chunk_size),
         )
-        position = start_position
-        chunk_log: list = []
-        try:
-            for start in range(0, len(items), self.chunk_size):
-                observing = _obs_registry.enabled
-                started = time.perf_counter() if observing else 0.0
-                sl = slice(start, start + self.chunk_size)
-                for target in targets:
-                    target.feed_batch(items[sl], deltas[sl])
-                position = start_position + min(
-                    start + self.chunk_size, len(items)
-                )
-                if observing:
-                    chunk_log.append(
-                        (started, time.perf_counter() - started, position,
-                         position - start_position - start)
-                    )
-                if on_chunk is not None:
-                    on_chunk(position)
-                if writer is not None:
-                    writer.maybe(position)
-        finally:
-            _flush_chunks("drive_arrays", chunk_log)
-        if writer is not None and writer.last_position != position:
-            writer.flush(position)
         return algorithms
 
     # -- games --------------------------------------------------------------
@@ -476,20 +557,6 @@ class StreamEngine:
             validate()
         result.total_failures = failure_count
         return result
-
-
-def _chunked(updates, size: int):
-    """Yield ``updates`` in lists of at most ``size`` (sequence or iterable)."""
-    if hasattr(updates, "__len__") and hasattr(updates, "__getitem__"):
-        for start in range(0, len(updates), size):
-            yield updates[start : start + size]
-        return
-    iterator = iter(updates)
-    while True:
-        chunk = list(itertools.islice(iterator, size))
-        if not chunk:
-            return
-        yield chunk
 
 
 def _blind_view(round_index: int):

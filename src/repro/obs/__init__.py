@@ -23,14 +23,16 @@ One coherent observability surface across every tier of the pipeline
     fleet-mergeable most-severe-wins;
 :mod:`repro.obs.gateway`
     the stdlib HTTP face: ``/metrics``, ``/healthz``, ``/readyz``,
-    ``/spans`` (OTLP/JSON), and ``/alerts`` on a real port.
+    ``/spans`` (OTLP/JSON), and ``/alerts`` on a real port, plus the
+    listener close and daemon-thread host the sketch server shares.
 
 ``REPRO_OBS=0`` is the kill switch: every telemetry instrument and the
 tracer no-op (the recorded ``obs_overhead`` benchmark pins the
 enabled-mode cost too).  :class:`RegistryStatsBase` books are the one
 exception -- they are functional accounting (service ``stats``
-payloads, ingest summaries), so they keep counting with the switch
-thrown.  :func:`timer` is the sanctioned phase stopwatch -- it always
+payloads), so they keep counting with the switch thrown.  (An ingest's
+``IngestStats`` is a plain per-run record, the engine chunk loop's
+result, so it needs no such book.)  :func:`timer` is the sanctioned phase stopwatch -- it always
 measures (callers may rely on ``.seconds`` regardless of the switch) and
 records a span plus a ``repro_phase_seconds`` observation only when
 observability is on, which is how experiment wall-times, attack search

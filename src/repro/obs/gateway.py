@@ -77,6 +77,50 @@ async def _call_provider(provider):
     return result
 
 
+async def close_listener(server, handlers) -> None:
+    """Stop accepting on ``server`` and end every connection handler.
+
+    The listener close both the gateway and the sketch server use.  The
+    handlers are cancelled and reaped before ``wait_closed()``: from
+    Python 3.12.1 that waits until every connection is gone, and only a
+    handler closes its connection (an idle client's after its whole read
+    timeout).
+    """
+    if server is not None:
+        server.close()
+    handlers = list(handlers)
+    for task in handlers:
+        task.cancel()
+    await asyncio.gather(*handlers, return_exceptions=True)
+    if server is not None:
+        await server.wait_closed()
+
+
+@contextlib.contextmanager
+def host_in_thread(service, name: str):
+    """Run ``service`` on an event loop in a daemon thread named ``name``.
+
+    How sync callers host the gateway and the sketch server.  Yields
+    ``service`` once its ``start()`` returned.  On exit, and also when
+    ``start`` fails (so a failed bind leaves nothing running), its
+    ``stop()`` runs inside the loop before the loop stops and the thread
+    is joined.
+    """
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, name=name, daemon=True)
+    thread.start()
+    try:
+        asyncio.run_coroutine_threadsafe(service.start(), loop).result()
+        yield service
+    finally:
+        try:
+            asyncio.run_coroutine_threadsafe(service.stop(), loop).result()
+        finally:
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join()
+            loop.close()
+
+
 class ObservabilityGateway:
     """Minimal asyncio HTTP/1.1 server over pluggable telemetry providers.
 
@@ -169,19 +213,8 @@ class ObservabilityGateway:
         if self._closed:
             return
         self._closed = True
-        if self._server is not None:
-            self._server.close()
-        # Reap the handlers before wait_closed(): from Python 3.12.1 that
-        # waits until every connection is gone, and a handler holds an
-        # idle client's connection for its whole read timeout.
-        handlers = list(self._handlers)
-        for task in handlers:
-            task.cancel()
-        await asyncio.gather(*handlers, return_exceptions=True)
-        if self._server is not None:
-            await self._server.wait_closed()
+        await close_listener(self._server, self._handlers)
 
-    @contextlib.contextmanager
     def run_in_thread(self):
         """Host the gateway on a daemon-thread event loop (sync callers).
 
@@ -190,42 +223,7 @@ class ObservabilityGateway:
         started by :class:`~repro.service.server.SketchServer` on its
         own loop instead (their providers must share its engine thread).
         """
-        loop = asyncio.new_event_loop()
-        started = threading.Event()
-        stop_requested = asyncio.Event()
-        failure: list[BaseException] = []
-
-        async def _run() -> None:
-            try:
-                await self.start()
-            except BaseException as exc:
-                failure.append(exc)
-                started.set()
-                return
-            started.set()
-            await stop_requested.wait()
-            await self.stop()
-
-        def _main() -> None:
-            asyncio.set_event_loop(loop)
-            try:
-                loop.run_until_complete(_run())
-            finally:
-                loop.close()
-
-        thread = threading.Thread(
-            target=_main, name="obs-gateway", daemon=True
-        )
-        thread.start()
-        started.wait()
-        if failure:
-            thread.join(timeout=5)
-            raise failure[0]
-        try:
-            yield self
-        finally:
-            loop.call_soon_threadsafe(stop_requested.set)
-            thread.join(timeout=30)
+        return host_in_thread(self, "obs-gateway")
 
     # -- HTTP ---------------------------------------------------------------
 

@@ -5,23 +5,28 @@ update chunks from a live source -- a packet ring, a socket, a Python
 generator -- while the engine scatters the previous chunk into the
 sketches.  Serially those two phases alternate; this module pipelines them
 with a bounded :class:`asyncio.Queue` between a producer (pulling chunks
-from a sync or async source) and a consumer (calling ``feed_batch``), each
-running on its own single-thread executor so generator-side Python work and
-GIL-releasing numpy scatter genuinely overlap on multi-core hosts.
+from a sync or async source on its own ``ingest-produce`` thread) and the
+engine's one chunk loop (:func:`repro.core.engine.chunk_loop`), whose feed
+step runs on an ``ingest-scatter`` thread, so generator-side Python work
+and GIL-releasing numpy scatter genuinely overlap on multi-core hosts.
 
-The pipeline preserves stream order end to end: one producer, one consumer,
-a FIFO queue.  Targets therefore end in exactly the state the synchronous
-``StreamEngine.drive_arrays`` path produces -- the ingest tests assert that
-bit-for-bit -- and any :class:`~repro.core.algorithm.StreamAlgorithm`
-works, including :class:`~repro.parallel.sharded.ShardedAlgorithm` (whose
-scatter then fans out a second time, across shards).
+Only the producer, the queue and the scatter thread are this module's
+own.  The rest is the loop ``StreamEngine.drive`` and ``drive_arrays``
+run -- target list, positions, ``on_chunk``, checkpoints, the per-update
+fallback beyond int64, ``engine.chunk`` telemetry (``path="ingest"``) --
+on the caller's thread, between the awaits.  One producer, one consumer
+and a FIFO queue keep stream order, so targets end in exactly the state
+the synchronous engine produces (the ingest tests assert that
+bit-for-bit), and any :class:`~repro.core.algorithm.StreamAlgorithm`
+works, including :class:`~repro.parallel.sharded.ShardedAlgorithm`
+(whose scatter then fans out a second time, across shards).
 
 Checkpointed ingestion (:mod:`repro.distributed.checkpoint`): pass
-``checkpoint_path`` and the consumer snapshots the (first) target to disk
-every ``checkpoint_every`` updates, at chunk boundaries, plus once at
-stream end.  A killed run resumes with ``resume_from`` + ``tail_chunks``
-and replays only the unabsorbed tail -- the kill-and-resume tests verify
-the resumed state is bit-identical to an uninterrupted run.
+``checkpoint_path`` and the (first) target is snapshotted to disk every
+``checkpoint_every`` updates, at chunk boundaries, plus once at stream
+end.  A killed run resumes with ``resume_from`` + ``tail_chunks`` and
+replays only the unabsorbed tail -- the kill-and-resume tests verify the
+resumed state is bit-identical to an uninterrupted run.
 
 Signatures follow the :class:`~repro.core.engine.StreamEngine` driving
 conventions (the ``repro.api`` facade re-exports both): ``(targets,
@@ -54,14 +59,17 @@ import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import AsyncIterable, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import AsyncIterable, Callable, Iterable, Optional, Union
 
 import numpy as np
 
-from repro.core.algorithm import StreamAlgorithm
-from repro.core.engine import DEFAULT_CHUNK_SIZE
-from repro.core.stream import Update, updates_to_arrays
-from repro.obs import get_registry as _get_obs_registry
+from repro.core.engine import (
+    DEFAULT_CHUNK_SIZE,
+    END,
+    chunk_arrays,
+    chunk_loop,
+    chunk_updates,
+)
 
 __all__ = [
     "IngestStats",
@@ -71,40 +79,26 @@ __all__ = [
     "ingest_async",
 ]
 
-_obs_registry = _get_obs_registry()
-_obs_ingest_chunks = _obs_registry.counter(
-    "repro_ingest_chunks_total", "Chunks scattered by ingestion pipelines"
-)
-_obs_ingest_updates = _obs_registry.counter(
-    "repro_ingest_updates_total", "Updates scattered by ingestion pipelines"
-)
-_obs_ingest_checkpoints = _obs_registry.counter(
-    "repro_ingest_checkpoints_total",
-    "Checkpoints written by ingestion pipelines",
-)
-
 #: One (items, deltas) array pair.
 Chunk = tuple[np.ndarray, np.ndarray]
 ChunkSource = Union[Iterable[Chunk], AsyncIterable[Chunk]]
-
-_SENTINEL = object()
 
 
 @dataclass
 class IngestStats:
     """What one ingestion run did (throughput bookkeeping for benchmarks).
 
-    The fields remain the per-run view callers read; :meth:`bump` is the
-    sanctioned mutation path and *mirrors* each increment into the
-    process-wide obs registry (``repro_ingest_{chunks,updates,
-    checkpoints}_total``), so concurrent runs keep exact per-run numbers
-    while the merged exposition shows process totals.
+    A plain per-run record: the chunk loop's result fills ``targets``,
+    ``chunks``, ``updates``, ``checkpoints`` and ``position``, and the
+    runner adds its own timings, so every field counts with telemetry
+    off (``REPRO_OBS=0``) too.  The loop's ``path="ingest"`` telemetry
+    series carry the same counts process-wide.
     """
 
     chunks: int = 0
     updates: int = 0
     seconds: float = 0.0
-    #: Time the consumer spent inside ``feed_batch`` (scatter-bound share).
+    #: Time the scatter thread spent feeding chunks (scatter-bound share).
     scatter_seconds: float = 0.0
     queue_depth: int = 0
     targets: int = field(default=1)
@@ -116,59 +110,6 @@ class IngestStats:
     @property
     def updates_per_second(self) -> float:
         return self.updates / self.seconds if self.seconds > 0 else 0.0
-
-    def bump(
-        self,
-        *,
-        chunks: int = 0,
-        updates: int = 0,
-        checkpoints: int = 0,
-        scatter_seconds: float = 0.0,
-        position: int = 0,
-    ) -> None:
-        """Advance the per-run counts and mirror them into the registry."""
-        self.chunks += chunks
-        self.updates += updates
-        self.checkpoints += checkpoints
-        self.scatter_seconds += scatter_seconds
-        self.position += position
-        if _obs_registry.enabled:
-            if chunks:
-                _obs_ingest_chunks.add(chunks)
-            if updates:
-                _obs_ingest_updates.add(updates)
-            if checkpoints:
-                _obs_ingest_checkpoints.add(checkpoints)
-
-
-def chunk_arrays(items, deltas, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[Chunk]:
-    """Slice one big array pair into engine-sized chunks."""
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    items = np.asarray(items, dtype=np.int64)
-    deltas = np.asarray(deltas, dtype=np.int64)
-    if len(items) != len(deltas):
-        raise ValueError(
-            f"items/deltas length mismatch: {len(items)} != {len(deltas)}"
-        )
-    for start in range(0, len(items), chunk_size):
-        yield items[start : start + chunk_size], deltas[start : start + chunk_size]
-
-
-def chunk_updates(
-    updates: Iterable[Update], chunk_size: int = DEFAULT_CHUNK_SIZE
-) -> Iterator[Chunk]:
-    """Batch an :class:`Update` iterable into array chunks."""
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    pending: list[Update] = []
-    for update in updates:
-        pending.append(update)
-        if len(pending) >= chunk_size:
-            yield updates_to_arrays(pending)
-            pending = []
-    if pending:
-        yield updates_to_arrays(pending)
 
 
 def _as_chunk_source(source, chunk_size: Optional[int]) -> ChunkSource:
@@ -217,8 +158,9 @@ async def ingest_async(
         One :class:`StreamAlgorithm` or a lockstep sequence (every target
         sees every chunk, in order, like ``StreamEngine.drive``).
     source:
-        Sync or async iterable of ``(items, deltas)`` chunks, or one
-        ``(items, deltas)`` array pair (chunked like ``drive_arrays``).
+        Sync or async iterable of ``(items, deltas)`` chunks (or of
+        :func:`chunk_updates` chunks), or one ``(items, deltas)`` array
+        pair (chunked like ``drive_arrays``).
     chunk_size:
         Chunk size used when ``source`` is one array pair (defaults to
         the engine's ``DEFAULT_CHUNK_SIZE``; an error for pre-chunked
@@ -248,32 +190,24 @@ async def ingest_async(
     source = _as_chunk_source(source, chunk_size)
     if queue_depth <= 0:
         raise ValueError(f"queue_depth must be positive, got {queue_depth}")
-    if start_position < 0:
-        raise ValueError(
-            f"start_position must be non-negative, got {start_position}"
-        )
-    single = isinstance(targets, StreamAlgorithm)
-    target_list: Sequence[StreamAlgorithm] = [targets] if single else list(targets)
-    writer = None
-    if checkpoint_path is not None:
-        from repro.distributed.checkpoint import CheckpointWriter
-
-        writer = CheckpointWriter(
-            checkpoint_path, target_list[0], every=checkpoint_every, position=start_position
-        )
-    stats = IngestStats(
-        queue_depth=queue_depth,
-        targets=len(target_list),
-        position=start_position,
+    steps = chunk_loop(
+        targets,
+        "ingest",
+        on_chunk,
+        checkpoint_path,
+        checkpoint_every,
+        start_position,
     )
+    step = next(steps)  # bad loop arguments raise before the producer starts
     queue: asyncio.Queue = asyncio.Queue(maxsize=queue_depth)
     loop = asyncio.get_running_loop()
     started = time.perf_counter()
+    scatter_seconds = 0.0
 
     async def produce() -> None:
-        # The sentinel must reach the consumer even when the source raises
-        # mid-stream, or the pipeline would deadlock on queue.get(); the
-        # source's exception then surfaces through `await producer`.
+        # The runner waits on queue.get() until END or the source's
+        # failure arrives.  A cancelled producer sends neither: its runner
+        # stopped reading, so a full queue would block it for ever.
         try:
             if hasattr(source, "__aiter__"):
                 async for chunk in source:
@@ -283,61 +217,48 @@ async def ingest_async(
                 with ThreadPoolExecutor(
                     max_workers=1, thread_name_prefix="ingest-produce"
                 ) as pool:
-                    while True:
-                        chunk = await loop.run_in_executor(
-                            pool, next, iterator, _SENTINEL
-                        )
-                        if chunk is _SENTINEL:
-                            break
+                    while (
+                        chunk := await loop.run_in_executor(pool, next, iterator, END)
+                    ) is not END:
                         await queue.put(chunk)
-        finally:
-            await queue.put(_SENTINEL)
+        except Exception as exc:
+            await queue.put(exc)
+        else:
+            await queue.put(END)
 
-    async def consume() -> None:
-        def scatter(chunk: Chunk) -> float:
-            items, deltas = chunk
-            scatter_started = time.perf_counter()
-            for target in target_list:
-                target.feed_batch(items, deltas)
-            return time.perf_counter() - scatter_started
+    def scatter(feed) -> float:
+        scatter_started = time.perf_counter()
+        feed()
+        return time.perf_counter() - scatter_started
 
+    producer = asyncio.ensure_future(produce())
+    try:
         with ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="ingest-scatter"
         ) as pool:
             while True:
-                chunk = await queue.get()
-                if chunk is _SENTINEL:
-                    return
-                scatter_seconds = await loop.run_in_executor(
-                    pool, scatter, chunk
-                )
-                stats.bump(
-                    chunks=1,
-                    updates=len(chunk[0]),
-                    position=len(chunk[0]),
-                    scatter_seconds=scatter_seconds,
-                )
-                if on_chunk is not None:
-                    on_chunk(stats.position)
-                # Chunk-boundary checkpointing: the scatter for this chunk
-                # has completed, so the snapshot is a consistent prefix
-                # state at an exactly-known position.
-                if writer is not None and writer.maybe(stats.position):
-                    stats.bump(checkpoints=1)
-
-    producer = asyncio.ensure_future(produce())
-    try:
-        await consume()
-        await producer
+                if step is None:
+                    answer = await queue.get()
+                    if isinstance(answer, Exception):
+                        raise answer
+                else:
+                    scatter_seconds += await loop.run_in_executor(pool, scatter, step)
+                    answer = None
+                try:
+                    step = steps.send(answer)
+                except StopIteration as stop:
+                    run = stop.value
+                    break
     finally:
+        steps.close()
         producer.cancel()
-    if writer is not None and writer.last_position != stats.position:
-        # Final checkpoint at stream end, so a clean finish is resumable
-        # (and re-runnable) without replaying anything.
-        writer.flush(stats.position)
-        stats.bump(checkpoints=1)
-    stats.seconds = time.perf_counter() - started
-    return stats
+        await asyncio.wait((producer,))
+    return IngestStats(
+        **run,
+        seconds=time.perf_counter() - started,
+        scatter_seconds=scatter_seconds,
+        queue_depth=queue_depth,
+    )
 
 
 def ingest(

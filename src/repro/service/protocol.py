@@ -162,23 +162,6 @@ STAGING_BYTES = 64 * 1024
 #: messages hold more payload bytes than this (``StreamReader``'s rule).
 PAUSE_BYTES = 2 * STAGING_BYTES
 
-#: Ops a server accepts (everything else is an application-level error).
-REQUEST_OPS = frozenset(
-    {
-        "hello",
-        "feed",
-        "estimate",
-        "query",
-        "snapshot",
-        "load_snapshot",
-        "checkpoint",
-        "stats",
-        "ping",
-        "metrics",
-        "alerts",
-    }
-)
-
 
 class ProtocolError(ValueError):
     """A frame is structurally invalid; the connection cannot continue."""

@@ -63,7 +63,6 @@ render the same instruments.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import queue
 import threading
 import time
@@ -76,6 +75,7 @@ from repro.obs import (
     get_tracer as _get_obs_tracer,
     phase_histogram as _obs_phase_histogram,
 )
+from repro.obs.gateway import ObservabilityGateway, close_listener, host_in_thread
 from repro.service.core import ServerCore, ServerStats
 from repro.service.protocol import (
     DEFAULT_MAX_FRAME,
@@ -261,7 +261,7 @@ class SketchServer(ServerCore):
                 await self.gateway.start()
             except BaseException:
                 # A failed gateway bind must not leave the listener open.
-                await self._close_listener()
+                await close_listener(self._server, self._handler_tasks)
                 self._server = self.gateway = None
                 raise
         # Last, so a failed bind leaves no thread behind; a job queued
@@ -274,23 +274,6 @@ class SketchServer(ServerCore):
         )
         self._engine_thread.start()
         return self
-
-    async def _close_listener(self) -> None:
-        """Stop accepting and end every connection handler."""
-        if self._server is not None:
-            self._server.close()
-        # Reap connection handlers still draining their sockets, so the
-        # event loop can close without orphaned tasks; after stop() began,
-        # _accept closes any new connection instead of starting a handler.
-        # This comes before wait_closed(): from Python 3.12.1 that waits
-        # until every connection is gone, and only a handler closes its
-        # connection.
-        handlers = list(self._handler_tasks)
-        for task in handlers:
-            task.cancel()
-        await asyncio.gather(*handlers, return_exceptions=True)
-        if self._server is not None:
-            await self._server.wait_closed()
 
     async def serve_forever(self) -> None:
         """``start()`` (if needed) then serve until cancelled."""
@@ -306,7 +289,9 @@ class SketchServer(ServerCore):
         self._closed = True
         if self.gateway is not None:
             await self.gateway.stop()
-        await self._close_listener()
+        # After stop() began, _accept closes any new connection instead
+        # of starting a handler.
+        await close_listener(self._server, self._handler_tasks)
         if self._engine_thread is not None:
             # Shutdown must not shed its own final checkpoint.
             self.queue_deadline = None
@@ -315,28 +300,17 @@ class SketchServer(ServerCore):
             self._engine_thread.join()
         self.fleet.close()
 
-    @contextlib.contextmanager
     def run_in_thread(self):
         """Run the server on a daemon-thread event loop (sync callers).
 
         Yields the server once it is listening (``server.port`` is set).
         Stops it on exit, and also when ``start`` fails, so a failed bind
         leaves no fleet workers behind.  This is how the load harness and
-        the sync client tests host an in-process server.
+        the sync client tests host an in-process server.  The shutdown
+        runs inside the loop, so the final checkpoint and the fleet
+        teardown complete before the loop stops.
         """
-        loop = asyncio.new_event_loop()
-        thread = threading.Thread(target=loop.run_forever, name="sketch-server", daemon=True)
-        thread.start()
-        try:
-            asyncio.run_coroutine_threadsafe(self.start(), loop).result()
-            yield self
-        finally:
-            # The shutdown runs inside the loop, so the final checkpoint
-            # and the fleet teardown complete before the loop stops.
-            asyncio.run_coroutine_threadsafe(self.stop(), loop).result()
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join()
-            loop.close()
+        return host_in_thread(self, "sketch-server")
 
     # -- engine serialization ----------------------------------------------
 
@@ -377,8 +351,6 @@ class SketchServer(ServerCore):
         probe.  Liveness is answered on the loop, with no engine
         round-trip.
         """
-        from repro.obs.gateway import ObservabilityGateway
-
         async def _metrics_text() -> str:
             payload = await self._engine_call(self.telemetry, "metrics")
             return payload["exposition"]

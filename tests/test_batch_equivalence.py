@@ -22,6 +22,7 @@ from repro.heavyhitters.count_min import CountMinSketch
 from repro.heavyhitters.count_sketch import CountSketch
 from repro.moments.ams import AMSSketch
 from repro.moments.frequency import ExactFpMoment
+from repro.parallel import chunk_updates, ingest
 from repro.workloads.frequency import turnstile_arrays
 
 
@@ -170,7 +171,8 @@ class TestChunkSizeInvariance:
         assert np.array_equal(loop_alg.table, batch_alg.table)
 
     def test_huge_coefficients_fall_back_exactly(self):
-        """Beyond-int64 deltas route through exact per-update arithmetic."""
+        """Beyond-int64 deltas route through exact per-update arithmetic,
+        on the engine and on the ingest pipeline alike."""
         huge = 2**80
         updates = [Update(3, huge), Update(5, -huge), Update(3, -huge + 1)]
         loop_alg = ExactFpMoment(10, p=2)
@@ -178,7 +180,9 @@ class TestChunkSizeInvariance:
             loop_alg.feed(update)
         batch_alg = ExactFpMoment(10, p=2)
         StreamEngine(chunk_size=8).drive(batch_alg, updates)
-        assert loop_alg.query() == batch_alg.query()
+        ingested = ExactFpMoment(10, p=2)
+        ingest(ingested, chunk_updates(updates, 8))
+        assert loop_alg.query() == batch_alg.query() == ingested.query()
         with pytest.raises(OverflowError):
             updates_to_arrays(updates)
 

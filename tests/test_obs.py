@@ -846,8 +846,43 @@ class TestIngestMirror:
         deltas = np.ones(10_000, dtype=np.int64)
         stats = ingest(sketch, (items, deltas), chunk_size=2048)
         snapshot = obs.get_registry().snapshot()
+        spans = [s for s in obs.get_tracer().spans() if s.name == "engine.chunk"]
         obs.reset()
         assert stats.updates == len(items)
         assert stats.chunks == 5
-        assert counter_total(snapshot, "repro_ingest_updates_total") == stats.updates
-        assert counter_total(snapshot, "repro_ingest_chunks_total") == stats.chunks
+        assert counter_value(
+            snapshot, "repro_engine_updates_total", path="ingest"
+        ) == stats.updates
+        assert counter_value(
+            snapshot, "repro_engine_chunks_total", path="ingest"
+        ) == stats.chunks
+        assert len(spans) == stats.chunks
+
+    def test_checkpoint_writes_count_per_path(self, tmp_path):
+        from repro.parallel.ingest import ingest
+
+        obs.reset()
+        items = np.arange(10_000, dtype=np.int64) % UNIVERSE
+        deltas = np.ones(10_000, dtype=np.int64)
+        stats = ingest(
+            count_min_factory(),
+            (items, deltas),
+            chunk_size=2048,
+            checkpoint_path=tmp_path / "ingest.ckpt",
+            checkpoint_every=4096,
+        )
+        StreamEngine(chunk_size=2048).drive_arrays(
+            count_min_factory(),
+            items,
+            deltas,
+            checkpoint_path=tmp_path / "drive.ckpt",
+            checkpoint_every=4096,
+        )
+        snapshot = obs.get_registry().snapshot()
+        obs.reset()
+        # Saves at 4096 and 8192, plus the final one at 10,000.
+        assert stats.checkpoints == 3
+        for path in ("ingest", "drive_arrays"):
+            assert counter_value(
+                snapshot, "repro_engine_checkpoints_total", path=path
+            ) == stats.checkpoints

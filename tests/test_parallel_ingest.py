@@ -1,10 +1,13 @@
 """The asyncio ingestion front-end: order, equivalence, backpressure."""
 
 import asyncio
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.engine import StreamEngine
 from repro.core.stream import Update
 from repro.distinct.exact_l0 import ExactL0
@@ -112,3 +115,79 @@ class TestIngestEquivalence:
 
         with pytest.raises(RuntimeError, match="packet ring died"):
             ingest(ExactL0(10), bad_source())
+
+    def test_stats_count_with_telemetry_off(self, tmp_path):
+        """IngestStats is the loop's own result, not a telemetry read."""
+        items, deltas = stream_arrays(length=5000)
+        registry = obs.get_registry()
+        previous, registry.enabled = registry.enabled, False
+        try:
+            stats = ingest(
+                CountMinSketch(500, width=32, depth=4, seed=1),
+                chunk_arrays(items, deltas, 1000),
+                checkpoint_path=tmp_path / "run.ckpt",
+                checkpoint_every=2000,
+                start_position=7,
+            )
+        finally:
+            registry.enabled = previous
+        # Saves at 2007 and 4007, plus the final one at 5007.
+        assert (stats.chunks, stats.updates, stats.checkpoints, stats.position) == (
+            5, 5000, 3, 5007,
+        )
+
+
+class _FailingTarget(ExactL0):
+    def process_batch(self, items, deltas):
+        raise RuntimeError("scatter failed")
+
+
+class _SlowTarget(ExactL0):
+    def process_batch(self, items, deltas):
+        time.sleep(0.01)
+        super().process_batch(items, deltas)
+
+
+def _leftovers():
+    """Tasks other than the current one, and live ``ingest-*`` threads."""
+    tasks = asyncio.all_tasks() - {asyncio.current_task()}
+    threads = [t.name for t in threading.enumerate() if t.name.startswith("ingest-")]
+    return tasks, threads
+
+
+class TestProducerShutdown:
+    """A run that stops early must not leave its producer behind, blocked
+    on a full queue nobody reads any more."""
+
+    def test_failed_scatter_leaves_no_producer(self):
+        items, deltas = stream_arrays(length=400_000)
+
+        async def run():
+            with pytest.raises(RuntimeError, match="scatter failed"):
+                await ingest_async(
+                    _FailingTarget(500),
+                    chunk_arrays(items, deltas, 1000),
+                    queue_depth=2,
+                )
+            return _leftovers()
+
+        assert asyncio.run(run()) == (set(), [])
+
+    def test_cancelled_run_leaves_no_producer(self):
+        items, deltas = stream_arrays(length=400_000)
+
+        async def run():
+            task = asyncio.ensure_future(
+                ingest_async(
+                    _SlowTarget(500),
+                    chunk_arrays(items, deltas, 1000),
+                    queue_depth=2,
+                )
+            )
+            await asyncio.sleep(0.1)
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            return _leftovers()
+
+        assert asyncio.run(run()) == (set(), [])

@@ -46,6 +46,18 @@ layer of the engine thread:
   take a count pass and one scatter pass with both write cursors in
   registers; wider fleets keep the counting sort over stored shard ids.
 
+*Operand addresses.*  Every pointer argument is an operand's address,
+taken by ``_address``: a ``ctypes.c_char`` laid over the array's
+buffer, which costs about a third of building the ``ndarray.ctypes``
+helper object (1.3-2 us on a 2-vCPU x86-64 VM, where a 2-shard server
+batch hands C about 19 operands).  A read-only operand
+(``np.frombuffer`` over ``bytes``) or an empty one cannot carry a
+``c_char``; it falls back to ``ndarray.ctypes``, which yields the same
+address.  The helper decides how an address is
+taken, never whether a call goes native: the gates are what they were,
+and every operand reaches the tier it reached before
+(``tests/test_kernel_entry.py``).
+
 The compiler is invoked exactly once per machine; the ``.so`` is reused
 across processes, and the calls release the GIL, so the thread scatter
 backend gets real parallelism out of them.  No compiler, a failed
@@ -548,6 +560,24 @@ _SIGNATURES = {
     ],
 }
 
+_from_buffer = ctypes.c_char.from_buffer
+_addressof = ctypes.addressof
+
+
+def _address(array: np.ndarray) -> int:
+    """The address of ``array``'s first byte (see *Operand addresses*).
+
+    ``from_buffer`` needs a writable, contiguous buffer of at least one
+    byte, so a read-only or empty operand raises there and takes the
+    ``ndarray.ctypes`` route.  The caller keeps ``array`` alive across
+    the call.
+    """
+    try:
+        return _addressof(_from_buffer(array))
+    except (TypeError, ValueError):
+        return array.ctypes.data
+
+
 _build_lock = threading.Lock()
 _lib: Optional[ctypes.CDLL] = None
 _lib_tried = False
@@ -630,8 +660,8 @@ def _self_check(lib: ctypes.CDLL) -> bool:
     deltas = np.array([1, -2, 3, 1, 1, 4], dtype=np.int64)
     stats = np.empty(5, dtype=np.int64)
     lib.repro_batch_stats(
-        items.ctypes.data, deltas.ctypes.data, _I64(items.size),
-        stats.ctypes.data,
+        _address(items), _address(deltas), _I64(items.size),
+        _address(stats),
     )
     if stats.tolist() != [0, 6, -2, 4, 8]:
         return False
@@ -659,8 +689,8 @@ def _self_check(lib: ctypes.CDLL) -> bool:
         signs = [1 - 2 * (((sa[r] * case_items + sb[r]) % prime) % 2) for r in range(depth)]
         table = np.zeros((depth, width), dtype=np.int64)
         lib.repro_cm_scatter(
-            table.ctypes.data, _I64(depth), _I64(width), case_items.ctypes.data,
-            case_deltas.ctypes.data, _I64(n), a.ctypes.data, b.ctypes.data,
+            _address(table), _I64(depth), _I64(width), _address(case_items),
+            _address(case_deltas), _I64(n), _address(a), _address(b),
             _I64(prime),
         )
         expected = np.zeros_like(table)
@@ -671,9 +701,9 @@ def _self_check(lib: ctypes.CDLL) -> bool:
 
         estimates = np.empty(n, dtype=np.int64)
         lib.repro_cm_estimate(
-            table.ctypes.data, _I64(depth), _I64(width), case_items.ctypes.data,
-            _I64(n), a.ctypes.data, b.ctypes.data, _I64(prime),
-            estimates.ctypes.data,
+            _address(table), _I64(depth), _I64(width), _address(case_items),
+            _I64(n), _address(a), _address(b), _I64(prime),
+            _address(estimates),
         )
         gathered = np.stack([table[r, cells[r]] for r in range(depth)])
         if not np.array_equal(estimates, gathered.min(axis=0)):
@@ -681,9 +711,9 @@ def _self_check(lib: ctypes.CDLL) -> bool:
 
         table[:] = 0
         lib.repro_cs_scatter(
-            table.ctypes.data, _I64(depth), _I64(width), case_items.ctypes.data,
-            case_deltas.ctypes.data, _I64(n), a.ctypes.data, b.ctypes.data,
-            sa.ctypes.data, sb.ctypes.data, _I64(prime),
+            _address(table), _I64(depth), _I64(width), _address(case_items),
+            _address(case_deltas), _I64(n), _address(a), _address(b),
+            _address(sa), _address(sb), _I64(prime),
         )
         expected[:] = 0
         for row in range(depth):
@@ -701,8 +731,8 @@ def _self_check(lib: ctypes.CDLL) -> bool:
     )
     dense = np.ones((4, rows), dtype=np.int64)
     if lib.repro_sis_update(
-        dense.ctypes.data, _I64(rows), sis_items.ctypes.data,
-        sis_deltas.ctypes.data, _I64(sis_items.size), cols.ctypes.data,
+        _address(dense), _I64(rows), _address(sis_items),
+        _address(sis_deltas), _I64(sis_items.size), _address(cols),
         _I64(modulus), _I64(chunk_width), _I64(universe),
     ) != 1:
         return False
@@ -718,8 +748,8 @@ def _self_check(lib: ctypes.CDLL) -> bool:
         return False
     outside = np.array([2, universe], dtype=np.int64)
     if lib.repro_sis_update(
-        dense.ctypes.data, _I64(rows), outside.ctypes.data,
-        sis_deltas.ctypes.data, _I64(outside.size), cols.ctypes.data,
+        _address(dense), _I64(rows), _address(outside),
+        _address(sis_deltas), _I64(outside.size), _address(cols),
         _I64(modulus), _I64(chunk_width), _I64(universe),
     ) != 0 or dense.tolist() != expected_dense:
         return False
@@ -730,8 +760,8 @@ def _self_check(lib: ctypes.CDLL) -> bool:
     sign_items = np.array([0, 1, 2, 77, (1 << 33) + 5], dtype=np.int64)
     signs_out = np.empty(sign_items.size, dtype=np.int64)
     lib.repro_ams_signs(
-        ctypes.c_uint64(base_seed), sign_items.ctypes.data,
-        _I64(sign_items.size), signs_out.ctypes.data,
+        ctypes.c_uint64(base_seed), _address(sign_items),
+        _I64(sign_items.size), _address(signs_out),
     )
     expected_signs = np.array(
         [
@@ -752,10 +782,10 @@ def _self_check(lib: ctypes.CDLL) -> bool:
         counts = np.empty(2 * num_shards, dtype=np.int64)
         scratch = np.empty(items.size, dtype=np.int64)
         lib.repro_partition(
-            items.ctypes.data, deltas.ctypes.data, _I64(items.size),
+            _address(items), _address(deltas), _I64(items.size),
             ctypes.c_uint64(multiplier), _I64(shard_bits), _I64(33),
-            _I64(num_shards), _I64(1), out_items.ctypes.data,
-            out_deltas.ctypes.data, counts.ctypes.data, scratch.ctypes.data,
+            _I64(num_shards), _I64(1), _address(out_items),
+            _address(out_deltas), _address(counts), _address(scratch),
         )
         ids = (items.astype(np.uint64) * np.uint64(multiplier)) >> np.uint64(
             64 - shard_bits
@@ -868,20 +898,6 @@ def scatter_add(out: np.ndarray, indices: np.ndarray, weights) -> None:
 # -- fused sketch entry points --------------------------------------------
 
 
-def _items_in_hash_domain(items: np.ndarray, prime: int) -> bool:
-    """Whether every item satisfies the ``0 <= x < prime`` hash contract.
-
-    The C kernels index table rows with the hashed cell directly, so an
-    out-of-contract item (negative, or large enough to wrap ``a*x + b``)
-    must never reach them -- the reference numpy path degrades to a
-    garbage-but-in-range cell for such inputs, the native path would
-    write out of bounds.  One vectorized min/max pass buys the guarantee.
-    """
-    if items.size == 0:
-        return False
-    return int(items.min()) >= 0 and int(items.max()) < prime
-
-
 class BatchStats(NamedTuple):
     """One update batch and what a single pass over it found.
 
@@ -937,8 +953,8 @@ def batch_stats(items: np.ndarray, deltas: np.ndarray) -> BatchStats:
     if lib is not None and _contiguous_i64(items, deltas):
         out = np.empty(5, dtype=np.int64)
         lib.repro_batch_stats(
-            items.ctypes.data, deltas.ctypes.data, _I64(items.size),
-            out.ctypes.data,
+            _address(items), _address(deltas), _I64(items.size),
+            _address(out),
         )
         return BatchStats(items, deltas, *out.tolist())
     return BatchStats(
@@ -985,14 +1001,14 @@ def count_min_scatter(
     if not _hash_gates(lib, prime, stats, table, row_a, row_b):
         return False
     lib.repro_cm_scatter(
-        table.ctypes.data,
+        _address(table),
         _I64(table.shape[0]),
         _I64(table.shape[1]),
-        stats.items.ctypes.data,
-        None if stats.unit_deltas else stats.deltas.ctypes.data,
+        _address(stats.items),
+        None if stats.unit_deltas else _address(stats.deltas),
         _I64(stats.items.size),
-        row_a.ctypes.data,
-        row_b.ctypes.data,
+        _address(row_a),
+        _address(row_b),
         _I64(prime),
     )
     return True
@@ -1013,16 +1029,16 @@ def count_sketch_scatter(
     if not _hash_gates(lib, prime, stats, table, bucket_a, bucket_b, sign_a, sign_b):
         return False
     lib.repro_cs_scatter(
-        table.ctypes.data,
+        _address(table),
         _I64(table.shape[0]),
         _I64(table.shape[1]),
-        stats.items.ctypes.data,
-        None if stats.unit_deltas else stats.deltas.ctypes.data,
+        _address(stats.items),
+        None if stats.unit_deltas else _address(stats.deltas),
         _I64(stats.items.size),
-        bucket_a.ctypes.data,
-        bucket_b.ctypes.data,
-        sign_a.ctypes.data,
-        sign_b.ctypes.data,
+        _address(bucket_a),
+        _address(bucket_b),
+        _address(sign_a),
+        _address(sign_b),
         _I64(prime),
     )
     return True
@@ -1031,6 +1047,8 @@ def count_sketch_scatter(
 def count_min_estimate(
     table: np.ndarray,
     items: np.ndarray,
+    items_min: int,
+    items_max: int,
     row_a: np.ndarray,
     row_b: np.ndarray,
     prime: int,
@@ -1040,29 +1058,33 @@ def count_min_estimate(
     One pass per block: hash every row, gather its cells, fold the
     running minimum -- the read-side twin of :func:`count_min_scatter`,
     with the same gates (aligned, contiguous int64 operands, ``prime <
-    NATIVE_HASH_BOUND``, items inside the ``0 <= x < prime`` hash
-    domain so the all-double hash stays exact and every table read
-    stays in bounds).
+    NATIVE_HASH_BOUND``, a non-empty probe inside the ``0 <= x <
+    prime`` hash domain so the all-double hash stays exact and every
+    table read stays in bounds).  ``items_min`` and ``items_max`` are
+    the probe's bounds, which the caller has already scanned for, as a
+    scatter takes its batch's from :class:`BatchStats`.
     """
     lib = _native()
     if (
         lib is None
         or prime >= NATIVE_HASH_BOUND
         or not _contiguous_i64(table, items, row_a, row_b)
-        or not _items_in_hash_domain(items, prime)
+        or items.size == 0
+        or items_min < 0
+        or items_max >= prime
     ):
         return None
     out = np.empty(items.size, dtype=np.int64)
     lib.repro_cm_estimate(
-        table.ctypes.data,
+        _address(table),
         _I64(table.shape[0]),
         _I64(table.shape[1]),
-        items.ctypes.data,
+        _address(items),
         _I64(items.size),
-        row_a.ctypes.data,
-        row_b.ctypes.data,
+        _address(row_a),
+        _address(row_b),
         _I64(prime),
-        out.ctypes.data,
+        _address(out),
     )
     return out
 
@@ -1088,9 +1110,9 @@ def ams_sign_bits(base_seed: int, items: np.ndarray) -> Optional[np.ndarray]:
     out = np.empty(items.size, dtype=np.int64)
     lib.repro_ams_signs(
         ctypes.c_uint64(base_seed),
-        items.ctypes.data,
+        _address(items),
         _I64(items.size),
-        out.ctypes.data,
+        _address(out),
     )
     return out
 
@@ -1136,12 +1158,12 @@ def sis_update(
         return False
     return bool(
         lib.repro_sis_update(
-            dense.ctypes.data,
+            _address(dense),
             _I64(dense.shape[1]),
-            items.ctypes.data,
-            deltas.ctypes.data,
+            _address(items),
+            _address(deltas),
             _I64(items.size),
-            cols.ctypes.data,
+            _address(cols),
             _I64(modulus),
             _I64(chunk_width),
             _I64(universe),
@@ -1175,17 +1197,17 @@ def partition_scatter(
     # The two-way path keeps shard ids in registers, not in scratch.
     scratch = None if num_shards == 2 else np.empty(n, dtype=np.int64)
     lib.repro_partition(
-        items.ctypes.data,
-        deltas.ctypes.data,
+        _address(items),
+        _address(deltas),
         _I64(n),
         ctypes.c_uint64(multiplier),
         _I64(shard_bits),
         _I64(window_shift),
         _I64(num_shards),
         _I64(1 if power_of_two else 0),
-        out_items.ctypes.data,
-        out_deltas.ctypes.data,
-        counts.ctypes.data,
-        None if scratch is None else scratch.ctypes.data,
+        _address(out_items),
+        _address(out_deltas),
+        _address(counts),
+        None if scratch is None else _address(scratch),
     )
     return out_items, out_deltas, counts[:num_shards]

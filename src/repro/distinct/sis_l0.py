@@ -232,8 +232,14 @@ class SisL0Estimator(MergeableSketch, StreamAlgorithm):
         """Chunk registers add mod q (the chunk sketch map is linear)."""
         q = self.params.modulus
         if self.int64_fast_path:
-            # Entries are < q on both sides; sums stay far below int64.
-            self._dense = (self._dense + other._dense) % q
+            # Entries are < q on both sides, so a sum minus q lies in
+            # [-q, q - 2]: adding q back where that went negative subtracts
+            # q exactly where the sum reached it, with no int64 division.
+            # The sum is a new array, so a fork's table stays its own.
+            merged = self._dense + other._dense
+            merged -= q
+            merged += (merged >> 63) & q
+            self._dense = merged
             return
         for chunk, vector in other._sketches.items():
             sketch = self._sketches.get(chunk)

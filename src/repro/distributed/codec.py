@@ -20,6 +20,22 @@ canonical: in the paper's model an update is ``(i, delta)`` with both
 bounded by poly(n), so update batches and counter tables rarely need
 all eight bytes.
 
+Every request and reply crosses this codec twice, so its per-value cost
+is a fixed cost of every fleet round.  The encoder branches on a value's
+exact type, most frequent first (str, int, dict, None, bool, tuple and
+list, ndarray, bytes, float); anything else -- an ``np.integer`` scalar,
+``np.float64``, a subclass such as a namedtuple or an ``IntEnum`` --
+goes through ``isinstance`` tests and is written as its base type is.
+A dict whose keys are all protocol field names is ordered by a rank
+precomputed from those names' encodings; any other dict sorts its
+entries by key encoding.  A length below 0x80 is its own one-byte
+varint, written and read inline, and the decoder finds each tag's
+reader in a 256-entry table.  These are shortcuts, not rules: the
+grammar is the one below, and every value gets the bytes the general
+rules give it.  ``tests/test_codec_differential.py`` checks the encoder
+and decoder against a reference with no shortcuts, value by value and
+on truncated, flipped and extended payloads.
+
 The snapshot envelope
 ---------------------
 ::
@@ -99,7 +115,7 @@ class FingerprintMismatch(SnapshotError):
 # field costs one copy into its ``bytes`` and an int64 array, narrow or
 # not, one copy into a fresh owned, writable, aligned int64 array, never
 # a view into the input buffer.  A payload byte decodes to at most eight
-# bytes of array.
+# bytes of array.  Every read past the end raises ``SnapshotError``.
 
 _NONE, _TRUE, _FALSE = ord("N"), ord("T"), ord("F")
 _INT, _FLOAT, _STR, _BYTES = ord("i"), ord("f"), ord("s"), ord("b")
@@ -107,6 +123,7 @@ _TUPLE, _LIST, _DICT = ord("t"), ord("l"), ord("d")
 _INT64_ARRAY, _NARROW_ARRAY, _OBJECT_ARRAY = ord("a"), ord("n"), ord("O")
 
 _INT64 = np.dtype("<i8")
+_DOUBLE = struct.Struct(">d")
 
 #: ``(dtype, lowest, highest)`` per narrow width, narrowest first; built
 #: once, because a dtype made from a string costs per call.
@@ -117,9 +134,10 @@ _NARROW = tuple(
 _NARROW_DTYPES = {dtype.itemsize: dtype for dtype, _, _ in _NARROW}
 _minimum, _maximum = np.minimum.reduce, np.maximum.reduce
 
-#: The dict keys wire messages and replies carry on every request; their
-#: encodings are made once (below :func:`encode_value`) and looked up
-#: when a dict's entries are sorted.  Any other key is encoded afresh.
+#: The dict keys wire messages and replies carry on every request.  Their
+#: encodings are made once, below :func:`encode_value`, with each name's
+#: rank in the canonical (encoding) order, so a dict keyed by field names
+#: alone is ordered by rank; any other key is encoded afresh.
 _FIELD_NAMES = (
     "op", "id", "ok", "result", "error", "message",
     "items", "deltas", "client", "seq", "unless", "version", "snapshot",
@@ -158,73 +176,125 @@ def _read_varint(data: memoryview, offset: int) -> tuple[int, int]:
 
 def encode_into(out: bytearray, value: Any) -> None:
     """Append the encoding of ``value`` to ``out`` (see :func:`encode_value`)."""
-    if value is None:
-        out.append(_NONE)
-    elif value is True:
-        out.append(_TRUE)
-    elif value is False:
-        out.append(_FALSE)
-    elif isinstance(value, (int, np.integer)):
-        value = int(value)
+    kind = type(value)
+    if kind is str:
+        raw = value.encode()
+        out.append(_STR)
+        size = len(raw)
+        if size < 0x80:
+            out.append(size)
+        else:
+            _write_varint(out, size)
+        out += raw
+    elif kind is int:
         out.append(_INT)
-        out.append(0 if value >= 0 else 1)
-        magnitude = abs(value)
-        raw = magnitude.to_bytes((magnitude.bit_length() + 7) // 8 or 1, "big")
-        _write_varint(out, len(raw))
-        out.extend(raw)
+        if value < 0:
+            out.append(1)
+            value = -value
+        else:
+            out.append(0)
+        size = (value.bit_length() + 7) >> 3 or 1
+        if size < 0x80:
+            out.append(size)
+        else:
+            _write_varint(out, size)
+        out += value.to_bytes(size, "big")
+    elif kind is dict:
+        out.append(_DICT)
+        size = len(value)
+        if size < 0x80:
+            out.append(size)
+        else:
+            _write_varint(out, size)
+        try:
+            keys = sorted(value, key=_field_rank)
+        except KeyError:  # a key that is not a field name
+            _encode_entries(out, value)
+        else:
+            for key in keys:
+                out += _KEY_ENCODINGS[key]
+                encode_into(out, value[key])
+    elif value is None:
+        out.append(_NONE)
+    elif kind is bool:
+        out.append(_TRUE if value else _FALSE)
+    elif kind is tuple or kind is list:
+        out.append(_TUPLE if kind is tuple else _LIST)
+        size = len(value)
+        if size < 0x80:
+            out.append(size)
+        else:
+            _write_varint(out, size)
+        for element in value:
+            encode_into(out, element)
+    elif kind is np.ndarray:
+        _encode_ndarray(out, value)
+    elif kind is bytes or kind is bytearray:
+        out.append(_BYTES)
+        size = len(value)
+        if size < 0x80:
+            out.append(size)
+        else:
+            _write_varint(out, size)
+        out += value
+    elif kind is float:
+        out.append(_FLOAT)
+        out += _DOUBLE.pack(value)
+    else:
+        _encode_instance(out, value)
+
+
+def _encode_instance(out: bytearray, value: Any) -> None:
+    """The values whose exact type :func:`encode_into` does not list,
+    matched by ``isinstance`` and written as their base type is."""
+    if isinstance(value, (int, np.integer)):
+        encode_into(out, int(value))
     elif isinstance(value, float):
         out.append(_FLOAT)
-        out.extend(struct.pack(">d", value))
+        out += _DOUBLE.pack(value)
     elif isinstance(value, str):
         raw = value.encode("utf-8")
         out.append(_STR)
         _write_varint(out, len(raw))
-        out.extend(raw)
+        out += raw
     elif isinstance(value, (bytes, bytearray)):
         out.append(_BYTES)
         _write_varint(out, len(value))
-        out.extend(value)
-    elif isinstance(value, tuple):
-        out.append(_TUPLE)
-        _write_varint(out, len(value))
-        for element in value:
-            encode_into(out, element)
-    elif isinstance(value, list):
-        out.append(_LIST)
+        out += value
+    elif isinstance(value, (tuple, list)):
+        out.append(_TUPLE if isinstance(value, tuple) else _LIST)
         _write_varint(out, len(value))
         for element in value:
             encode_into(out, element)
     elif isinstance(value, dict):
         out.append(_DICT)
         _write_varint(out, len(value))
-        # Canonical entry order: sort by the keys' own encodings (a total,
-        # injective order even for mixed key types).  Insertion order would
-        # leak stream history into the bytes -- two replicas holding the
-        # identical counts dict via different update orders must snapshot
-        # to identical bytes for "equal states, equal bytes" to hold.
-        entries = sorted(
-            ((_key_encoding(key), entry) for key, entry in value.items()),
-            key=lambda pair: pair[0],
-        )
-        for raw_key, entry in entries:
-            out.extend(raw_key)
-            encode_into(out, entry)
+        _encode_entries(out, value)
     elif isinstance(value, np.ndarray):
-        if value.dtype == np.int64:
-            _encode_int64_array(out, value)
-        elif value.dtype == object:
-            out.append(_OBJECT_ARRAY)
-            _write_shape(out, value)
-            for element in value.ravel().tolist():
-                encode_into(out, element)
-        else:
-            raise SnapshotError(
-                f"unsupported ndarray dtype for snapshots: {value.dtype}"
-            )
+        _encode_ndarray(out, value)
     else:
         raise SnapshotError(
             f"unsupported value type for snapshots: {type(value).__name__}"
         )
+
+
+def _encode_entries(out: bytearray, value: dict) -> None:
+    # Canonical entry order: sort by the keys' own encodings (a total,
+    # injective order even for mixed key types).  Insertion order would
+    # leak stream history into the bytes -- two replicas holding the
+    # identical counts dict via different update orders must snapshot
+    # to identical bytes for "equal states, equal bytes" to hold.
+    entries = sorted(
+        ((_key_encoding(key), entry) for key, entry in value.items()),
+        key=_first,
+    )
+    for raw_key, entry in entries:
+        out += raw_key
+        encode_into(out, entry)
+
+
+def _first(pair: tuple) -> Any:
+    return pair[0]
 
 
 def _key_encoding(key: Any) -> bytes:
@@ -233,6 +303,20 @@ def _key_encoding(key: Any) -> bytes:
         if raw is not None:
             return raw
     return encode_value(key)
+
+
+def _encode_ndarray(out: bytearray, value: np.ndarray) -> None:
+    if value.dtype == np.int64:
+        _encode_int64_array(out, value)
+    elif value.dtype == object:
+        out.append(_OBJECT_ARRAY)
+        _write_shape(out, value)
+        for element in value.ravel().tolist():
+            encode_into(out, element)
+    else:
+        raise SnapshotError(
+            f"unsupported ndarray dtype for snapshots: {value.dtype}"
+        )
 
 
 def _write_shape(out: bytearray, value: np.ndarray) -> None:
@@ -292,84 +376,169 @@ def _read_int64_array(
     return _shaped(array, shape).astype(np.int64), end
 
 
+# One reader per tag: ``reader(data, offset)`` takes the offset just past
+# the tag and returns ``(value, offset past the value)``.  Containers look
+# their elements' readers up themselves, so each nesting level costs one
+# frame of the interpreter's recursion limit.
+
+
 def _decode_from(data: memoryview, offset: int) -> tuple[Any, int]:
     if offset >= len(data):
         raise SnapshotError("truncated payload (missing tag)")
-    tag = data[offset]
-    offset += 1
-    # Tags in rough order of frequency on the wire.
-    if tag == _STR:
-        length, offset = _read_varint(data, offset)
-        if offset + length > len(data):
-            raise SnapshotError("truncated payload (str)")
-        try:
-            return str(data[offset : offset + length], "utf-8"), offset + length
-        except UnicodeDecodeError:
-            raise SnapshotError("malformed payload (str is not UTF-8)") from None
-    if tag == _INT:
-        if offset >= len(data):
-            raise SnapshotError("truncated payload (int sign)")
-        negative = data[offset] == 1
+    return _READERS[data[offset]](data, offset + 1)
+
+
+def _read_str(data: memoryview, offset: int) -> tuple[str, int]:
+    try:
+        length = data[offset]
+    except IndexError:
+        raise SnapshotError("truncated payload (varint)") from None
+    if length < 0x80:
         offset += 1
+    else:
         length, offset = _read_varint(data, offset)
-        if offset + length > len(data):
-            raise SnapshotError("truncated payload (int magnitude)")
-        magnitude = int.from_bytes(data[offset : offset + length], "big")
-        return (-magnitude if negative else magnitude), offset + length
-    if tag == _DICT:
-        count, offset = _read_varint(data, offset)
-        result: dict[Any, Any] = {}
-        for _ in range(count):
-            key, offset = _decode_from(data, offset)
-            entry, offset = _decode_from(data, offset)
-            try:
-                result[key] = entry
-            except TypeError:
-                raise SnapshotError("malformed payload (unhashable dict key)") from None
-        return result, offset
-    if tag == _NARROW_ARRAY:
+    end = offset + length
+    if end > len(data):
+        raise SnapshotError("truncated payload (str)")
+    try:
+        return str(data[offset:end], "utf-8"), end
+    except UnicodeDecodeError:
+        raise SnapshotError("malformed payload (str is not UTF-8)") from None
+
+
+def _read_int(data: memoryview, offset: int) -> tuple[int, int]:
+    try:
+        negative = data[offset] == 1
+        length = data[offset + 1]
+    except IndexError:
         if offset >= len(data):
-            raise SnapshotError("truncated payload (ndarray width)")
-        dtype = _NARROW_DTYPES.get(data[offset])
-        if dtype is None:
-            raise SnapshotError(
-                f"malformed payload (ndarray width {data[offset]}, not 1, 2 or 4)"
-            )
-        return _read_int64_array(data, offset + 1, dtype)
-    if tag == _INT64_ARRAY:
-        return _read_int64_array(data, offset, _INT64)
-    if tag == _NONE:
-        return None, offset
-    if tag == _TRUE:
-        return True, offset
-    if tag == _FALSE:
-        return False, offset
-    if tag == _BYTES:
-        length, offset = _read_varint(data, offset)
-        if offset + length > len(data):
-            raise SnapshotError("truncated payload (bytes)")
-        return bytes(data[offset : offset + length]), offset + length
-    if tag == _TUPLE or tag == _LIST:
+            raise SnapshotError("truncated payload (int sign)") from None
+        raise SnapshotError("truncated payload (varint)") from None
+    if length < 0x80:
+        offset += 2
+    else:
+        length, offset = _read_varint(data, offset + 1)
+    end = offset + length
+    if end > len(data):
+        raise SnapshotError("truncated payload (int magnitude)")
+    magnitude = int.from_bytes(data[offset:end], "big")
+    return (-magnitude if negative else magnitude), end
+
+
+def _read_dict(data: memoryview, offset: int) -> tuple[dict, int]:
+    try:
+        count = data[offset]
+    except IndexError:
+        raise SnapshotError("truncated payload (varint)") from None
+    if count < 0x80:
+        offset += 1
+    else:
         count, offset = _read_varint(data, offset)
-        elements = []
-        for _ in range(count):
-            element, offset = _decode_from(data, offset)
-            elements.append(element)
-        return (tuple(elements) if tag == _TUPLE else elements), offset
-    if tag == _FLOAT:
-        if offset + 8 > len(data):
-            raise SnapshotError("truncated payload (float)")
-        return struct.unpack_from(">d", data, offset)[0], offset + 8
-    if tag == _OBJECT_ARRAY:
-        shape, count, offset = _read_shape(data, offset)
-        if count > len(data) - offset:  # every element takes a byte at least
-            raise SnapshotError("truncated payload (object ndarray)")
-        array = np.empty(count, dtype=object)
-        for index in range(count):
-            element, offset = _decode_from(data, offset)
-            array[index] = element
-        return _shaped(array, shape), offset
-    raise SnapshotError(f"unknown value tag {tag:#x}")
+    size = len(data)
+    result: dict[Any, Any] = {}
+    for _ in range(count):
+        if offset >= size:
+            raise SnapshotError("truncated payload (missing tag)")
+        key, offset = _READERS[data[offset]](data, offset + 1)
+        if offset >= size:
+            raise SnapshotError("truncated payload (missing tag)")
+        entry, offset = _READERS[data[offset]](data, offset + 1)
+        try:
+            result[key] = entry
+        except TypeError:
+            raise SnapshotError("malformed payload (unhashable dict key)") from None
+    return result, offset
+
+
+def _read_sequence(data: memoryview, offset: int) -> tuple[Any, int]:
+    """A tuple or a list, by the tag just before ``offset``."""
+    tag = data[offset - 1]
+    try:
+        count = data[offset]
+    except IndexError:
+        raise SnapshotError("truncated payload (varint)") from None
+    if count < 0x80:
+        offset += 1
+    else:
+        count, offset = _read_varint(data, offset)
+    size = len(data)
+    elements = []
+    for _ in range(count):
+        if offset >= size:
+            raise SnapshotError("truncated payload (missing tag)")
+        element, offset = _READERS[data[offset]](data, offset + 1)
+        elements.append(element)
+    return (tuple(elements) if tag == _TUPLE else elements), offset
+
+
+def _read_bytes(data: memoryview, offset: int) -> tuple[bytes, int]:
+    try:
+        length = data[offset]
+    except IndexError:
+        raise SnapshotError("truncated payload (varint)") from None
+    if length < 0x80:
+        offset += 1
+    else:
+        length, offset = _read_varint(data, offset)
+    end = offset + length
+    if end > len(data):
+        raise SnapshotError("truncated payload (bytes)")
+    return bytes(data[offset:end]), end
+
+
+def _read_float(data: memoryview, offset: int) -> tuple[float, int]:
+    if offset + 8 > len(data):
+        raise SnapshotError("truncated payload (float)")
+    return _DOUBLE.unpack_from(data, offset)[0], offset + 8
+
+
+def _read_narrow_array(data: memoryview, offset: int) -> tuple[np.ndarray, int]:
+    if offset >= len(data):
+        raise SnapshotError("truncated payload (ndarray width)")
+    dtype = _NARROW_DTYPES.get(data[offset])
+    if dtype is None:
+        raise SnapshotError(
+            f"malformed payload (ndarray width {data[offset]}, not 1, 2 or 4)"
+        )
+    return _read_int64_array(data, offset + 1, dtype)
+
+
+def _read_wide_array(data: memoryview, offset: int) -> tuple[np.ndarray, int]:
+    return _read_int64_array(data, offset, _INT64)
+
+
+def _read_object_array(data: memoryview, offset: int) -> tuple[np.ndarray, int]:
+    shape, count, offset = _read_shape(data, offset)
+    if count > len(data) - offset:  # every element takes a byte at least
+        raise SnapshotError("truncated payload (object ndarray)")
+    size = len(data)
+    array = np.empty(count, dtype=object)
+    for index in range(count):
+        if offset >= size:
+            raise SnapshotError("truncated payload (missing tag)")
+        array[index], offset = _READERS[data[offset]](data, offset + 1)
+    return _shaped(array, shape), offset
+
+
+def _read_unknown(data: memoryview, offset: int) -> tuple[Any, int]:
+    raise SnapshotError(f"unknown value tag {data[offset - 1]:#x}")
+
+
+_READERS = [_read_unknown] * 256
+_READERS[_NONE] = lambda data, offset: (None, offset)
+_READERS[_TRUE] = lambda data, offset: (True, offset)
+_READERS[_FALSE] = lambda data, offset: (False, offset)
+_READERS[_INT] = _read_int
+_READERS[_FLOAT] = _read_float
+_READERS[_STR] = _read_str
+_READERS[_BYTES] = _read_bytes
+_READERS[_TUPLE] = _read_sequence
+_READERS[_LIST] = _read_sequence
+_READERS[_DICT] = _read_dict
+_READERS[_INT64_ARRAY] = _read_wide_array
+_READERS[_NARROW_ARRAY] = _read_narrow_array
+_READERS[_OBJECT_ARRAY] = _read_object_array
+_READERS = tuple(_READERS)
 
 
 def encode_value(value: Any) -> bytes:
@@ -380,6 +549,10 @@ def encode_value(value: Any) -> bytes:
 
 
 _KEY_ENCODINGS = {name: encode_value(name) for name in _FIELD_NAMES}
+_field_rank = {
+    name: rank
+    for rank, name in enumerate(sorted(_FIELD_NAMES, key=_KEY_ENCODINGS.__getitem__))
+}.__getitem__
 
 
 def decode_value(data) -> Any:

@@ -194,13 +194,13 @@ class CountMinSketch(MergeableSketch, StreamAlgorithm):
         if (
             not self._vectorizable
             or self.table.dtype == object
-            or int(probe.min()) < 0
-            or int(probe.max()) >= self.prime
+            or (low := int(probe.min())) < 0
+            or (high := int(probe.max())) >= self.prime
         ):
             kernels.record_dispatch("count_min_estimate", "scalar")
             return super().estimate_batch(probe)
         fused = kernels.count_min_estimate(
-            self.table, probe, self._row_a, self._row_b, self.prime
+            self.table, probe, low, high, self._row_a, self._row_b, self.prime
         )
         if fused is not None:
             kernels.record_dispatch("count_min_estimate", "native")

@@ -56,6 +56,7 @@ Usage::
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -214,13 +215,24 @@ async def ingest_async(
                     await queue.put(chunk)
             else:
                 iterator = iter(source)
-                with ThreadPoolExecutor(
+                pool = ThreadPoolExecutor(
                     max_workers=1, thread_name_prefix="ingest-produce"
-                ) as pool:
-                    while (
-                        chunk := await loop.run_in_executor(pool, next, iterator, END)
-                    ) is not END:
+                )
+                pending = pool.submit(next, iterator, END)
+                try:
+                    while (chunk := await asyncio.wrap_future(pending)) is not END:
                         await queue.put(chunk)
+                        pending = pool.submit(next, iterator, END)
+                finally:
+                    # A cancelled producer can leave a next() in flight (a
+                    # quiet socket can hold it for seconds): wait for it
+                    # here, on the loop, so the join below is immediate
+                    # instead of blocking every task on the loop.
+                    pool.shutdown(wait=False)
+                    if not pending.done():
+                        with contextlib.suppress(Exception):
+                            await asyncio.wrap_future(pending)
+                    pool.shutdown(wait=True)
         except Exception as exc:
             await queue.put(exc)
         else:

@@ -1,5 +1,6 @@
 """Tests for L0 estimation: SIS sketch (Theorem 1.5), exact, KMV."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +110,28 @@ class TestSisL0:
         estimator = SisL0Estimator(universe_size=64, params=params)
         assert estimator.chunk_width == 8
         assert estimator.num_chunks == 8
+
+    def test_dense_merge_matches_the_modulo_sum(self):
+        """The dense merge subtracts q where a register sum reaches it:
+        the registers ``(a + b) % q`` gives, for every pair drawn from 0,
+        1, q // 2, q - 2 and q - 1, in a new table (a fork's stays its
+        own) and with the other side's untouched."""
+        params = SISParams(rows=4, cols=8, modulus=97, beta=50.0)
+        left = SisL0Estimator(universe_size=64, params=params, seed=8)
+        right = SisL0Estimator(universe_size=64, params=params, seed=8)
+        assert left.int64_fast_path and left._dense.shape == (8, 4)
+        q = params.modulus
+        edges = [0, 1, q // 2, q - 2, q - 1]
+        mine, theirs = np.zeros((2, 32), dtype=np.int64)
+        mine[:25], theirs[:25] = zip(*[(a, b) for a in edges for b in edges])
+        left._dense, right._dense = mine.reshape(8, 4), theirs.reshape(8, 4).copy()
+        expected = (left._dense + right._dense) % q
+        before = left._dense
+        left.merge(right)
+        assert np.array_equal(left._dense, expected)
+        assert left._dense is not before
+        assert np.array_equal(before, mine.reshape(8, 4))
+        assert np.array_equal(right._dense, theirs.reshape(8, 4))
 
     def test_state_view(self):
         estimator = SisL0Estimator(universe_size=64, eps=0.5, c=0.25, seed=7)

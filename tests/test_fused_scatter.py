@@ -248,7 +248,9 @@ class TestHashEdge:
         if applied:
             assert np.array_equal(table, reference)
             assert np.array_equal(signed, signed_reference)
-            estimates = kernels.count_min_estimate(table, items, a, b, p)
+            estimates = kernels.count_min_estimate(
+                table, items, stats.items_min, stats.items_max, a, b, p
+            )
             rows = [
                 table[r, linear_hash_rows(items, int(a[r]), int(b[r]), p, width)]
                 for r in range(a.size)

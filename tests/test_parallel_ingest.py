@@ -191,3 +191,41 @@ class TestProducerShutdown:
             return _leftovers()
 
         assert asyncio.run(run()) == (set(), [])
+
+    def test_cancelled_run_waits_for_its_source_without_blocking_the_loop(self):
+        """A sync source's in-flight ``next()`` (here a quiet socket's
+        1.5 s read) ends on its own thread, while the loop keeps running:
+        a 10 ms watchdog never sees a long gap."""
+        items, deltas = stream_arrays(length=2_000)
+
+        def quiet_source():
+            yield items[:1_000], deltas[:1_000]
+            time.sleep(1.5)
+            yield items[1_000:], deltas[1_000:]
+
+        async def run():
+            gaps = []
+
+            async def watchdog():
+                last = time.perf_counter()
+                while True:
+                    await asyncio.sleep(0.01)
+                    now = time.perf_counter()
+                    gaps.append(now - last)
+                    last = now
+
+            dog = asyncio.ensure_future(watchdog())
+            task = asyncio.ensure_future(
+                ingest_async(ExactL0(500), quiet_source(), queue_depth=2)
+            )
+            await asyncio.sleep(0.2)  # the second next() is asleep by now
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            dog.cancel()
+            await asyncio.wait((dog,))
+            return max(gaps), _leftovers()
+
+        gap, leftovers = asyncio.run(run())
+        assert gap < 0.2
+        assert leftovers == (set(), [])
